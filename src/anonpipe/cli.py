@@ -13,30 +13,16 @@ from anonpipe import formats
 from anonpipe import harness
 from anonpipe import shuffler as shuffler_mod
 from anonpipe import stash_shuffle as ss
-from anonpipe.crypto.envelope import TransportKeyPair
-from anonpipe.crypto.group import GROUPS, BlindingSecret, KeyPair
-from anonpipe.harness import RngTape, ScenarioConfig
+from anonpipe.crypto.group import GROUPS
+from anonpipe.harness import PipelineKeys, RngTape, ScenarioConfig
 
 
 def _load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_text(Path(path).read_text())
 
 
-def _load_keys(path: str) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def _transport(keys: dict, who: str) -> TransportKeyPair:
-    return TransportKeyPair(
-        secret_bytes=bytes.fromhex(keys[f"{who}_secret"]),
-        public_bytes=bytes.fromhex(keys[f"{who}_public"]),
-    )
-
-
-def _shuffler2(keys: dict) -> KeyPair:
-    group = GROUPS[keys["group_id"]]
-    secret = int(keys["shuffler2_secret"], 16)
-    return KeyPair(group=group, secret=secret, public=group.exp(group.generator, secret))
+def _load_keys(path: str) -> PipelineKeys:
+    return PipelineKeys.from_json(Path(path).read_text())
 
 
 @click.group()
@@ -46,29 +32,18 @@ def main():
 
 @main.command()
 @click.option("--workspace", type=click.Path(), default=".", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option(
+    "--seed", type=int, default=None,
+    help="Evaluation only: derive every key from this seed, as `run` does. "
+    "Without it, keys are drawn from the operating system's secure RNG.",
+)
 @click.option("--group", "group_id", default=harness.DEFAULT_GROUP, show_default=True)
 def keygen(workspace, seed, group_id):
     """Generate analyzer/shuffler key material into keys.json."""
-    tape = RngTape(seed)
-    group = GROUPS[group_id]
-    analyzer_kp = TransportKeyPair.generate(tape.stream("keys/analyzer"))
-    shuffler_kp = TransportKeyPair.generate(tape.stream("keys/shuffler1"))
-    s2 = KeyPair.generate(group, tape.stream("keys/shuffler2"))
-    blinding = BlindingSecret.generate(group, tape.stream("shuffle1/blind"))
-    keys = {
-        "group_id": group_id,
-        "analyzer_secret": analyzer_kp.secret_bytes.hex(),
-        "analyzer_public": analyzer_kp.public_bytes.hex(),
-        "shuffler1_secret": shuffler_kp.secret_bytes.hex(),
-        "shuffler1_public": shuffler_kp.public_bytes.hex(),
-        "shuffler2_secret": f"{s2.secret:x}",
-        "shuffler2_public": f"{s2.public:x}",
-        "blinding_alpha": f"{blinding.alpha:x}",
-    }
+    keys = harness.derive_keys(group_id, RngTape(seed) if seed is not None else None)
     out = Path(workspace) / "keys.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(keys, indent=2) + "\n")
+    out.write_text(keys.to_json() + "\n")
     click.echo(f"wrote {out}")
 
 
@@ -95,15 +70,9 @@ def encode(config_path, corpus_path, keys_path, out):
     config = _load_config(config_path)
     keys = _load_keys(keys_path)
     corpus = harness.load_corpus(corpus_path)
-    tape = RngTape(config.seed)
-    s2 = _shuffler2(keys) if config.two_shufflers else None
     blobs = harness.encode_corpus(
-        config,
-        corpus,
-        tape,
-        _transport(keys, "analyzer").public_bytes,
-        _transport(keys, "shuffler1").public_bytes,
-        s2,
+        config, corpus, RngTape(config.seed), keys.analyzer.public_bytes,
+        keys.shuffler.public_bytes, keys.shuffler2,
     )
     formats.write_batch(out, blobs)
     click.echo(f"wrote {len(blobs)} reports to {out}")
@@ -122,28 +91,16 @@ def shuffle(config_path, keys_path, in_path, out):
     """
     config = _load_config(config_path)
     keys = _load_keys(keys_path)
-    group = GROUPS[config.group_id]
-    tape = RngTape(config.seed)
-    blobs = formats.read_batch(in_path)
-    batch = shuffler_mod.intake(
-        blobs, _transport(keys, "shuffler1"), "epoch-0", tape.stream("shuffle1/intake"),
-        group,
+    batch = harness.first_shuffler_stage(
+        config, formats.read_batch(in_path), RngTape(config.seed), keys.shuffler,
+        keys.blinding,
     )
     if config.two_shufflers:
-        blinding = BlindingSecret(alpha=int(keys["blinding_alpha"], 16))
-        staged = shuffler_mod.blind_stage1(
-            batch, group, blinding, tape.stream("shuffle1/reorder")
-        )
-        formats.write_batch(out, [crowd + inner for crowd, inner in staged.records])
-        click.echo(f"wrote blinded intermediate batch ({len(staged.records)} records)")
+        formats.write_batch(out, [crowd + inner for crowd, inner in batch.records])
+        click.echo(f"wrote blinded intermediate batch ({len(batch.records)} records)")
     else:
-        result = shuffler_mod.apply_threshold(
-            batch, shuffler_mod.count_crowds(batch), config.policy(),
-            tape.stream("threshold/noise"),
-        )
-        result = shuffler_mod.shuffle_batch(result, tape.stream("shuffle1/output-order"))
-        formats.write_batch(out, [inner for _, inner in result.records])
-        click.echo(json.dumps(shuffler_mod.selectivity_record(result)))
+        formats.write_batch(out, [inner for _, inner in batch.records])
+        click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))
 
 
 @main.command()
@@ -155,19 +112,16 @@ def shuffle2(config_path, keys_path, in_path, out):
     """Second shuffler stage: unblind crowd pseudonyms and threshold."""
     config = _load_config(config_path)
     keys = _load_keys(keys_path)
-    group = GROUPS[config.group_id]
-    tape = RngTape(config.seed)
-    crowd_width = 2 * group.element_len
+    crowd_width = 2 * GROUPS[config.group_id].element_len
     records = [
         (blob[:crowd_width], blob[crowd_width:]) for blob in formats.read_batch(in_path)
     ]
-    batch = shuffler_mod.Batch(epoch_id="epoch-0", records=records)
-    result = shuffler_mod.blind_stage2_threshold(
-        batch, group, _shuffler2(keys), config.policy(), tape.stream("threshold/noise")
+    batch = harness.second_shuffler_stage(
+        config, shuffler_mod.Batch(epoch_id="epoch-0", records=records),
+        RngTape(config.seed), keys.shuffler2,
     )
-    result = shuffler_mod.shuffle_batch(result, tape.stream("shuffle2/output-order"))
-    formats.write_batch(out, [inner for _, inner in result.records])
-    click.echo(json.dumps(shuffler_mod.selectivity_record(result)))
+    formats.write_batch(out, [inner for _, inner in batch.records])
+    click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))
 
 
 @main.command()
@@ -180,7 +134,7 @@ def analyze(config_path, keys_path, in_path, out_dir):
     config = _load_config(config_path)
     keys = _load_keys(keys_path)
     inner_blobs = formats.read_batch(in_path)
-    hist, stats = harness.analyze_stage(config, inner_blobs, _transport(keys, "analyzer"))
+    hist, stats = harness.analyze_stage(config, inner_blobs, keys.analyzer)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "histogram.csv").write_text(analyzer_mod.histogram_csv(hist))

@@ -1,54 +1,1 @@
-from anonpipe.crypto.group import (
-    GROUPS,
-    MODP_2048,
-    TEST_GROUP_256,
-    BlindingSecret,
-    ElGamalCiphertext,
-    GroupParams,
-    KeyPair,
-    blind,
-    elgamal_encrypt,
-    hash_to_group,
-    unblind_decrypt,
-)
-from anonpipe.crypto.envelope import AeadEnvelope, TransportKeyPair, open_envelope, seal
-from anonpipe.crypto.shamir import (
-    GF251,
-    PrimeField,
-    ShamirShare,
-    eval_poly,
-    shamir_reconstruct,
-    shamir_share,
-)
-from anonpipe.crypto.deterministic import (
-    deterministic_decrypt,
-    deterministic_encrypt,
-    message_derived_key,
-)
-
-__all__ = [
-    "GROUPS",
-    "MODP_2048",
-    "TEST_GROUP_256",
-    "BlindingSecret",
-    "ElGamalCiphertext",
-    "GroupParams",
-    "KeyPair",
-    "blind",
-    "elgamal_encrypt",
-    "hash_to_group",
-    "unblind_decrypt",
-    "AeadEnvelope",
-    "TransportKeyPair",
-    "open_envelope",
-    "seal",
-    "GF251",
-    "PrimeField",
-    "ShamirShare",
-    "eval_poly",
-    "shamir_reconstruct",
-    "shamir_share",
-    "deterministic_decrypt",
-    "deterministic_encrypt",
-    "message_derived_key",
-]
+"""Cryptographic building blocks: envelopes, groups, sharing, deterministic AEAD."""

@@ -27,16 +27,6 @@ from anonpipe.formats import (
     WireReport,
 )
 
-DEFAULT_MAX_PAYLOAD = 64
-
-
-@dataclass(frozen=True)
-class RawDatum:
-    """Application data plus the value whose cardinality is thresholded."""
-
-    payload: bytes
-    crowd_key: bytes
-
 
 # ---------------------------------------------------------------------------
 # Fragmentation

@@ -13,7 +13,6 @@ observer learns nothing from record sizes.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +46,8 @@ def crowd_id_width(kind: int, group: GroupParams | None = None) -> int:
         return FIXED_CROWD_WIDTH
     if kind == KIND_BLINDED:
         if group is None:
-            raise ValueError("blinded crowd IDs need group parameters")
+            # a party without group parameters cannot parse this kind
+            raise DecryptionError("blinded crowd IDs need group parameters")
         return 2 * group.element_len
     raise DecryptionError(f"unknown crowd-ID kind {kind}")
 
@@ -70,6 +70,8 @@ def pad_payload(payload: bytes, pad_to: int) -> bytes:
 
 
 def unpad_payload(padded: bytes) -> bytes:
+    if len(padded) < 2:
+        raise DecryptionError("padded payload shorter than its length prefix")
     (n,) = struct.unpack_from("<H", padded)
     if n + 2 > len(padded):
         raise DecryptionError("corrupt padded payload")
@@ -111,6 +113,8 @@ def write_batch(path: str | Path, records: list[bytes]) -> None:
 def read_batch(path: str | Path) -> list[bytes]:
     with open(path, "rb") as fh:
         header = fh.read(_BATCH_HEADER.size)
+        if len(header) != _BATCH_HEADER.size:
+            raise DecryptionError("batch header truncated")
         magic, record_len, count = _BATCH_HEADER.unpack(header)
         if magic != BATCH_MAGIC:
             raise DecryptionError("bad batch magic")
@@ -120,12 +124,3 @@ def read_batch(path: str | Path) -> list[bytes]:
     if len(body) != record_len * count:
         raise DecryptionError("batch truncated")
     return [body[i * record_len : (i + 1) * record_len] for i in range(count)]
-
-
-def batch_to_bytes(records: list[bytes]) -> bytes:
-    buf = io.BytesIO()
-    record_len = len(records[0]) if records else 0
-    buf.write(_BATCH_HEADER.pack(BATCH_MAGIC, record_len, len(records)))
-    for rec in records:
-        buf.write(rec)
-    return buf.getvalue()

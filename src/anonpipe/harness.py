@@ -203,7 +203,76 @@ class UtilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (shared by run_scenario and the CLI subcommands)
+# Key material
+
+
+@dataclass(frozen=True)
+class PipelineKeys:
+    """Every party's keys: the analyzer's and the first shuffler's transport
+    keys, the second shuffler's El Gamal key and the first shuffler's
+    blinding exponent."""
+
+    group_id: str
+    analyzer: TransportKeyPair
+    shuffler: TransportKeyPair
+    shuffler2: KeyPair
+    blinding: BlindingSecret
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "group_id": self.group_id,
+                "analyzer_secret": self.analyzer.secret_bytes.hex(),
+                "analyzer_public": self.analyzer.public_bytes.hex(),
+                "shuffler1_secret": self.shuffler.secret_bytes.hex(),
+                "shuffler1_public": self.shuffler.public_bytes.hex(),
+                "shuffler2_secret": f"{self.shuffler2.secret:x}",
+                "shuffler2_public": f"{self.shuffler2.public:x}",
+                "blinding_alpha": f"{self.blinding.alpha:x}",
+            },
+            indent=2,
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "PipelineKeys":
+        keys = json.loads(text)
+        group = GROUPS[keys["group_id"]]
+
+        def transport(who: str) -> TransportKeyPair:
+            return TransportKeyPair(
+                secret_bytes=bytes.fromhex(keys[f"{who}_secret"]),
+                public_bytes=bytes.fromhex(keys[f"{who}_public"]),
+            )
+
+        x2 = int(keys["shuffler2_secret"], 16)
+        return cls(
+            group_id=keys["group_id"],
+            analyzer=transport("analyzer"),
+            shuffler=transport("shuffler1"),
+            shuffler2=KeyPair(group=group, secret=x2, public=group.exp(group.generator, x2)),
+            blinding=BlindingSecret(alpha=int(keys["blinding_alpha"], 16)),
+        )
+
+
+def derive_keys(group_id: str, tape: RngTape | None) -> PipelineKeys:
+    """All key material, drawn from `secrets` when `tape` is None.  A tape
+    makes every key a function of its seed: evaluation only."""
+    group = GROUPS[group_id]
+
+    def rng(name: str):
+        return tape.stream(name) if tape is not None else None
+
+    return PipelineKeys(
+        group_id=group_id,
+        analyzer=TransportKeyPair.generate(rng("keys/analyzer")),
+        shuffler=TransportKeyPair.generate(rng("keys/shuffler1")),
+        shuffler2=KeyPair.generate(group, rng("keys/shuffler2")),
+        blinding=BlindingSecret.generate(group, rng("shuffle1/blind")),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Stage implementations (shared by run_scenario, the demos and the CLI)
 
 
 def encode_corpus(
@@ -214,6 +283,19 @@ def encode_corpus(
     shuffler_public: bytes,
     shuffler2_keypair: KeyPair | None = None,
 ) -> list[bytes]:
+    words = [item_word(int(item)) for item in corpus]
+    return encode_words(config, words, tape, analyzer_public, shuffler_public, shuffler2_keypair)
+
+
+def encode_words(
+    config: ScenarioConfig,
+    words: list[bytes],
+    tape: RngTape,
+    analyzer_public: bytes,
+    shuffler_public: bytes,
+    shuffler2_keypair: KeyPair | None = None,
+) -> list[bytes]:
+    """One wire report per word; the word is both the value and its crowd key."""
     group = GROUPS[config.group_id]
     fld = PrimeField(group.order_p)
     pad_to = derived_pad_to(config)
@@ -224,8 +306,7 @@ def encode_corpus(
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
 
     blobs = []
-    for item in corpus:
-        word = item_word(int(item))
+    for word in words:
         if config.secret_share_t:
             payload = secret_share_encode(
                 word, config.secret_share_t, fld, rng_share
@@ -245,6 +326,39 @@ def encode_corpus(
     return blobs
 
 
+def first_shuffler_stage(
+    config: ScenarioConfig,
+    report_blobs: list[bytes],
+    tape: RngTape,
+    shuffler_keypair: TransportKeyPair,
+    blinding: BlindingSecret | None,
+    epoch_id: str = "epoch-0",
+) -> Batch:
+    """Intake, then either blind the crowd IDs for the second shuffler or
+    threshold and reorder into the final inner-envelope batch."""
+    group = GROUPS[config.group_id]
+    batch = shuffler_mod.intake(
+        report_blobs, shuffler_keypair, epoch_id, tape.stream("shuffle1/intake"), group
+    )
+    if config.two_shufflers:
+        return shuffler_mod.blind_stage1(batch, group, blinding, tape.stream("shuffle1/reorder"))
+    out = shuffler_mod.apply_threshold(
+        batch, shuffler_mod.count_crowds(batch), config.policy(), tape.stream("threshold/noise")
+    )
+    return shuffler_mod.shuffle_batch(out, tape.stream("shuffle1/output-order"))
+
+
+def second_shuffler_stage(
+    config: ScenarioConfig, batch: Batch, tape: RngTape, shuffler2_keypair: KeyPair
+) -> Batch:
+    """Threshold on unblinded pseudonyms, then reorder into the final batch."""
+    out = shuffler_mod.blind_stage2_threshold(
+        batch, GROUPS[config.group_id], shuffler2_keypair, config.policy(),
+        tape.stream("threshold/noise"),
+    )
+    return shuffler_mod.shuffle_batch(out, tape.stream("shuffle2/output-order"))
+
+
 def shuffle_stage(
     config: ScenarioConfig,
     report_blobs: list[bytes],
@@ -253,25 +367,13 @@ def shuffle_stage(
     shuffler2_keypair: KeyPair | None,
     epoch_id: str = "epoch-0",
 ) -> Batch:
-    group = GROUPS[config.group_id]
-    policy = config.policy()
-    batch = shuffler_mod.intake(
-        report_blobs, shuffler_keypair, epoch_id, tape.stream("shuffle1/intake"), group
-    )
-    if config.two_shufflers:
-        blinding = BlindingSecret.generate(group, tape.stream("shuffle1/blind"))
-        staged = shuffler_mod.blind_stage1(
-            batch, group, blinding, tape.stream("shuffle1/reorder")
-        )
-        out = shuffler_mod.blind_stage2_threshold(
-            staged, group, shuffler2_keypair, policy, tape.stream("threshold/noise")
-        )
-    else:
-        counts = shuffler_mod.count_crowds(batch)
-        out = shuffler_mod.apply_threshold(
-            batch, counts, policy, tape.stream("threshold/noise")
-        )
-    return shuffler_mod.shuffle_batch(out, tape.stream("shuffle1/output-order"))
+    """Every shuffler stage the config needs, with the blinding exponent
+    derived from `tape`."""
+    if not config.two_shufflers:
+        return first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, None, epoch_id)
+    blinding = derive_keys(config.group_id, tape).blinding
+    staged = first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, blinding, epoch_id)
+    return second_shuffler_stage(config, staged, tape, shuffler2_keypair)
 
 
 def analyze_stage(
@@ -301,7 +403,6 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
     workspace = Path(workspace)
     workspace.mkdir(parents=True, exist_ok=True)
     tape = RngTape(config.seed)
-    group = GROUPS[config.group_id]
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
 
@@ -323,19 +424,12 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
     save_corpus(workspace / "corpus.txt", corpus)
     counts["corpus"] = len(corpus)
 
-    analyzer_kp = TransportKeyPair.generate(tape.stream("keys/analyzer"))
-    shuffler_kp = TransportKeyPair.generate(tape.stream("keys/shuffler1"))
-    shuffler2_kp = (
-        KeyPair.generate(group, tape.stream("keys/shuffler2"))
-        if config.two_shufflers
-        else None
-    )
-
+    keys = derive_keys(config.group_id, tape)
     blobs = timed(
         "encode",
         lambda: encode_corpus(
-            config, corpus, tape, analyzer_kp.public_bytes, shuffler_kp.public_bytes,
-            shuffler2_kp,
+            config, corpus, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes,
+            keys.shuffler2,
         ),
     )
     formats.write_batch(workspace / "reports.bin", blobs)
@@ -343,7 +437,7 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
 
     out_batch = timed(
         "shuffle",
-        lambda: shuffle_stage(config, blobs, tape, shuffler_kp, shuffler2_kp),
+        lambda: shuffle_stage(config, blobs, tape, keys.shuffler, keys.shuffler2),
     )
     inner_blobs = [inner for _, inner in out_batch.records]
     formats.write_batch(workspace / "shuffled.bin", inner_blobs)
@@ -353,7 +447,7 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
     counts["surviving"] = len(inner_blobs)
 
     hist, stats = timed(
-        "analyze", lambda: analyze_stage(config, inner_blobs, analyzer_kp)
+        "analyze", lambda: analyze_stage(config, inner_blobs, keys.analyzer)
     )
     (workspace / "histogram.csv").write_text(analyzer_mod.histogram_csv(hist))
     (workspace / "analyzer_stats.json").write_text(json.dumps(stats) + "\n")
@@ -498,36 +592,19 @@ def run_perms_demo(
         bitmap = flip_bits(bitmap, 4, flip_prob, flip_rng)
         tuples.append(struct.pack("<IB", int(page), feature) + bitmap)
 
-    analyzer_kp = TransportKeyPair.generate(tape.stream("keys/analyzer"))
-    shuffler_kp = TransportKeyPair.generate(tape.stream("keys/shuffler1"))
-    hash_key = tape.stream("keys/crowd-hash").randbytes(16)
-    rng_seal = tape.stream("encode/seal")
-    pad_to = 16
-    blobs = [
-        encode_report(
-            t,
-            make_crowd_id(t, "hashed", hash_key=hash_key),
-            analyzer_kp.public_bytes,
-            shuffler_kp.public_bytes,
-            pad_to,
-            rng_seal,
-        ).to_bytes()
-        for t in tuples
-    ]
-    policy = ThresholdPolicy(
-        threshold_t=threshold_t, sigma=sigma, mode="randomized_threshold"
+    config = ScenarioConfig(
+        name="perms-demo", seed=seed, crowd_mode="hashed", threshold_t=threshold_t,
+        sigma=sigma, policy_mode="randomized_threshold", pad_to=16, group_id=group_id,
     )
-    batch = shuffler_mod.intake(
-        blobs, shuffler_kp, "perms-0", tape.stream("shuffle1/intake")
+    keys = derive_keys(group_id, tape)
+    blobs = encode_words(
+        config, tuples, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes
     )
-    out = shuffler_mod.apply_threshold(
-        batch, shuffler_mod.count_crowds(batch), policy, tape.stream("threshold/noise")
-    )
-    corpus = analyzer_mod.decrypt_corpus([i for _, i in out.records], analyzer_kp)
-    hist = analyzer_mod.histogram(corpus.records)
+    out = shuffle_stage(config, blobs, tape, keys.shuffler, keys.shuffler2)
+    hist, _ = analyze_stage(config, [i for _, i in out.records], keys.analyzer)
     truth = len(set(tuples))
     return UtilityReport(
-        name="perms-demo",
+        name=config.name,
         ground_truth_unique=truth,
         recovered_unique=hist.unique_count,
         recovery_ratio=hist.unique_count / truth if truth else 0.0,

@@ -133,16 +133,14 @@ def apply_threshold(
     # Canonical order: smallest member envelope, so noise assignment is
     # independent of the crowd-ID representation.
     for crowd in sorted(groups, key=lambda cid: min(groups[cid])):
+        survives, d = crowd_survives(counts[crowd], policy, rng)
+        if not survives:
+            continue
         members = sorted(groups[crowd])
-        count = counts[crowd]
-        d = draw_drop(policy, rng)
-        kept = members
         if d:
             dropped = set(rng.sample(range(len(members)), min(d, len(members))))
-            kept = [m for i, m in enumerate(members) if i not in dropped]
-        noise = rng.gauss(0.0, policy.sigma) if policy.noisy else 0.0
-        if (count - d) > policy.threshold_t + noise:
-            survivors.extend((b"", inner) for inner in kept)
+            members = [m for i, m in enumerate(members) if i not in dropped]
+        survivors.extend((b"", inner) for inner in members)
     return Batch(
         epoch_id=batch.epoch_id,
         records=survivors,

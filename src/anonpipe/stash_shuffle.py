@@ -88,44 +88,17 @@ def make_params(
     return params
 
 
-def derive_params(
-    n_items: int,
-    num_buckets: int,
-    alpha: float,
-    stash_cap: int,
-    window: int,
-    private_mem_budget: int | None = None,
-    item_len: int = DEFAULT_RECORD_LEN,
-) -> ShuffleParams:
-    """Derive D, C, K from (N, B, alpha, S) and validate the memory budget."""
-    if num_buckets < 2:
-        raise ValueError("need at least 2 buckets")
-    if n_items < num_buckets:
-        raise ValueError("need n_items >= num_buckets")
-    d = -(-n_items // num_buckets)
-    ratio = d / num_buckets
-    chunk_cap = max(1, math.ceil(ratio + alpha * math.sqrt(ratio)))
-    params = ShuffleParams(
-        n_items=n_items,
-        num_buckets=num_buckets,
-        chunk_cap=chunk_cap,
-        stash_cap=stash_cap,
-        window=window,
-        drain_per_bucket=-(-stash_cap // num_buckets),
-        alpha=alpha,
-        bucket_size=d,
-        item_len=item_len,
-        private_mem_budget=private_mem_budget,
-    )
-    _check_budget(params)
-    return params
-
-
 def _check_budget(params: ShuffleParams) -> None:
     if params.private_mem_budget is not None:
         ws = params.working_set_bytes()
         if ws > params.private_mem_budget:
             raise BudgetExceeded(ws, params.private_mem_budget)
+
+
+def chunk_cap_for_alpha(n_items: int, num_buckets: int, alpha: float) -> int:
+    """C = ceil(D/B + alpha * sqrt(D/B)), at least 1."""
+    ratio = -(-n_items // num_buckets) / num_buckets
+    return max(1, math.ceil(ratio + alpha * math.sqrt(ratio)))
 
 
 def alpha_for_chunk_cap(n_items: int, num_buckets: int, chunk_cap: int) -> float:
@@ -242,17 +215,14 @@ class ItemCipher:
 
 
 def shuffle_to_buckets(num_buckets: int, bucket_size: int, rng) -> list[int]:
-    """Target bucket per input slot: shuffle D items with B-1 separators."""
-    arr = list(range(bucket_size)) + [-1] * (num_buckets - 1)
-    rng.shuffle(arr)
-    targets = [0] * bucket_size
-    bucket = 0
-    for v in arr:
-        if v < 0:
-            bucket += 1
-        else:
-            targets[v] = bucket
-    return targets
+    """Target bucket per input slot, each drawn independently and uniformly.
+
+    Independent targets make the bucket loads multinomial; a uniform
+    composition (D items shuffled among B-1 separators) would skew loads and
+    keep items of one input bucket together more often than a uniform
+    permutation does.
+    """
+    return rng.choices(range(num_buckets), k=bucket_size)
 
 
 @dataclass

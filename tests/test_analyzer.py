@@ -44,6 +44,16 @@ def test_decrypt_corpus_counts_failures():
     assert out.input_count == 6
 
 
+def test_decrypt_corpus_counts_plaintext_shorter_than_length_prefix():
+    rng = random.Random(1)
+    analyzer = TransportKeyPair.generate(rng)
+    short = seal(analyzer.public_bytes, b"\x01", rng).to_bytes()
+    good = seal(analyzer.public_bytes, pad_payload(b"v", 16), rng).to_bytes()
+    out = decrypt_corpus([short, good], analyzer)
+    assert out.records == [b"v"]
+    assert out.failures == 1
+
+
 # ---------------------------------------------------------------------------
 # secret-share decoding
 

@@ -26,7 +26,7 @@ from anonpipe.encoder import (
     secret_share_open,
     unpack_pair,
 )
-from anonpipe.errors import IntegrityError, MissingKey, TooFewItems
+from anonpipe.errors import DecryptionError, IntegrityError, MissingKey, TooFewItems
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +227,12 @@ def test_batch_file_roundtrip(tmp_path):
     path = tmp_path / "batch.bin"
     formats.write_batch(path, records)
     assert formats.read_batch(path) == records
+
+
+@pytest.mark.parametrize("keep", [0, 5, 19])
+def test_read_batch_rejects_truncated_header(tmp_path, keep):
+    path = tmp_path / "batch.bin"
+    formats.write_batch(path, [b"a" * 10])
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(DecryptionError):
+        formats.read_batch(path)

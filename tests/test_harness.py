@@ -9,10 +9,13 @@ from click.testing import CliRunner
 
 from anonpipe.cli import main as cli_main
 from anonpipe.harness import (
+    DEFAULT_GROUP,
     BaselineReport,
+    PipelineKeys,
     RngTape,
     ScenarioConfig,
     client_rating_tuples,
+    derive_keys,
     generate_zipf_corpus,
     item_word,
     load_corpus,
@@ -204,72 +207,71 @@ def test_client_rating_tuples_cap_and_replacement():
 # CLI
 
 
-def test_cli_stagewise_pipeline_matches_run(tmp_path):
-    runner = CliRunner()
-    cfg = _small_config(n_samples=800, vocab_size=120, threshold_t=5)
+def _cli_ok(args):
+    res = CliRunner().invoke(cli_main, args, catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    return res
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param({}, id="hashed"),
+        pytest.param(
+            dict(crowd_mode="blinded", drop_mean=2, sigma=1, policy_mode="both"),
+            id="blinded",
+        ),
+    ],
+)
+def test_cli_stagewise_pipeline_matches_run(tmp_path, extra):
+    cfg = _small_config(n_samples=800, vocab_size=120, threshold_t=5, **extra)
+    cfg_path, keys_path = str(tmp_path / "scenario.cfg"), str(tmp_path / "keys.json")
     (tmp_path / "scenario.cfg").write_text(cfg.to_text())
 
-    def ok(args):
-        res = runner.invoke(cli_main, args, catch_exceptions=False)
-        assert res.exit_code == 0, res.output
-        return res
-
-    ok(["keygen", "--workspace", str(tmp_path), "--seed", str(cfg.seed),
-        "--group", "test-256"])
-    ok(["generate", "--vocab-size", "120", "--exponent", "1.1", "--n-samples", "800",
-        "--seed", str(cfg.seed), "--out", str(tmp_path / "corpus.txt")])
-    ok(["encode", "--config", str(tmp_path / "scenario.cfg"),
-        "--corpus", str(tmp_path / "corpus.txt"), "--keys", str(tmp_path / "keys.json"),
-        "--out", str(tmp_path / "reports.bin")])
-    shuffle_res = ok(["shuffle", "--config", str(tmp_path / "scenario.cfg"),
-                      "--keys", str(tmp_path / "keys.json"),
-                      "--in", str(tmp_path / "reports.bin"),
-                      "--out", str(tmp_path / "shuffled.bin")])
-    selectivity = json.loads(shuffle_res.output.strip().splitlines()[-1])
-    assert set(selectivity) == {"epoch_id", "input_count", "surviving_count"}
-    ok(["analyze", "--config", str(tmp_path / "scenario.cfg"),
-        "--keys", str(tmp_path / "keys.json"), "--in", str(tmp_path / "shuffled.bin"),
-        "--out-dir", str(tmp_path / "out")])
-    hist_csv = (tmp_path / "out" / "histogram.csv").read_text()
-
-    run_res = ok(["run", "--config", str(tmp_path / "scenario.cfg"),
-                  "--workspace", str(tmp_path / "full")])
-    assert "recovered unique" in run_res.output
-    # stage-wise CLI and one-shot run recover the same histogram
-    full_csv = (tmp_path / "full" / "histogram.csv").read_text()
-    assert hist_csv == full_csv
-
-
-def test_cli_blinded_two_stage_pipeline(tmp_path):
-    runner = CliRunner()
-    cfg = _small_config(
-        n_samples=400, vocab_size=60, threshold_t=5, crowd_mode="blinded",
-        drop_mean=2, sigma=1, policy_mode="both",
-    )
-    (tmp_path / "scenario.cfg").write_text(cfg.to_text())
-
-    def ok(args):
-        res = runner.invoke(cli_main, args, catch_exceptions=False)
-        assert res.exit_code == 0, res.output
-        return res
-
-    ok(["keygen", "--workspace", str(tmp_path), "--seed", str(cfg.seed),
-        "--group", "test-256"])
-    ok(["generate", "--vocab-size", "60", "--n-samples", "400",
-        "--seed", str(cfg.seed), "--out", str(tmp_path / "corpus.txt")])
-    ok(["encode", "--config", str(tmp_path / "scenario.cfg"),
-        "--corpus", str(tmp_path / "corpus.txt"), "--keys", str(tmp_path / "keys.json"),
-        "--out", str(tmp_path / "reports.bin")])
-    ok(["shuffle", "--config", str(tmp_path / "scenario.cfg"),
-        "--keys", str(tmp_path / "keys.json"), "--in", str(tmp_path / "reports.bin"),
-        "--out", str(tmp_path / "blinded.bin")])
-    ok(["shuffle2", "--config", str(tmp_path / "scenario.cfg"),
-        "--keys", str(tmp_path / "keys.json"), "--in", str(tmp_path / "blinded.bin"),
-        "--out", str(tmp_path / "shuffled.bin")])
-    res = ok(["analyze", "--config", str(tmp_path / "scenario.cfg"),
-              "--keys", str(tmp_path / "keys.json"),
-              "--in", str(tmp_path / "shuffled.bin"), "--out-dir", str(tmp_path)])
+    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", str(cfg.seed),
+             "--group", "test-256"])
+    _cli_ok(["generate", "--vocab-size", "120", "--exponent", "1.1", "--n-samples", "800",
+             "--seed", str(cfg.seed), "--out", str(tmp_path / "corpus.txt")])
+    _cli_ok(["encode", "--config", cfg_path, "--corpus", str(tmp_path / "corpus.txt"),
+             "--keys", keys_path, "--out", str(tmp_path / "reports.bin")])
+    if cfg.two_shufflers:
+        _cli_ok(["shuffle", "--config", cfg_path, "--keys", keys_path,
+                 "--in", str(tmp_path / "reports.bin"), "--out", str(tmp_path / "blinded.bin")])
+        shuffle_res = _cli_ok(["shuffle2", "--config", cfg_path, "--keys", keys_path,
+                               "--in", str(tmp_path / "blinded.bin"),
+                               "--out", str(tmp_path / "shuffled.bin")])
+    else:
+        shuffle_res = _cli_ok(["shuffle", "--config", cfg_path, "--keys", keys_path,
+                               "--in", str(tmp_path / "reports.bin"),
+                               "--out", str(tmp_path / "shuffled.bin")])
+    selectivity = shuffle_res.output.strip().splitlines()[-1]
+    assert set(json.loads(selectivity)) == {"epoch_id", "input_count", "surviving_count"}
+    res = _cli_ok(["analyze", "--config", cfg_path, "--keys", keys_path,
+                   "--in", str(tmp_path / "shuffled.bin"), "--out-dir", str(tmp_path / "out")])
     assert "unique values:" in res.output
+
+    run_res = _cli_ok(["run", "--config", cfg_path, "--workspace", str(tmp_path / "full")])
+    assert "recovered unique" in run_res.output
+    # stage-wise CLI and one-shot run write the same artifacts
+    full = tmp_path / "full"
+    assert (tmp_path / "shuffled.bin").read_bytes() == (full / "shuffled.bin").read_bytes()
+    assert (tmp_path / "out" / "histogram.csv").read_bytes() == (
+        full / "histogram.csv"
+    ).read_bytes()
+    assert selectivity + "\n" == (full / "selectivity.json").read_text()
+
+
+def test_cli_keygen_unseeded_keys_differ_and_seeded_keys_match_run(tmp_path):
+    for name in ("a", "b"):
+        _cli_ok(["keygen", "--workspace", str(tmp_path / name)])
+    assert (tmp_path / "a" / "keys.json").read_text() != (tmp_path / "b" / "keys.json").read_text()
+    a = json.loads((tmp_path / "a" / "keys.json").read_text())
+    b = json.loads((tmp_path / "b" / "keys.json").read_text())
+    assert all(a[k] != b[k] for k in a if k.endswith(("_secret", "_alpha")))
+
+    _cli_ok(["keygen", "--workspace", str(tmp_path / "s"), "--seed", "7"])
+    seeded = PipelineKeys.from_json((tmp_path / "s" / "keys.json").read_text())
+    assert seeded == derive_keys(DEFAULT_GROUP, RngTape(7))
 
 
 def test_cli_params_reference_table():

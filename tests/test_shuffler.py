@@ -60,6 +60,16 @@ def test_intake_skips_corrupt_reports():
     assert batch.stats["corrupt"] == 2
 
 
+def test_intake_without_group_counts_blinded_reports_corrupt():
+    blobs, shuffler, rng = _reports([b"b"])
+    kp2 = KeyPair.generate(G, rng)
+    cid = make_crowd_id(b"a", "blinded", group=G, shuffler2_public=kp2.public, rng=rng)
+    blinded = encode_report(b"v", cid, shuffler.public_bytes, shuffler.public_bytes, 48, rng)
+    batch = intake([blinded.to_bytes()] + blobs, shuffler, "e", rng)
+    assert len(batch.records) == 1
+    assert batch.stats["corrupt"] == 1
+
+
 def test_count_crowds_conserves_totals():
     keys = [b"a"] * 5 + [b"b"] * 3 + [b"c"]
     blobs, shuffler, rng = _reports(keys)

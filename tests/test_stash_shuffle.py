@@ -9,7 +9,7 @@ from anonpipe.stash_shuffle import (
     REFERENCE_SCENARIOS,
     alpha_for_chunk_cap,
     analytic_overhead,
-    derive_params,
+    chunk_cap_for_alpha,
     make_params,
     prior_art_overheads,
     shuffle_to_buckets,
@@ -25,17 +25,17 @@ def _items(n, rng, length=16):
 # parameters
 
 
-def test_derive_params_chunk_cap_formula():
-    p = derive_params(1000, 10, alpha=4.0, stash_cap=40, window=2)
+def test_chunk_cap_for_alpha_formula():
+    c = chunk_cap_for_alpha(1000, 10, alpha=4.0)
+    assert c == 23  # ceil(10 + 4*sqrt(10))
+    p = make_params(1000, 10, chunk_cap=c, stash_cap=40, window=2)
     assert p.bucket_size == 100
-    assert p.chunk_cap == 23  # ceil(10 + 4*sqrt(10))
     assert p.drain_per_bucket == 4
 
 
 def test_alpha_inversion_roundtrip():
     p = make_params(10_000_000, 1000, chunk_cap=25, stash_cap=40_000, window=4)
-    p2 = derive_params(10_000_000, 1000, alpha=p.alpha, stash_cap=40_000, window=4)
-    assert p2.chunk_cap == 25
+    assert chunk_cap_for_alpha(10_000_000, 1000, p.alpha) == 25
 
 
 def test_mid_slots_accounting():
@@ -177,7 +177,7 @@ def test_peak_private_memory_within_declared_working_set():
 
 
 class _RiggedRng:
-    """Sends every item to the last bucket by sorting separators first."""
+    """Sends every item to the last bucket."""
 
     def __init__(self, seed=0):
         self._real = random.Random(seed)
@@ -186,10 +186,10 @@ class _RiggedRng:
         return self._real.randbytes(n)
 
     def shuffle(self, arr):
-        if arr and isinstance(arr[0], int):
-            arr.sort(key=lambda v: 0 if v < 0 else 1)
-        else:
-            self._real.shuffle(arr)
+        self._real.shuffle(arr)
+
+    def choices(self, population, k):
+        return [population[-1]] * k
 
 
 def test_stash_overflow_fails_distribution_phase():
@@ -255,3 +255,16 @@ def test_first_item_lands_uniformly():
         positions[res.records.index(items[0])] += 1
     _, pvalue = stats.chisquare([positions[i] for i in range(6)])
     assert pvalue > 1e-3
+
+
+def test_same_input_bucket_pairs_split_like_a_uniform_permutation():
+    # items 0 and 1 share an input bucket; under a uniform permutation of 6
+    # items into 3 output buckets of 2 they share an output bucket w.p. 1/5
+    rng = random.Random(12)
+    p = _safe_params(6, 3, item_len=4)
+    items = [b"%04d" % i for i in range(6)]
+    runs, together = 4000, 0
+    for _ in range(runs):
+        out = stash_shuffle(items, p, rng, keep_trace=False).records
+        together += out.index(items[0]) // 2 == out.index(items[1]) // 2
+    assert stats.binomtest(together, runs, 0.2).pvalue > 1e-3
