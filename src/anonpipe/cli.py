@@ -37,7 +37,10 @@ def main():
     help="Evaluation only: derive every key from this seed, as `run` does. "
     "Without it, keys are drawn from the operating system's secure RNG.",
 )
-@click.option("--group", "group_id", default=harness.DEFAULT_GROUP, show_default=True)
+@click.option(
+    "--group", "group_id", type=click.Choice(sorted(GROUPS)), default=harness.DEFAULT_GROUP,
+    show_default=True,
+)
 def keygen(workspace, seed, group_id):
     """Generate analyzer/shuffler key material into keys.json."""
     keys = harness.derive_keys(group_id, RngTape(seed) if seed is not None else None)

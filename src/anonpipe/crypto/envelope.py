@@ -34,10 +34,20 @@ def _randbytes(rng, n: int) -> bytes:
 
 @dataclass(frozen=True)
 class TransportKeyPair:
-    """Recipient key pair for sealed envelopes."""
+    """Recipient key pair for sealed envelopes.
+
+    The private key is loaded once, here, rather than on every open; a pair
+    whose public half does not belong to its secret half is rejected.
+    """
 
     secret_bytes: bytes
     public_bytes: bytes
+
+    def __post_init__(self):
+        sk = X25519PrivateKey.from_private_bytes(self.secret_bytes)
+        if sk.public_key().public_bytes_raw() != self.public_bytes:
+            raise ValueError("transport public key does not match its secret key")
+        object.__setattr__(self, "_private_key", sk)
 
     @classmethod
     def generate(cls, rng=None) -> "TransportKeyPair":
@@ -96,9 +106,9 @@ def seal(recipient_public: bytes, plaintext: bytes, rng=None) -> AeadEnvelope:
 
 
 def open_envelope(recipient: TransportKeyPair, env: AeadEnvelope) -> bytes:
-    sk = X25519PrivateKey.from_private_bytes(recipient.secret_bytes)
     try:
-        shared = sk.exchange(X25519PublicKey.from_public_bytes(env.ephemeral_public))
+        ephemeral = X25519PublicKey.from_public_bytes(env.ephemeral_public)
+        shared = recipient._private_key.exchange(ephemeral)
         key = _derive_key(shared, env.ephemeral_public, recipient.public_bytes)
         return AESGCM(key).decrypt(env.nonce, env.ciphertext + env.tag, None)
     except (InvalidTag, ValueError) as exc:

@@ -15,6 +15,24 @@ from dataclasses import dataclass
 from anonpipe.errors import InvalidPoint
 
 
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
+    A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        # (2/n) = -1 iff n = 3, 5 mod 8
+        if twos & 1 and (n & 7) in (3, 5):
+            sign = -sign
+        # quadratic reciprocity: flip iff a = n = 3 mod 4
+        if a & n & 2:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """A prime-order multiplicative group: QRs mod a safe prime."""
@@ -33,7 +51,10 @@ class GroupParams:
         return (self.order_p.bit_length() + 7) // 8
 
     def is_element(self, e: int) -> bool:
-        return 1 <= e < self.modulus and pow(e, self.order_p, self.modulus) == 1
+        # For a safe prime q the order-p subgroup is exactly the quadratic
+        # residues, so the Jacobi symbol decides membership without the
+        # full modexp of Euler's criterion.
+        return 1 <= e < self.modulus and jacobi(e, self.modulus) == 1
 
     def check_element(self, e: int) -> int:
         if not self.is_element(e):
@@ -62,9 +83,14 @@ class GroupParams:
         return e.to_bytes(self.element_len, "big")
 
     def decode_element(self, data: bytes) -> int:
+        """Width and range only: subgroup membership is checked by the
+        functions that apply secret exponents (`blind`, `unblind_decrypt`)."""
         if len(data) != self.element_len:
             raise InvalidPoint("bad element width")
-        return self.check_element(int.from_bytes(data, "big"))
+        e = int.from_bytes(data, "big")
+        if not 1 <= e < self.modulus:
+            raise InvalidPoint(f"element out of range for {self.group_id}")
+        return e
 
 
 # 2048-bit MODP safe prime (RFC 3526, group 14).  Generator 4 = 2^2 is a

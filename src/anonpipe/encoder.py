@@ -187,6 +187,15 @@ class CrowdId:
     data: bytes  # already fixed-width encoded for the wire
 
 
+# The wire kind each crowd-ID mode produces.
+CROWD_KINDS = {
+    "plain": KIND_PLAIN,
+    "hashed": KIND_HASHED,
+    "fixed": KIND_FIXED,
+    "blinded": KIND_BLINDED,
+}
+
+
 def make_crowd_id(
     crowd_key: bytes,
     mode: str,
@@ -196,21 +205,21 @@ def make_crowd_id(
     rng=None,
 ) -> CrowdId:
     if mode == "plain":
-        return CrowdId(KIND_PLAIN, formats.encode_plain_crowd(crowd_key))
-    if mode == "hashed":
-        digest = hashlib.blake2b(
+        data = formats.encode_plain_crowd(crowd_key)
+    elif mode == "hashed":
+        data = hashlib.blake2b(
             crowd_key, key=hash_key[:64], digest_size=formats.HASHED_CROWD_WIDTH
         ).digest()
-        return CrowdId(KIND_HASHED, digest)
-    if mode == "fixed":
-        return CrowdId(KIND_FIXED, formats.FIXED_CROWD_SENTINEL)
-    if mode == "blinded":
+    elif mode == "fixed":
+        data = formats.FIXED_CROWD_SENTINEL
+    elif mode == "blinded":
         if group is None or shuffler2_public is None:
             raise MissingKey("blinded crowd IDs need the second shuffler's public key")
         mu = hash_to_group(group, crowd_key)
-        ct = elgamal_encrypt(group, shuffler2_public, mu, rng)
-        return CrowdId(KIND_BLINDED, ct.to_bytes(group))
-    raise ValueError(f"unknown crowd-ID mode {mode!r}")
+        data = elgamal_encrypt(group, shuffler2_public, mu, rng).to_bytes(group)
+    else:
+        raise ValueError(f"unknown crowd-ID mode {mode!r}")
+    return CrowdId(CROWD_KINDS[mode], data)
 
 
 def encode_report(

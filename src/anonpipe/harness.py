@@ -22,11 +22,13 @@ from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.group import GROUPS, BlindingSecret, KeyPair
 from anonpipe.crypto.shamir import PrimeField
 from anonpipe.encoder import (
+    CROWD_KINDS,
     encode_report,
     flip_bits,
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
+    report_length,
     secret_share_encode,
 )
 from anonpipe.errors import StageFailed
@@ -337,8 +339,10 @@ def first_shuffler_stage(
     """Intake, then either blind the crowd IDs for the second shuffler or
     threshold and reorder into the final inner-envelope batch."""
     group = GROUPS[config.group_id]
+    kind = CROWD_KINDS[config.crowd_mode]
     batch = shuffler_mod.intake(
-        report_blobs, shuffler_keypair, epoch_id, tape.stream("shuffle1/intake"), group
+        report_blobs, shuffler_keypair, epoch_id, tape.stream("shuffle1/intake"), group,
+        kind=kind, report_len=report_length(kind, derived_pad_to(config), group),
     )
     if config.two_shufflers:
         return shuffler_mod.blind_stage1(batch, group, blinding, tape.stream("shuffle1/reorder"))

@@ -71,19 +71,31 @@ def intake(
     epoch_id: str,
     rng,
     group: GroupParams | None = None,
+    *,
+    kind: int | None = None,
+    report_len: int | None = None,
 ) -> Batch:
     """Open outer layers and store records in randomized order.
 
     Source metadata (arrival order, addresses, timing) is dropped here;
-    malformed reports are counted and skipped, never fatal.
+    malformed reports are counted and skipped, never fatal.  Given the
+    batch's crowd-ID `kind` and `report_len`, a report of another kind or
+    length is counted corrupt before it is opened, so every record kept has
+    the batch's inner-envelope length.
     """
     records = []
     corrupt = 0
     for blob in report_blobs:
         try:
+            if report_len is not None and len(blob) != report_len:
+                raise DecryptionError("report length differs from the batch's")
             wire = parse_report(blob, group)
+            if kind is not None and wire.kind != kind:
+                raise DecryptionError("crowd-ID kind differs from the batch's")
             outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(wire.outer))
-            _, crowd_id, inner = parse_outer_plaintext(outer, group)
+            outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
+            if outer_kind != wire.kind:
+                raise DecryptionError("sealed crowd-ID kind differs from the clear one")
             records.append((crowd_id, inner))
         except (AuthenticationError, DecryptionError, InvalidPoint):
             corrupt += 1
@@ -203,5 +215,6 @@ def blind_stage2_threshold(
         except InvalidPoint:
             invalid += 1
     staged = Batch(epoch_id=batch.epoch_id, records=records, stats={"invalid": invalid})
-    counts = count_crowds(staged)
-    return apply_threshold(staged, counts, policy, rng)
+    out = apply_threshold(staged, count_crowds(staged), policy, rng)
+    out.stats["invalid"] = invalid
+    return out

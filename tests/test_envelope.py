@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,22 @@ def test_seal_open_roundtrip():
     kp, rng = _keys()
     msg = b"hello, shuffler"
     assert open_envelope(kp, seal(kp.public_bytes, msg, rng)) == msg
+
+
+def test_key_pair_halves_must_match():
+    a, rng = _keys(8)
+    b = TransportKeyPair.generate(rng)
+    with pytest.raises(ValueError):
+        TransportKeyPair(secret_bytes=a.secret_bytes, public_bytes=b.public_bytes)
+    with pytest.raises(ValueError):
+        TransportKeyPair(secret_bytes=bytes(31), public_bytes=a.public_bytes)
+
+
+def test_loaded_key_is_not_part_of_the_value():
+    a, _ = _keys(9)
+    twin = TransportKeyPair(secret_bytes=a.secret_bytes, public_bytes=a.public_bytes)
+    assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+    assert [f.name for f in fields(TransportKeyPair)] == ["secret_bytes", "public_bytes"]
 
 
 def test_sealing_twice_differs():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonpipe.crypto.group import (
     MODP_2048,
@@ -97,6 +99,52 @@ def test_invalid_point_rejected():
         unblind_decrypt(kp, ct)
     with pytest.raises(InvalidPoint):
         ElGamalCiphertext.from_bytes(G, b"\x00" * (2 * G.element_len))
+
+
+def test_blind_and_encrypt_reject_non_members():
+    rng = random.Random(8)
+    kp = KeyPair.generate(G, rng)
+    non_member = G.modulus - 1
+    with pytest.raises(InvalidPoint):
+        blind(G, ElGamalCiphertext(c1=non_member, c2=G.generator), BlindingSecret.generate(G, rng))
+    with pytest.raises(InvalidPoint):
+        blind(G, ElGamalCiphertext(c1=G.generator, c2=non_member), BlindingSecret.generate(G, rng))
+    with pytest.raises(InvalidPoint):
+        elgamal_encrypt(G, kp.public, non_member, rng)
+    with pytest.raises(InvalidPoint):
+        elgamal_encrypt(G, non_member, G.generator, rng)
+
+
+def test_decode_checks_width_and_range_only():
+    # subgroup membership is left to the functions that apply exponents
+    q, w = G.modulus, G.element_len
+    assert G.decode_element(G.encode_element(q - 1)) == q - 1
+    for bad in (bytes(w), q.to_bytes(w, "big"), b"\xff" * w, bytes(w - 1), bytes(w + 1)):
+        with pytest.raises(InvalidPoint):
+            G.decode_element(bad)
+
+
+# Each Euler reference costs a full modexp, ~30 ms in modp-2048.
+@pytest.mark.parametrize(
+    "group, examples",
+    [pytest.param(TEST_GROUP_256, 300, id="test-256"), pytest.param(MODP_2048, 15, id="modp-2048")],
+)
+def test_jacobi_membership_agrees_with_euler(group, examples):
+    q, p, g = group.modulus, group.order_p, group.generator
+
+    def euler(e: int) -> bool:
+        return 1 <= e < q and pow(e, p, q) == 1
+
+    @settings(max_examples=examples, deadline=None)
+    @given(e=st.integers(-2, q + 2), k=st.integers(0, p - 1))
+    def check(e, k):
+        member = pow(g, k, q)
+        non_member = (q - 1) * member % q
+        assert group.is_element(e) == euler(e)
+        assert group.is_element(member) and euler(member)
+        assert not group.is_element(non_member) and not euler(non_member)
+
+    check()
 
 
 def test_element_encoding_roundtrip():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from anonpipe import formats
 from anonpipe.cli import main as cli_main
 from anonpipe.harness import (
     DEFAULT_GROUP,
@@ -16,6 +18,9 @@ from anonpipe.harness import (
     ScenarioConfig,
     client_rating_tuples,
     derive_keys,
+    derived_pad_to,
+    encode_corpus,
+    encode_words,
     generate_zipf_corpus,
     item_word,
     load_corpus,
@@ -24,6 +29,7 @@ from anonpipe.harness import (
     run_perms_demo,
     run_scenario,
     save_corpus,
+    shuffle_stage,
 )
 
 
@@ -141,6 +147,72 @@ def test_secret_share_scenario_hides_below_t(tmp_path):
     counts = Counter(corpus.tolist())
     expected = {item_word(k) for k, c in counts.items() if c >= 8 and c > 1}
     assert report.recovered_values == expected
+
+
+def test_blinded_scenario_in_modp_2048_matches_test_group(tmp_path):
+    cfg = _small_config(
+        vocab_size=3, n_samples=12, threshold_t=2, crowd_mode="blinded", group_id="modp-2048"
+    )
+    run_scenario(cfg, tmp_path / "modp")
+    run_scenario(dataclasses.replace(cfg, group_id="test-256"), tmp_path / "test")
+    hist = (tmp_path / "modp" / "histogram.csv").read_text()
+    assert hist == (tmp_path / "test" / "histogram.csv").read_text()
+    assert hist.count("\n") > 1  # a header and at least one released value
+
+
+def _hostile_reports(cfg, keys):
+    """An honest hashed batch and one validly sealed report, in the crowd
+    of the most common word, whose inner envelope has another length: it
+    was padded 16 bytes longer, and it is just as long as the honest
+    reports but its clear crowd-ID kind says plain."""
+    tape = RngTape(cfg.seed)
+    corpus = generate_zipf_corpus(cfg.vocab_size, cfg.zipf_exponent, cfg.n_samples, cfg.seed)
+    blobs = encode_corpus(cfg, corpus, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes)
+
+    def one(pad_to):
+        return encode_words(
+            dataclasses.replace(cfg, pad_to=pad_to), [item_word(1)], tape,
+            keys.analyzer.public_bytes, keys.shuffler.public_bytes,
+        )[0]
+
+    pad_to = derived_pad_to(cfg)
+    longer = one(pad_to + 16)
+    relabelled = formats.WireReport(
+        formats.KIND_PLAIN, formats.encode_plain_crowd(b"w1"),
+        formats.parse_report(one(pad_to - 16)).outer,
+    ).to_bytes()
+    assert len(relabelled) == len(blobs[0]) != len(longer)
+    return blobs, {"longer": longer, "relabelled": relabelled}
+
+
+@pytest.mark.parametrize("which", ["longer", "relabelled"])
+def test_report_of_another_length_is_counted_not_fatal(which):
+    cfg = _small_config(n_samples=200, vocab_size=40, threshold_t=5, pad_to=32)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    blobs, hostile = _hostile_reports(cfg, keys)
+    honest = shuffle_stage(cfg, blobs, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
+    mixed = blobs[:100] + [hostile[which]] + blobs[100:]
+    out = shuffle_stage(cfg, mixed, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
+    # the one report the intake rejected is the only one missing from its count
+    assert len(mixed) - out.stats["input_count"] == 1
+    assert out.records == honest.records
+
+
+def test_cli_shuffle_counts_report_of_another_inner_length(tmp_path):
+    cfg = _small_config(n_samples=200, vocab_size=40, threshold_t=5, pad_to=32)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    blobs, hostile = _hostile_reports(cfg, keys)
+    (tmp_path / "scenario.cfg").write_text(cfg.to_text())
+    (tmp_path / "keys.json").write_text(keys.to_json())
+    outputs = []
+    for name, batch in (("honest", blobs), ("mixed", [hostile["relabelled"]] + blobs)):
+        formats.write_batch(tmp_path / f"{name}.bin", batch)
+        res = _cli_ok(["shuffle", "--config", str(tmp_path / "scenario.cfg"),
+                       "--keys", str(tmp_path / "keys.json"), "--in", str(tmp_path / f"{name}.bin"),
+                       "--out", str(tmp_path / f"{name}-out.bin")])
+        outputs.append((res.output, (tmp_path / f"{name}-out.bin").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][0].splitlines()[-1])["input_count"] == len(blobs)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +344,28 @@ def test_cli_keygen_unseeded_keys_differ_and_seeded_keys_match_run(tmp_path):
     _cli_ok(["keygen", "--workspace", str(tmp_path / "s"), "--seed", "7"])
     seeded = PipelineKeys.from_json((tmp_path / "s" / "keys.json").read_text())
     assert seeded == derive_keys(DEFAULT_GROUP, RngTape(7))
+
+
+def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
+    _cli_ok(["keygen", "--workspace", str(tmp_path)])
+    text = (tmp_path / "keys.json").read_text()
+    assert PipelineKeys.from_json(text).to_json() + "\n" == text
+    keys = json.loads(text)
+    keys["analyzer_public"], keys["shuffler1_public"] = (
+        keys["shuffler1_public"], keys["analyzer_public"]
+    )
+    with pytest.raises(ValueError):
+        PipelineKeys.from_json(json.dumps(keys))
+
+
+def test_cli_keygen_offers_only_known_groups(tmp_path):
+    res = CliRunner().invoke(cli_main, ["keygen", "--workspace", str(tmp_path),
+                                        "--group", "modp-3072"])
+    assert res.exit_code == 2 and "modp-3072" in res.output
+    assert not (tmp_path / "keys.json").exists()
+    _cli_ok(["keygen", "--workspace", str(tmp_path), "--group", "modp-2048", "--seed", "1"])
+    loaded = PipelineKeys.from_json((tmp_path / "keys.json").read_text())
+    assert loaded == derive_keys("modp-2048", RngTape(1))
 
 
 def test_cli_params_reference_table():

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.group import (
@@ -11,8 +13,9 @@ from anonpipe.crypto.group import (
     elgamal_encrypt,
     hash_to_group,
 )
-from anonpipe.encoder import encode_report, make_crowd_id
+from anonpipe.encoder import CrowdId, encode_report, make_crowd_id, report_length
 from anonpipe.errors import DomainTooLarge
+from anonpipe.formats import KIND_HASHED, KIND_PLAIN, WireReport, encode_plain_crowd
 from anonpipe.shuffler import (
     Batch,
     ThresholdPolicy,
@@ -68,6 +71,33 @@ def test_intake_without_group_counts_blinded_reports_corrupt():
     batch = intake([blinded.to_bytes()] + blobs, shuffler, "e", rng)
     assert len(batch.records) == 1
     assert batch.stats["corrupt"] == 1
+
+
+def test_intake_counts_reports_of_another_length_or_kind_corrupt():
+    blobs, shuffler, rng = _reports([b"a", b"b"])
+    analyzer = TransportKeyPair.generate(rng)
+    hashed = make_crowd_id(b"a", "hashed", hash_key=b"hk")
+    plain_crowd = CrowdId(KIND_PLAIN, encode_plain_crowd(b"a"))
+
+    def report(crowd, pad_to):
+        return encode_report(
+            b"v:a", crowd, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng
+        )
+
+    # Each hostile report opens, and each would carry an inner envelope of
+    # another length than the batch's 108 bytes: a longer pad, a plain-kind
+    # report padded to the batch's report length, and a report whose clear
+    # kind says hashed while its sealed kind says plain.
+    relabelled = WireReport(KIND_HASHED, b"\x00" * 8, report(plain_crowd, 32).outer)
+    hostile = [report(hashed, 64), report(plain_crowd, 16), relabelled]
+    report_len = report_length(KIND_HASHED, 48)
+    assert [len(r.to_bytes()) == report_len for r in hostile] == [False, True, True]
+    hostile = [r.to_bytes() for r in hostile]
+
+    batch = intake(blobs + hostile, shuffler, "e", rng, kind=KIND_HASHED, report_len=report_len)
+    assert sorted(batch.records) == sorted(intake(blobs, shuffler, "e", rng).records)
+    assert batch.stats["corrupt"] == 3
+    assert len({len(inner) for _, inner in batch.records}) == 1
 
 
 def test_count_crowds_conserves_totals():
@@ -241,3 +271,64 @@ def test_blinded_pipeline_matches_plaintext_pipeline():
         assert sorted(i for _, i in plain_out.records) == sorted(
             i for _, i in blind_out.records
         )
+
+
+def _is_member(e: int) -> bool:
+    # Euler's criterion, independent of GroupParams.is_element
+    return 1 <= e < G.modulus and pow(e, G.order_p, G.modulus) == 1
+
+
+def _valid_crowd_id(data: bytes) -> bool:
+    w = G.element_len
+    return len(data) == 2 * w and all(
+        _is_member(int.from_bytes(half, "big")) for half in (data[:w], data[w:])
+    )
+
+
+_W = G.element_len
+_EDGE_CROWD_IDS = [
+    bytes(2 * _W),
+    G.encode_element(G.modulus - 1) + G.encode_element(G.generator),
+    G.encode_element(G.generator) + G.encode_element(G.modulus - 1),
+    G.modulus.to_bytes(_W, "big") + G.encode_element(G.generator),
+    G.encode_element(G.generator) + G.modulus.to_bytes(_W, "big"),
+    b"\xff" * (2 * _W),
+    G.encode_element(G.generator) * 2 + b"\x01",
+    (G.encode_element(G.generator) * 2)[:-1],
+    b"",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bad=st.lists(
+        st.one_of(
+            st.binary(max_size=2 * _W + 2),
+            st.binary(min_size=2 * _W, max_size=2 * _W),
+            st.sampled_from(_EDGE_CROWD_IDS),
+        ),
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_blinded_stages_count_every_bad_crowd_id(bad, seed):
+    rng = random.Random(seed)
+    kp2 = KeyPair.generate(G, rng)
+    alpha = BlindingSecret.generate(G, rng)
+    honest = _blinded_batch([b"a"] * 3 + [b"b"] * 2, kp2, rng).records
+    n_bad = sum(not _valid_crowd_id(c) for c in bad)
+
+    def with_fuzz(records, tag):
+        return Batch("e", records + [(c, b"%s%d" % (tag, i)) for i, c in enumerate(bad)])
+
+    stage1 = blind_stage1(with_fuzz(honest, b"s1-"), G, alpha, rng)
+    assert stage1.stats["invalid"] == n_bad
+    assert len(stage1.records) == len(honest) + len(bad) - n_bad
+    assert {i for _, i in honest} <= {i for _, i in stage1.records}
+
+    stage2_in = with_fuzz(stage1.records, b"s2-")
+    stage2 = blind_stage2_threshold(stage2_in, G, kp2, ThresholdPolicy(1), rng)
+    assert stage2.stats["invalid"] == n_bad
+    assert stage2.stats["input_count"] == len(stage2_in.records) - n_bad
+    # both honest crowds clear T=1; a fuzzed ID is a crowd of its own
+    assert {i for _, i in honest} <= {i for _, i in stage2.records}
