@@ -16,6 +16,7 @@ from anonpipe.errors import (
     IntegrityError,
     NonCanonicalTuple,
 )
+from anonpipe.parallel import map_records
 
 
 @dataclass
@@ -32,14 +33,16 @@ def decrypt_corpus(
     inner_blobs: list[bytes], analyzer_keypair: TransportKeyPair
 ) -> DecodedCorpus:
     """Open every inner envelope; failures are counted, never fatal."""
-    records = []
-    failures = 0
-    for blob in inner_blobs:
+
+    def open_one(blob: bytes) -> bytes | None:
         try:
-            records.append(open_inner(blob, analyzer_keypair))
+            return open_inner(blob, analyzer_keypair)
         except (AuthenticationError, DecryptionError):
-            failures += 1
-    return DecodedCorpus(records=records, failures=failures)
+            return None
+
+    opened = map_records(open_one, inner_blobs)
+    records = [rec for rec in opened if rec is not None]
+    return DecodedCorpus(records=records, failures=len(opened) - len(records))
 
 
 @dataclass

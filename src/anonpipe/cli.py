@@ -18,7 +18,10 @@ from anonpipe.harness import PipelineKeys, RngTape, ScenarioConfig
 
 
 def _load_config(path: str) -> ScenarioConfig:
-    return ScenarioConfig.from_text(Path(path).read_text())
+    try:
+        return ScenarioConfig.from_text(Path(path).read_text())
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--config'") from exc
 
 
 def _load_keys(path: str) -> PipelineKeys:

@@ -18,7 +18,7 @@ import numpy as np
 from anonpipe import analyzer as analyzer_mod
 from anonpipe import formats
 from anonpipe import shuffler as shuffler_mod
-from anonpipe.crypto.envelope import TransportKeyPair
+from anonpipe.crypto.envelope import NONCE_LEN, POINT_LEN, TransportKeyPair
 from anonpipe.crypto.group import GROUPS, BlindingSecret, KeyPair
 from anonpipe.crypto.shamir import PrimeField
 from anonpipe.encoder import (
@@ -32,7 +32,8 @@ from anonpipe.encoder import (
     secret_share_encode,
 )
 from anonpipe.errors import StageFailed
-from anonpipe.shuffler import Batch, ThresholdPolicy
+from anonpipe.parallel import map_records
+from anonpipe.shuffler import MODES, Batch, ThresholdPolicy
 
 DEFAULT_GROUP = "test-256"
 
@@ -146,6 +147,13 @@ class ScenarioConfig:
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, casts[key](value))
+        for key, allowed in (
+            ("group_id", GROUPS), ("crowd_mode", CROWD_KINDS), ("policy_mode", MODES)
+        ):
+            if getattr(cfg, key) not in allowed:
+                raise ValueError(
+                    f"{key} must be one of {', '.join(allowed)}, not {getattr(cfg, key)!r}"
+                )
         return cfg
 
 
@@ -297,7 +305,11 @@ def encode_words(
     shuffler_public: bytes,
     shuffler2_keypair: KeyPair | None = None,
 ) -> list[bytes]:
-    """One wire report per word; the word is both the value and its crowd key."""
+    """One wire report per word; the word is both the value and its crowd key.
+
+    Every RNG draw is made here, word by word in order, and replayed while
+    the reports are sealed over the CPUs, so the output does not depend on
+    the CPU count."""
     group = GROUPS[config.group_id]
     fld = PrimeField(group.order_p)
     pad_to = derived_pad_to(config)
@@ -307,8 +319,24 @@ def encode_words(
     hash_key = tape.stream("keys/crowd-hash").randbytes(16)
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
 
-    blobs = []
-    for word in words:
+    def recorded(draw, rng) -> tuple[bytes, ...]:
+        recorder = _Recorder(rng)
+        draw(recorder)
+        return tuple(recorder.draws)
+
+    items = [
+        (
+            word,
+            recorded(fld.random_nonzero, rng_share) if config.secret_share_t else (),
+            recorded(group.random_scalar, rng_crowd) if config.two_shufflers else (),
+            tuple(rng_seal.randbytes(n) for n in (POINT_LEN, NONCE_LEN, POINT_LEN, NONCE_LEN)),
+        )
+        for word in words
+    ]
+
+    def encode_one(item) -> bytes:
+        word, *draws = item
+        rng_share, rng_crowd, rng_seal = replays = [_Replay(d) for d in draws]
         if config.secret_share_t:
             payload = secret_share_encode(
                 word, config.secret_share_t, fld, rng_share
@@ -324,8 +352,43 @@ def encode_words(
             rng=rng_crowd,
         )
         rep = encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng_seal)
-        blobs.append(rep.to_bytes())
-    return blobs
+        for replay in replays:
+            replay.check_used()
+        return rep.to_bytes()
+
+    return map_records(encode_one, items)
+
+
+class _Recorder:
+    """Passes `randbytes` through to an RNG and keeps every draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws: list[bytes] = []
+
+    def randbytes(self, n: int) -> bytes:
+        draw = self.rng.randbytes(n)
+        self.draws.append(draw)
+        return draw
+
+
+class _Replay:
+    """Hands out recorded draws in order; a draw of another width, one too
+    many or one left unused means the draw schedule changed."""
+
+    def __init__(self, draws: tuple[bytes, ...]):
+        self.draws = draws
+        self.used = 0
+
+    def randbytes(self, n: int) -> bytes:
+        if self.used == len(self.draws) or len(self.draws[self.used]) != n:
+            raise RuntimeError(f"unrecorded {n}-byte draw: the encode draw schedule changed")
+        self.used += 1
+        return self.draws[self.used - 1]
+
+    def check_used(self) -> None:
+        if self.used != len(self.draws):
+            raise RuntimeError("recorded draw left unused: the encode draw schedule changed")
 
 
 def first_shuffler_stage(

@@ -29,6 +29,7 @@ from anonpipe.errors import (
     InvalidPoint,
 )
 from anonpipe.formats import parse_report
+from anonpipe.parallel import map_records
 
 MODES = ("naive", "randomized_threshold", "noisy_drop", "both")
 
@@ -83,9 +84,8 @@ def intake(
     length is counted corrupt before it is opened, so every record kept has
     the batch's inner-envelope length.
     """
-    records = []
-    corrupt = 0
-    for blob in report_blobs:
+
+    def open_one(blob: bytes) -> tuple[bytes, bytes] | None:
         try:
             if report_len is not None and len(blob) != report_len:
                 raise DecryptionError("report length differs from the batch's")
@@ -96,9 +96,13 @@ def intake(
             outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
             if outer_kind != wire.kind:
                 raise DecryptionError("sealed crowd-ID kind differs from the clear one")
-            records.append((crowd_id, inner))
+            return crowd_id, inner
         except (AuthenticationError, DecryptionError, InvalidPoint):
-            corrupt += 1
+            return None
+
+    opened = map_records(open_one, report_blobs)
+    records = [rec for rec in opened if rec is not None]
+    corrupt = len(opened) - len(records)
     rng.shuffle(records)
     return Batch(
         epoch_id=epoch_id,
@@ -184,14 +188,18 @@ def blind_stage1(
     batch: Batch, group: GroupParams, blinding: BlindingSecret, rng
 ) -> Batch:
     """Exponent-blind every El Gamal crowd ID, then re-randomize the order."""
-    records = []
-    invalid = 0
-    for crowd_id, inner in batch.records:
+
+    def blind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes] | None:
+        crowd_id, inner = record
         try:
             ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-            records.append((blind(group, ct, blinding).to_bytes(group), inner))
+            return blind(group, ct, blinding).to_bytes(group), inner
         except InvalidPoint:
-            invalid += 1
+            return None
+
+    blinded = map_records(blind_one, batch.records)
+    records = [rec for rec in blinded if rec is not None]
+    invalid = len(blinded) - len(records)
     rng.shuffle(records)
     return Batch(
         epoch_id=batch.epoch_id,
@@ -205,15 +213,18 @@ def blind_stage2_threshold(
 ) -> Batch:
     """Decrypt blinded IDs to equality-preserving pseudonyms and threshold on
     them; neither party ever sees an unblinded crowd ID."""
-    records = []
-    invalid = 0
-    for crowd_id, inner in batch.records:
+
+    def unblind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes] | None:
+        crowd_id, inner = record
         try:
             ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-            pseudonym = group.encode_element(unblind_decrypt(shuffler2_keypair, ct))
-            records.append((pseudonym, inner))
+            return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
         except InvalidPoint:
-            invalid += 1
+            return None
+
+    unblinded = map_records(unblind_one, batch.records)
+    records = [rec for rec in unblinded if rec is not None]
+    invalid = len(unblinded) - len(records)
     staged = Batch(epoch_id=batch.epoch_id, records=records, stats={"invalid": invalid})
     out = apply_threshold(staged, count_crowds(staged), policy, rng)
     out.stats["invalid"] = invalid

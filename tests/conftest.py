@@ -1,4 +1,9 @@
-"""Shared pytest plumbing: the acceptance-criteria result banner."""
+"""Shared pytest plumbing: the acceptance-criteria result banner and a guard
+against child processes a test leaves behind."""
+
+import os
+
+import pytest
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -13,3 +18,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in _ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_child_process():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({pid or 'still running'})")

@@ -84,6 +84,19 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig.from_text("budget = 12\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, allowed",
+    [
+        ("group_id", "modp-3072", "modp-2048, test-256"),
+        ("crowd_mode", "hashd", "plain, hashed, fixed, blinded"),
+        ("policy_mode", "strict", "naive, randomized_threshold, noisy_drop, both"),
+    ],
+)
+def test_config_rejects_unknown_values(key, value, allowed):
+    with pytest.raises(ValueError, match=allowed):
+        ScenarioConfig.from_text(f"{key} = {value}\n")
+
+
 def test_blinded_mode_implies_two_shufflers():
     assert ScenarioConfig(crowd_mode="blinded").two_shufflers
     assert not ScenarioConfig(crowd_mode="hashed").two_shufflers
@@ -366,6 +379,21 @@ def test_cli_keygen_offers_only_known_groups(tmp_path):
     _cli_ok(["keygen", "--workspace", str(tmp_path), "--group", "modp-2048", "--seed", "1"])
     loaded = PipelineKeys.from_json((tmp_path / "keys.json").read_text())
     assert loaded == derive_keys("modp-2048", RngTape(1))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("group_id", "modp-3072"), ("crowd_mode", "hashd"), ("policy_mode", "strict")]
+)
+def test_cli_unknown_config_value_is_a_usage_error(tmp_path, key, value):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
+    res = CliRunner().invoke(
+        cli_main, ["run", "--config", str(cfg_path), "--workspace", str(tmp_path / "run")]
+    )
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and f"{key} must be one of" in res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_params_reference_table():
