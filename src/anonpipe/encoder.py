@@ -1,5 +1,5 @@
-"""Client-side encoding: fragmentation, randomized response, crowd IDs,
-secret-share encoding, and nested encryption into wire reports."""
+"""Client-side encoding: randomized response, crowd IDs, secret-share
+encoding, and nested encryption into wire reports."""
 
 from __future__ import annotations
 
@@ -13,12 +13,7 @@ from anonpipe.crypto.deterministic import deterministic_decrypt, deterministic_e
 from anonpipe.crypto.envelope import ENVELOPE_OVERHEAD, AeadEnvelope, seal
 from anonpipe.crypto.group import GroupParams, elgamal_encrypt, hash_to_group
 from anonpipe.crypto.shamir import PrimeField, ShamirShare, eval_poly
-from anonpipe.errors import (
-    DecryptionError,
-    IntegrityError,
-    MissingKey,
-    TooFewItems,
-)
+from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
 from anonpipe.formats import (
     KIND_BLINDED,
     KIND_FIXED,
@@ -26,40 +21,6 @@ from anonpipe.formats import (
     KIND_PLAIN,
     WireReport,
 )
-
-
-# ---------------------------------------------------------------------------
-# Fragmentation
-
-
-def fragment_pairs(items: list[tuple[int, int]]) -> list[bytes]:
-    """All unordered (id, value) pairs, lower id first, one payload each."""
-    if len(items) < 2:
-        raise TooFewItems("pairwise fragmentation needs at least 2 items")
-    if len({i for i, _ in items}) != len(items):
-        raise ValueError("item ids must be distinct")
-    ordered = sorted(items)
-    out = []
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            (i, ri), (j, rj) = ordered[a], ordered[b]
-            out.append(struct.pack("<IiIi", i, ri, j, rj))
-    return out
-
-
-def unpack_pair(payload: bytes) -> tuple[int, int, int, int]:
-    return struct.unpack("<IiIi", payload)
-
-
-def fragment_mtuples(sequence: list[int], m: int) -> list[bytes]:
-    """Consecutive disjoint m-windows; the short trailing remainder is dropped."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    fmt = "<" + "I" * m
-    return [
-        struct.pack(fmt, *sequence[i : i + m])
-        for i in range(0, len(sequence) - m + 1, m)
-    ]
 
 
 # ---------------------------------------------------------------------------

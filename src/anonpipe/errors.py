@@ -25,10 +25,6 @@ class DuplicateShareX(AnonPipeError):
     """Two shares carry the same evaluation point."""
 
 
-class TooFewItems(AnonPipeError):
-    """Pairwise fragmentation needs at least two items."""
-
-
 class PayloadTooLarge(AnonPipeError):
     """Payload does not fit the configured padded size."""
 
@@ -59,10 +55,6 @@ class ShuffleFailed(AnonPipeError):
 
 class DecryptionError(AnonPipeError):
     """A record could not be decrypted or parsed."""
-
-
-class DomainTooLarge(AnonPipeError):
-    """Distinct crowd-ID count exceeds the private counting budget."""
 
 
 class NonCanonicalTuple(AnonPipeError):

@@ -58,10 +58,6 @@ def encode_plain_crowd(key: bytes) -> bytes:
     return bytes([len(key)]) + key.ljust(PLAIN_CROWD_WIDTH - 1, b"\x00")
 
 
-def decode_plain_crowd(data: bytes) -> bytes:
-    return data[1 : 1 + data[0]]
-
-
 def pad_payload(payload: bytes, pad_to: int) -> bytes:
     """Length-prefixed, zero-padded payload of exactly pad_to bytes."""
     if len(payload) + 2 > pad_to:

@@ -400,7 +400,8 @@ def first_shuffler_stage(
     epoch_id: str = "epoch-0",
 ) -> Batch:
     """Intake, then either blind the crowd IDs for the second shuffler or
-    threshold and reorder into the final inner-envelope batch."""
+    threshold into the final inner-envelope batch; either way the output is
+    reordered by the Stash Shuffle."""
     group = GROUPS[config.group_id]
     kind = CROWD_KINDS[config.crowd_mode]
     batch = shuffler_mod.intake(
@@ -408,10 +409,12 @@ def first_shuffler_stage(
         kind=kind, report_len=report_length(kind, derived_pad_to(config), group),
     )
     if config.two_shufflers:
-        return shuffler_mod.blind_stage1(batch, group, blinding, tape.stream("shuffle1/reorder"))
-    out = shuffler_mod.apply_threshold(
-        batch, shuffler_mod.count_crowds(batch), config.policy(), tape.stream("threshold/noise")
-    )
+        out = shuffler_mod.blind_stage1(batch, group, blinding)
+    else:
+        out = shuffler_mod.apply_threshold(
+            batch, shuffler_mod.count_crowds(batch), config.policy(),
+            tape.stream("threshold/noise"),
+        )
     return shuffler_mod.shuffle_batch(out, tape.stream("shuffle1/output-order"))
 
 

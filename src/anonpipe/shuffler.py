@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from anonpipe import stash_shuffle
 from anonpipe.crypto.envelope import AeadEnvelope, TransportKeyPair, open_envelope
 from anonpipe.crypto.group import (
     BlindingSecret,
@@ -22,12 +23,7 @@ from anonpipe.crypto.group import (
     unblind_decrypt,
 )
 from anonpipe.encoder import parse_outer_plaintext
-from anonpipe.errors import (
-    AuthenticationError,
-    DecryptionError,
-    DomainTooLarge,
-    InvalidPoint,
-)
+from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
 from anonpipe.formats import parse_report
 from anonpipe.parallel import map_records
 
@@ -40,7 +36,6 @@ class ThresholdPolicy:
     drop_mean: float = 0.0
     sigma: float = 0.0
     mode: str = "naive"
-    dp_claim: tuple[float, float] | None = None  # recorded metadata, never asserted
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -82,7 +77,10 @@ def intake(
     malformed reports are counted and skipped, never fatal.  Given the
     batch's crowd-ID `kind` and `report_len`, a report of another kind or
     length is counted corrupt before it is opened, so every record kept has
-    the batch's inner-envelope length.
+    the batch's inner-envelope length.  A repeat of an earlier report, or a
+    report whose clear crowd ID differs from its sealed one, counts as
+    corrupt too: honest reports never repeat, so copies could only make a
+    crowd of one client.
     """
 
     def open_one(blob: bytes) -> tuple[bytes, bytes] | None:
@@ -94,15 +92,15 @@ def intake(
                 raise DecryptionError("crowd-ID kind differs from the batch's")
             outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(wire.outer))
             outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
-            if outer_kind != wire.kind:
-                raise DecryptionError("sealed crowd-ID kind differs from the clear one")
+            if outer_kind != wire.kind or crowd_id != wire.crowd_id:
+                raise DecryptionError("sealed crowd ID differs from the clear one")
             return crowd_id, inner
         except (AuthenticationError, DecryptionError, InvalidPoint):
             return None
 
-    opened = map_records(open_one, report_blobs)
+    opened = map_records(open_one, list(dict.fromkeys(report_blobs)))
     records = [rec for rec in opened if rec is not None]
-    corrupt = len(opened) - len(records)
+    corrupt = len(report_blobs) - len(records)
     rng.shuffle(records)
     return Batch(
         epoch_id=epoch_id,
@@ -111,14 +109,9 @@ def intake(
     )
 
 
-def count_crowds(batch: Batch, max_distinct: int | None = None) -> dict[bytes, int]:
+def count_crowds(batch: Batch) -> dict[bytes, int]:
     """Exact per-crowd counts (pass one of the two-pass filter)."""
-    counts = Counter(crowd for crowd, _ in batch.records)
-    if max_distinct is not None and len(counts) > max_distinct:
-        raise DomainTooLarge(
-            f"{len(counts)} distinct crowd IDs exceed budget {max_distinct}"
-        )
-    return dict(counts)
+    return dict(Counter(crowd for crowd, _ in batch.records))
 
 
 def draw_drop(policy: ThresholdPolicy, rng) -> int:
@@ -165,9 +158,19 @@ def apply_threshold(
 
 
 def shuffle_batch(batch: Batch, rng) -> Batch:
-    """In-memory Fisher-Yates reorder (evaluation mode)."""
+    """Reorder with the Stash Shuffle at `params_for` parameters.
+
+    Each record travels as one item, crowd ID || inner envelope; crowd IDs
+    share one width and inner envelopes one length across the batch.  An
+    empty batch, which has no Stash Shuffle parameters, passes through.
+    """
     records = list(batch.records)
-    rng.shuffle(records)
+    if records:
+        width = len(records[0][0])
+        items = [crowd + inner for crowd, inner in records]
+        params = stash_shuffle.params_for(len(items), len(items[0]))
+        out = stash_shuffle.stash_shuffle(items, params, rng, keep_trace=False)
+        records = [(item[:width], item[width:]) for item in out.records]
     return Batch(epoch_id=batch.epoch_id, records=records, stats=dict(batch.stats))
 
 
@@ -184,10 +187,9 @@ def selectivity_record(batch: Batch) -> dict:
 # Two-shuffler blinded crowd IDs
 
 
-def blind_stage1(
-    batch: Batch, group: GroupParams, blinding: BlindingSecret, rng
-) -> Batch:
-    """Exponent-blind every El Gamal crowd ID, then re-randomize the order."""
+def blind_stage1(batch: Batch, group: GroupParams, blinding: BlindingSecret) -> Batch:
+    """Exponent-blind every El Gamal crowd ID; the caller reorders the result
+    with `shuffle_batch`."""
 
     def blind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes] | None:
         crowd_id, inner = record
@@ -200,7 +202,6 @@ def blind_stage1(
     blinded = map_records(blind_one, batch.records)
     records = [rec for rec in blinded if rec is not None]
     invalid = len(blinded) - len(records)
-    rng.shuffle(records)
     return Batch(
         epoch_id=batch.epoch_id,
         records=records,

@@ -244,7 +244,7 @@ def test_criterion_7_blinded_equivalence():
                 for k, i in zip(keys, inners)
             ],
         )
-        stage1 = blind_stage1(blinded, g, alpha, rng)
+        stage1 = blind_stage1(blinded, g, alpha)
         blind_out = blind_stage2_threshold(stage1, g, kp2, policy, random.Random(13 * seed))
 
         assert sorted(i for _, i in plain_out.records) == sorted(

@@ -12,8 +12,6 @@ from anonpipe.crypto.shamir import GF251, PrimeField, shamir_reconstruct
 from anonpipe.encoder import (
     encode_report,
     flip_bits,
-    fragment_mtuples,
-    fragment_pairs,
     inner_envelope_length,
     k_ary_randomized_response,
     krr_true_prob,
@@ -24,39 +22,8 @@ from anonpipe.encoder import (
     report_length,
     secret_share_encode,
     secret_share_open,
-    unpack_pair,
 )
-from anonpipe.errors import DecryptionError, IntegrityError, MissingKey, TooFewItems
-
-
-# ---------------------------------------------------------------------------
-# fragmentation
-
-
-def test_pair_fragment_count_property():
-    rng = random.Random(0)
-    for n in range(2, 51):
-        items = [(i, rng.randrange(1, 6)) for i in range(n)]
-        frags = fragment_pairs(items)
-        assert len(frags) == n * (n - 1) // 2
-        assert len(set(frags)) == len(frags)
-
-
-def test_pair_fragments_are_canonical():
-    frags = fragment_pairs([(7, 2), (3, 5)])
-    i, ri, j, rj = unpack_pair(frags[0])
-    assert (i, ri, j, rj) == (3, 5, 7, 2)  # sorted by item id
-
-
-def test_pair_fragment_needs_two_items():
-    with pytest.raises(TooFewItems):
-        fragment_pairs([(1, 3)])
-
-
-def test_mtuple_windows_are_disjoint_and_drop_remainder():
-    frags = fragment_mtuples(list(range(10)), m=3)
-    assert len(frags) == 3  # [0..2], [3..5], [6..8]; 9 is dropped
-    assert len(fragment_mtuples([1, 2], m=3)) == 0
+from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +123,9 @@ def test_fixed_crowd_id_is_constant():
 
 def test_plain_crowd_id_roundtrip():
     cid = make_crowd_id(b"news.site", "plain")
-    assert formats.decode_plain_crowd(cid.data) == b"news.site"
+    # one length byte, then the key zero-padded to the fixed width
+    assert cid.data == b"\x09news.site" + b"\x00" * 14
+    assert len(cid.data) == formats.PLAIN_CROWD_WIDTH
 
 
 def test_blinded_crowd_id_decrypts_to_group_hash():

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from anonpipe import formats
+from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.harness import (
     DEFAULT_GROUP,
@@ -16,6 +17,7 @@ from anonpipe.harness import (
     PipelineKeys,
     RngTape,
     ScenarioConfig,
+    analyze_stage,
     client_rating_tuples,
     derive_keys,
     derived_pad_to,
@@ -226,6 +228,48 @@ def test_cli_shuffle_counts_report_of_another_inner_length(tmp_path):
         outputs.append((res.output, (tmp_path / f"{name}-out.bin").read_bytes()))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[1][0].splitlines()[-1])["input_count"] == len(blobs)
+
+
+def test_replayed_report_does_not_form_a_crowd():
+    # copies of one client's report, replayed by anyone who saw it, must not
+    # clear the threshold on their own
+    cfg = _small_config(n_samples=250, vocab_size=40, threshold_t=20, pad_to=32)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    corpus = generate_zipf_corpus(cfg.vocab_size, cfg.zipf_exponent, cfg.n_samples, cfg.seed)
+    public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
+    blobs = encode_corpus(cfg, corpus, RngTape(cfg.seed), *public)
+    victim = encode_words(cfg, [b"victim"], RngTape(cfg.seed + 1), *public)[0]
+
+    def shuffled(batch):
+        return shuffle_stage(cfg, batch, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
+
+    honest = shuffled(blobs + [victim])
+    replayed = shuffled(blobs + [victim] * 22)
+    assert replayed.records == honest.records
+    assert len(blobs) + 22 - replayed.stats["input_count"] == 21
+    hist, _ = analyze_stage(cfg, [inner for _, inner in replayed.records], keys.analyzer)
+    assert b"victim" not in hist.bins and hist.total == len(replayed.records)
+
+
+@pytest.mark.parametrize("crowd_mode, calls", [("hashed", 1), ("blinded", 2)])
+def test_every_shuffler_reorders_with_the_stash_shuffle(monkeypatch, crowd_mode, calls):
+    real = stash_shuffle.stash_shuffle
+    sizes = []
+
+    def spy(records, params, rng, **kwargs):
+        sizes.append(len(records))
+        return real(records, params, rng, **kwargs)
+
+    monkeypatch.setattr(stash_shuffle, "stash_shuffle", spy)
+    cfg = _small_config(n_samples=300, vocab_size=40, threshold_t=5, crowd_mode=crowd_mode)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    blobs = encode_corpus(
+        cfg, generate_zipf_corpus(40, 1.1, 300, cfg.seed), RngTape(cfg.seed),
+        keys.analyzer.public_bytes, keys.shuffler.public_bytes, keys.shuffler2,
+    )
+    out = shuffle_stage(cfg, blobs, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
+    assert len(sizes) == calls
+    assert sizes[-1] == len(out.records) > 0
 
 
 # ---------------------------------------------------------------------------

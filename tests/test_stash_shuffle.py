@@ -11,6 +11,7 @@ from anonpipe.stash_shuffle import (
     analytic_overhead,
     chunk_cap_for_alpha,
     make_params,
+    params_for,
     prior_art_overheads,
     shuffle_to_buckets,
     stash_shuffle,
@@ -48,6 +49,14 @@ def test_reference_overheads():
     for (n, b, c, w, s), target in zip(REFERENCE_SCENARIOS, expected):
         p = make_params(n, b, chunk_cap=c, stash_cap=s, window=w)
         assert analytic_overhead(p) == pytest.approx(target, abs=0.005)
+
+
+def test_params_for_rule():
+    p = params_for(2255, 65)
+    assert (p.num_buckets, p.stash_cap, p.window, p.item_len) == (14, 282, 4, 65)
+    assert p.chunk_cap == chunk_cap_for_alpha(2255, 14, 4.0)
+    small = params_for(1, 65)
+    assert (small.num_buckets, small.stash_cap) == (1, 16)
 
 
 def test_budget_rejects_oversized_working_set():
@@ -108,14 +117,6 @@ def test_short_last_bucket():
     assert sorted(res.records) == sorted(items)
 
 
-def test_open_record_hook():
-    rng = random.Random(4)
-    p = make_params(60, 4, chunk_cap=14, stash_cap=20, window=2, item_len=8)
-    wrapped = [b"hdr!" + rng.randbytes(8) for _ in range(60)]
-    res = stash_shuffle(wrapped, p, rng, open_record=lambda r: r[4:])
-    assert sorted(res.records) == sorted(r[4:] for r in wrapped)
-
-
 def test_mixed_item_lengths_rejected():
     rng = random.Random(5)
     p = make_params(8, 2, chunk_cap=4, stash_cap=4, window=2, item_len=4)
@@ -148,6 +149,16 @@ def test_trace_is_data_independent():
         res = stash_shuffle(_items(48, rng), p, rng)
         assert res.attempts == 1
         dumps.add(res.trace.dump())
+    assert len(dumps) == 1
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 300, 2255])
+def test_trace_is_data_independent_at_pipeline_params(n):
+    p = params_for(n, 24)
+    dumps = set()
+    for seed in range(2):
+        rng = random.Random(seed)
+        dumps.add(stash_shuffle(_items(n, rng, 24), p, rng).trace.dump())
     assert len(dumps) == 1
 
 
