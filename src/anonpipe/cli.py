@@ -25,7 +25,12 @@ def _load_config(path: str) -> ScenarioConfig:
 
 
 def _load_keys(path: str) -> PipelineKeys:
-    return PipelineKeys.from_json(Path(path).read_text())
+    try:
+        return PipelineKeys.from_json(Path(path).read_text())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise click.BadParameter(
+            f"not a keys file from `keygen` ({type(exc).__name__}: {exc})", param_hint="'--keys'"
+        ) from exc
 
 
 @click.group()
@@ -37,8 +42,9 @@ def main():
 @click.option("--workspace", type=click.Path(), default=".", show_default=True)
 @click.option(
     "--seed", type=int, default=None,
-    help="Evaluation only: derive every key from this seed, as `run` does. "
-    "Without it, keys are drawn from the operating system's secure RNG.",
+    help="Evaluation only: derive every key, and every draw of the stage commands "
+    "that use these keys, from this seed, as `run` does. Without it, all of them "
+    "come from the operating system's secure RNG.",
 )
 @click.option(
     "--group", "group_id", type=click.Choice(sorted(GROUPS)), default=harness.DEFAULT_GROUP,
@@ -46,7 +52,7 @@ def main():
 )
 def keygen(workspace, seed, group_id):
     """Generate analyzer/shuffler key material into keys.json."""
-    keys = harness.derive_keys(group_id, RngTape(seed) if seed is not None else None)
+    keys = harness.derive_keys(group_id, RngTape(seed))
     out = Path(workspace) / "keys.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(keys.to_json() + "\n")
@@ -77,8 +83,8 @@ def encode(config_path, corpus_path, keys_path, out):
     keys = _load_keys(keys_path)
     corpus = harness.load_corpus(corpus_path)
     blobs = harness.encode_corpus(
-        config, corpus, RngTape(config.seed), keys.analyzer.public_bytes,
-        keys.shuffler.public_bytes, keys.shuffler2,
+        config, corpus, RngTape(keys.seed), keys.analyzer.public_bytes,
+        keys.shuffler.public_bytes, keys.shuffler2, hash_key=keys.crowd_hash,
     )
     formats.write_batch(out, blobs)
     click.echo(f"wrote {len(blobs)} reports to {out}")
@@ -98,7 +104,7 @@ def shuffle(config_path, keys_path, in_path, out):
     config = _load_config(config_path)
     keys = _load_keys(keys_path)
     batch = harness.first_shuffler_stage(
-        config, formats.read_batch(in_path), RngTape(config.seed), keys.shuffler,
+        config, formats.read_batch(in_path), RngTape(keys.seed), keys.shuffler,
         keys.blinding,
     )
     if config.two_shufflers:
@@ -124,7 +130,7 @@ def shuffle2(config_path, keys_path, in_path, out):
     ]
     batch = harness.second_shuffler_stage(
         config, shuffler_mod.Batch(epoch_id="epoch-0", records=records),
-        RngTape(config.seed), keys.shuffler2,
+        RngTape(keys.seed), keys.shuffler2,
     )
     formats.write_batch(out, [inner for _, inner in batch.records])
     click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))

@@ -6,7 +6,6 @@ a constant 60-byte overhead over the plaintext.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -18,6 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from anonpipe.crypto import OS_RNG
 from anonpipe.errors import AuthenticationError, PayloadTooLarge
 
 POINT_LEN = 32
@@ -26,10 +26,6 @@ TAG_LEN = 16
 ENVELOPE_OVERHEAD = POINT_LEN + NONCE_LEN + TAG_LEN
 
 MAX_PLAINTEXT = 1 << 20
-
-
-def _randbytes(rng, n: int) -> bytes:
-    return rng.randbytes(n) if rng is not None else secrets.token_bytes(n)
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,8 @@ class TransportKeyPair:
         object.__setattr__(self, "_private_key", sk)
 
     @classmethod
-    def generate(cls, rng=None) -> "TransportKeyPair":
-        sk_bytes = _randbytes(rng, 32)
+    def generate(cls, rng=OS_RNG) -> "TransportKeyPair":
+        sk_bytes = rng.randbytes(32)
         sk = X25519PrivateKey.from_private_bytes(sk_bytes)
         return cls(secret_bytes=sk_bytes, public_bytes=sk.public_key().public_bytes_raw())
 
@@ -87,15 +83,15 @@ def _derive_key(shared: bytes, ephemeral_public: bytes, recipient_public: bytes)
     ).derive(shared)
 
 
-def seal(recipient_public: bytes, plaintext: bytes, rng=None) -> AeadEnvelope:
+def seal(recipient_public: bytes, plaintext: bytes, rng=OS_RNG) -> AeadEnvelope:
     """Encrypt to a recipient public key with a fresh ephemeral key pair."""
     if len(plaintext) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"plaintext longer than {MAX_PLAINTEXT}")
-    eph_sk = X25519PrivateKey.from_private_bytes(_randbytes(rng, 32))
+    eph_sk = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph_sk.public_key().public_bytes_raw()
     shared = eph_sk.exchange(X25519PublicKey.from_public_bytes(recipient_public))
     key = _derive_key(shared, eph_pub, recipient_public)
-    nonce = _randbytes(rng, NONCE_LEN)
+    nonce = rng.randbytes(NONCE_LEN)
     ct_tag = AESGCM(key).encrypt(nonce, plaintext, None)
     return AeadEnvelope(
         ephemeral_public=eph_pub,

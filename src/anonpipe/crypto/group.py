@@ -9,9 +9,9 @@ and a 256-bit group that keeps statistical tests fast.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 
+from anonpipe.crypto import OS_RNG
 from anonpipe.errors import InvalidPoint
 
 
@@ -70,12 +70,11 @@ class GroupParams:
     def inv(self, a: int) -> int:
         return pow(a, -1, self.modulus)
 
-    def random_scalar(self, rng=None) -> int:
+    def random_scalar(self, rng=OS_RNG) -> int:
         """Uniform scalar in [1, p-1]."""
-        draw = (rng.randbytes if rng is not None else secrets.token_bytes)
         width = self.scalar_len + 8
         while True:
-            v = int.from_bytes(draw(width), "big") % self.order_p
+            v = int.from_bytes(rng.randbytes(width), "big") % self.order_p
             if v != 0:
                 return v
 
@@ -136,7 +135,7 @@ class KeyPair:
     public: int
 
     @classmethod
-    def generate(cls, group: GroupParams, rng=None) -> "KeyPair":
+    def generate(cls, group: GroupParams, rng=OS_RNG) -> "KeyPair":
         x = group.random_scalar(rng)
         return cls(group=group, secret=x, public=group.exp(group.generator, x))
 
@@ -190,12 +189,12 @@ class BlindingSecret:
     alpha: int
 
     @classmethod
-    def generate(cls, group: GroupParams, rng=None) -> "BlindingSecret":
+    def generate(cls, group: GroupParams, rng=OS_RNG) -> "BlindingSecret":
         return cls(alpha=group.random_scalar(rng))
 
 
 def elgamal_encrypt(
-    group: GroupParams, public: int, mu: int, rng=None
+    group: GroupParams, public: int, mu: int, rng=OS_RNG
 ) -> ElGamalCiphertext:
     group.check_element(public)
     group.check_element(mu)

@@ -8,9 +8,9 @@ GF(251).
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
+from anonpipe.crypto import OS_RNG
 from anonpipe.errors import DuplicateShareX, InsufficientShares
 
 
@@ -25,11 +25,10 @@ class PrimeField:
     def reduce(self, v: int) -> int:
         return v % self.modulus
 
-    def random_nonzero(self, rng=None) -> int:
-        draw = (rng.randbytes if rng is not None else secrets.token_bytes)
+    def random_nonzero(self, rng=OS_RNG) -> int:
         width = self.elem_len + 8
         while True:
-            v = int.from_bytes(draw(width), "big") % self.modulus
+            v = int.from_bytes(rng.randbytes(width), "big") % self.modulus
             if v != 0:
                 return v
 
@@ -65,7 +64,7 @@ def eval_poly(field: PrimeField, coeffs: list[int], x: int) -> int:
 
 
 def shamir_share(
-    field: PrimeField, secret: int, t: int, n: int, rng=None
+    field: PrimeField, secret: int, t: int, n: int, rng=OS_RNG
 ) -> list[ShamirShare]:
     """Split `secret` into n shares recoverable from any t of them."""
     if not 1 <= t <= n:
@@ -79,8 +78,7 @@ def shamir_share(
 
 def _random_coeff(field: PrimeField, rng) -> int:
     # Coefficients may be zero; only x values must be nonzero.
-    draw = (rng.randbytes if rng is not None else secrets.token_bytes)
-    return int.from_bytes(draw(field.elem_len + 8), "big") % field.modulus
+    return int.from_bytes(rng.randbytes(field.elem_len + 8), "big") % field.modulus
 
 
 def _distinct_nonzero_xs(field: PrimeField, n: int, rng) -> list[int]:

@@ -9,6 +9,7 @@ import struct
 from dataclasses import dataclass
 
 from anonpipe import formats
+from anonpipe.crypto import OS_RNG
 from anonpipe.crypto.deterministic import deterministic_decrypt, deterministic_encrypt
 from anonpipe.crypto.envelope import ENVELOPE_OVERHEAD, AeadEnvelope, seal
 from anonpipe.crypto.group import GroupParams, elgamal_encrypt, hash_to_group
@@ -118,7 +119,7 @@ def symmetric_key_from_field(field: PrimeField, k_field: int) -> bytes:
 
 
 def secret_share_encode(
-    m: bytes, t: int, field: PrimeField, rng=None
+    m: bytes, t: int, field: PrimeField, rng=OS_RNG
 ) -> SecretShareEncoding:
     """Encode m so it decodes only once t independent encodings are grouped."""
     if t < 1:
@@ -163,7 +164,7 @@ def make_crowd_id(
     hash_key: bytes = b"",
     group: GroupParams | None = None,
     shuffler2_public: int | None = None,
-    rng=None,
+    rng=OS_RNG,
 ) -> CrowdId:
     if mode == "plain":
         data = formats.encode_plain_crowd(crowd_key)
@@ -189,7 +190,7 @@ def encode_report(
     analyzer_public: bytes,
     shuffler_public: bytes,
     pad_to: int,
-    rng=None,
+    rng=OS_RNG,
 ) -> WireReport:
     """Nested encryption: inner sealed to the analyzer, outer to the shuffler."""
     inner = seal(analyzer_public, formats.pad_payload(payload, pad_to), rng)

@@ -10,7 +10,7 @@ import random
 import struct
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,8 @@ import numpy as np
 from anonpipe import analyzer as analyzer_mod
 from anonpipe import formats
 from anonpipe import shuffler as shuffler_mod
-from anonpipe.crypto.envelope import NONCE_LEN, POINT_LEN, TransportKeyPair
+from anonpipe.crypto import OS_RNG
+from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.group import GROUPS, BlindingSecret, KeyPair
 from anonpipe.crypto.shamir import PrimeField
 from anonpipe.encoder import (
@@ -39,12 +40,16 @@ DEFAULT_GROUP = "test-256"
 
 
 class RngTape:
-    """Named, seeded RNG streams; every (stage, purpose) gets its own."""
+    """Where every random draw comes from: named streams, one per (stage,
+    purpose).  Seeded, a stream is a function of the seed and its name
+    (evaluation only); unseeded, every stream is the OS RNG."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | None):
         self.seed = seed
 
     def stream(self, name: str) -> random.Random:
+        if self.seed is None:
+            return OS_RNG
         digest = hashlib.sha256(f"{self.seed}|{name}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -112,32 +117,12 @@ class ScenarioConfig:
         )
 
     def to_text(self) -> str:
-        pairs = [
-            ("name", self.name),
-            ("vocab_size", self.vocab_size),
-            ("zipf_exponent", self.zipf_exponent),
-            ("n_samples", self.n_samples),
-            ("seed", self.seed),
-            ("crowd_mode", self.crowd_mode),
-            ("secret_share_t", self.secret_share_t),
-            ("threshold_t", self.threshold_t),
-            ("drop_mean", self.drop_mean),
-            ("sigma", self.sigma),
-            ("policy_mode", self.policy_mode),
-            ("pad_to", self.pad_to),
-            ("group_id", self.group_id),
-        ]
-        return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
         cfg = cls()
-        casts = {
-            "name": str, "crowd_mode": str, "policy_mode": str, "group_id": str,
-            "vocab_size": int, "n_samples": int, "seed": int,
-            "secret_share_t": int, "threshold_t": int, "pad_to": int,
-            "zipf_exponent": float, "drop_mean": float, "sigma": float,
-        }
+        casts = {f.name: type(f.default) for f in fields(cls)}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -154,6 +139,7 @@ class ScenarioConfig:
                 raise ValueError(
                     f"{key} must be one of {', '.join(allowed)}, not {getattr(cfg, key)!r}"
                 )
+        cfg.policy()
         return cfg
 
 
@@ -219,14 +205,18 @@ class UtilityReport:
 @dataclass(frozen=True)
 class PipelineKeys:
     """Every party's keys: the analyzer's and the first shuffler's transport
-    keys, the second shuffler's El Gamal key and the first shuffler's
-    blinding exponent."""
+    keys, the second shuffler's El Gamal key, the first shuffler's blinding
+    exponent and the clients' crowd-hash key, with the seed they were
+    derived from (None: drawn from the OS RNG).  The stage commands draw
+    from `RngTape(seed)`, so they are seeded exactly when the keys are."""
 
     group_id: str
     analyzer: TransportKeyPair
     shuffler: TransportKeyPair
     shuffler2: KeyPair
     blinding: BlindingSecret
+    crowd_hash: bytes
+    seed: int | None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -239,6 +229,8 @@ class PipelineKeys:
                 "shuffler2_secret": f"{self.shuffler2.secret:x}",
                 "shuffler2_public": f"{self.shuffler2.public:x}",
                 "blinding_alpha": f"{self.blinding.alpha:x}",
+                "crowd_hash": self.crowd_hash.hex(),
+                "seed": self.seed,
             },
             indent=2,
         )
@@ -261,24 +253,28 @@ class PipelineKeys:
             shuffler=transport("shuffler1"),
             shuffler2=KeyPair(group=group, secret=x2, public=group.exp(group.generator, x2)),
             blinding=BlindingSecret(alpha=int(keys["blinding_alpha"], 16)),
+            crowd_hash=bytes.fromhex(keys["crowd_hash"]),
+            seed=keys["seed"],
         )
 
 
-def derive_keys(group_id: str, tape: RngTape | None) -> PipelineKeys:
-    """All key material, drawn from `secrets` when `tape` is None.  A tape
-    makes every key a function of its seed: evaluation only."""
+def derive_keys(group_id: str, tape: RngTape) -> PipelineKeys:
+    """All key material, drawn from `tape`: a seeded tape makes every key a
+    function of its seed (evaluation only)."""
     group = GROUPS[group_id]
-
-    def rng(name: str):
-        return tape.stream(name) if tape is not None else None
-
     return PipelineKeys(
         group_id=group_id,
-        analyzer=TransportKeyPair.generate(rng("keys/analyzer")),
-        shuffler=TransportKeyPair.generate(rng("keys/shuffler1")),
-        shuffler2=KeyPair.generate(group, rng("keys/shuffler2")),
-        blinding=BlindingSecret.generate(group, rng("shuffle1/blind")),
+        analyzer=TransportKeyPair.generate(tape.stream("keys/analyzer")),
+        shuffler=TransportKeyPair.generate(tape.stream("keys/shuffler1")),
+        shuffler2=KeyPair.generate(group, tape.stream("keys/shuffler2")),
+        blinding=BlindingSecret.generate(group, tape.stream("shuffle1/blind")),
+        crowd_hash=_crowd_hash_key(tape),
+        seed=tape.seed,
     )
+
+
+def _crowd_hash_key(tape: RngTape) -> bytes:
+    return tape.stream("keys/crowd-hash").randbytes(16)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +288,14 @@ def encode_corpus(
     analyzer_public: bytes,
     shuffler_public: bytes,
     shuffler2_keypair: KeyPair | None = None,
+    *,
+    hash_key: bytes | None = None,
 ) -> list[bytes]:
     words = [item_word(int(item)) for item in corpus]
-    return encode_words(config, words, tape, analyzer_public, shuffler_public, shuffler2_keypair)
+    return encode_words(
+        config, words, tape, analyzer_public, shuffler_public, shuffler2_keypair,
+        hash_key=hash_key,
+    )
 
 
 def encode_words(
@@ -304,43 +305,27 @@ def encode_words(
     analyzer_public: bytes,
     shuffler_public: bytes,
     shuffler2_keypair: KeyPair | None = None,
+    *,
+    hash_key: bytes | None = None,
 ) -> list[bytes]:
     """One wire report per word; the word is both the value and its crowd key.
 
-    Every RNG draw is made here, word by word in order, and replayed while
-    the reports are sealed over the CPUs, so the output does not depend on
-    the CPU count."""
+    Report i draws its share and seal randomness from the stream
+    `encode/{i}` and a blinded crowd ID's from `encode/crowd/{i}`, so the
+    output does not depend on the CPU count.  Without `hash_key` (the
+    keys' `crowd_hash`), the crowd-hash key is drawn from `tape` as
+    `derive_keys` draws it."""
     group = GROUPS[config.group_id]
     fld = PrimeField(group.order_p)
     pad_to = derived_pad_to(config)
-    rng_share = tape.stream("encode/share")
-    rng_crowd = tape.stream("encode/crowd")
-    rng_seal = tape.stream("encode/seal")
-    hash_key = tape.stream("keys/crowd-hash").randbytes(16)
+    if hash_key is None:
+        hash_key = _crowd_hash_key(tape)
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
 
-    def recorded(draw, rng) -> tuple[bytes, ...]:
-        recorder = _Recorder(rng)
-        draw(recorder)
-        return tuple(recorder.draws)
-
-    items = [
-        (
-            word,
-            recorded(fld.random_nonzero, rng_share) if config.secret_share_t else (),
-            recorded(group.random_scalar, rng_crowd) if config.two_shufflers else (),
-            tuple(rng_seal.randbytes(n) for n in (POINT_LEN, NONCE_LEN, POINT_LEN, NONCE_LEN)),
-        )
-        for word in words
-    ]
-
-    def encode_one(item) -> bytes:
-        word, *draws = item
-        rng_share, rng_crowd, rng_seal = replays = [_Replay(d) for d in draws]
+    def encode_one(i: int) -> bytes:
+        word, rng = words[i], tape.stream(f"encode/{i}")
         if config.secret_share_t:
-            payload = secret_share_encode(
-                word, config.secret_share_t, fld, rng_share
-            ).to_payload(fld)
+            payload = secret_share_encode(word, config.secret_share_t, fld, rng).to_payload(fld)
         else:
             payload = word
         crowd = make_crowd_id(
@@ -349,46 +334,12 @@ def encode_words(
             hash_key=hash_key,
             group=group,
             shuffler2_public=s2_public,
-            rng=rng_crowd,
+            rng=tape.stream(f"encode/crowd/{i}") if config.two_shufflers else None,
         )
-        rep = encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng_seal)
-        for replay in replays:
-            replay.check_used()
+        rep = encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng)
         return rep.to_bytes()
 
-    return map_records(encode_one, items)
-
-
-class _Recorder:
-    """Passes `randbytes` through to an RNG and keeps every draw."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws: list[bytes] = []
-
-    def randbytes(self, n: int) -> bytes:
-        draw = self.rng.randbytes(n)
-        self.draws.append(draw)
-        return draw
-
-
-class _Replay:
-    """Hands out recorded draws in order; a draw of another width, one too
-    many or one left unused means the draw schedule changed."""
-
-    def __init__(self, draws: tuple[bytes, ...]):
-        self.draws = draws
-        self.used = 0
-
-    def randbytes(self, n: int) -> bytes:
-        if self.used == len(self.draws) or len(self.draws[self.used]) != n:
-            raise RuntimeError(f"unrecorded {n}-byte draw: the encode draw schedule changed")
-        self.used += 1
-        return self.draws[self.used - 1]
-
-    def check_used(self) -> None:
-        if self.used != len(self.draws):
-            raise RuntimeError("recorded draw left unused: the encode draw schedule changed")
+    return map_records(encode_one, range(len(words)))
 
 
 def first_shuffler_stage(
@@ -397,7 +348,6 @@ def first_shuffler_stage(
     tape: RngTape,
     shuffler_keypair: TransportKeyPair,
     blinding: BlindingSecret | None,
-    epoch_id: str = "epoch-0",
 ) -> Batch:
     """Intake, then either blind the crowd IDs for the second shuffler or
     threshold into the final inner-envelope batch; either way the output is
@@ -405,7 +355,7 @@ def first_shuffler_stage(
     group = GROUPS[config.group_id]
     kind = CROWD_KINDS[config.crowd_mode]
     batch = shuffler_mod.intake(
-        report_blobs, shuffler_keypair, epoch_id, tape.stream("shuffle1/intake"), group,
+        report_blobs, shuffler_keypair, "epoch-0", tape.stream("shuffle1/intake"), group,
         kind=kind, report_len=report_length(kind, derived_pad_to(config), group),
     )
     if config.two_shufflers:
@@ -435,14 +385,13 @@ def shuffle_stage(
     tape: RngTape,
     shuffler_keypair: TransportKeyPair,
     shuffler2_keypair: KeyPair | None,
-    epoch_id: str = "epoch-0",
 ) -> Batch:
     """Every shuffler stage the config needs, with the blinding exponent
-    derived from `tape`."""
+    drawn from `tape` as `derive_keys` draws it."""
     if not config.two_shufflers:
-        return first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, None, epoch_id)
-    blinding = derive_keys(config.group_id, tape).blinding
-    staged = first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, blinding, epoch_id)
+        return first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, None)
+    blinding = BlindingSecret.generate(GROUPS[config.group_id], tape.stream("shuffle1/blind"))
+    staged = first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, blinding)
     return second_shuffler_stage(config, staged, tape, shuffler2_keypair)
 
 
@@ -499,7 +448,7 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
         "encode",
         lambda: encode_corpus(
             config, corpus, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes,
-            keys.shuffler2,
+            keys.shuffler2, hash_key=keys.crowd_hash,
         ),
     )
     formats.write_batch(workspace / "reports.bin", blobs)
@@ -668,7 +617,8 @@ def run_perms_demo(
     )
     keys = derive_keys(group_id, tape)
     blobs = encode_words(
-        config, tuples, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes
+        config, tuples, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes,
+        hash_key=keys.crowd_hash,
     )
     out = shuffle_stage(config, blobs, tape, keys.shuffler, keys.shuffler2)
     hist, _ = analyze_stage(config, [i for _, i in out.records], keys.analyzer)

@@ -41,7 +41,7 @@ class ThresholdPolicy:
         if self.mode not in MODES:
             raise ValueError(f"unknown threshold mode {self.mode!r}")
         if self.threshold_t < 1 or self.sigma < 0 or self.drop_mean < 0:
-            raise ValueError("invalid threshold policy")
+            raise ValueError("threshold_t must be at least 1, sigma and drop_mean at least 0")
 
     @property
     def drops(self) -> bool:

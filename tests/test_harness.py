@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from anonpipe import formats
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
+from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
+from anonpipe.encoder import parse_outer_plaintext
 from anonpipe.harness import (
     DEFAULT_GROUP,
     BaselineReport,
@@ -68,6 +71,12 @@ def test_rng_tape_streams_are_stable_and_independent():
     assert tape.stream("a").random() != tape.stream("b").random()
 
 
+def test_unseeded_rng_tape_streams_never_repeat():
+    draws = {RngTape(None).stream("a").randbytes(16) for _ in range(2)}
+    draws.add(RngTape(None).stream("b").randbytes(16))
+    assert len(draws) == 3
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -115,6 +124,16 @@ def _small_config(**kw):
     )
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def test_encode_without_a_hash_key_draws_the_keys_crowd_hash():
+    cfg = _small_config(n_samples=20)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
+    words = [item_word(i % 4) for i in range(20)]
+    assert encode_words(cfg, words, RngTape(cfg.seed), *public) == encode_words(
+        cfg, words, RngTape(cfg.seed), *public, hash_key=keys.crowd_hash
+    )
 
 
 def test_naive_scenario_recovers_exactly_above_threshold(tmp_path):
@@ -403,6 +422,86 @@ def test_cli_keygen_unseeded_keys_differ_and_seeded_keys_match_run(tmp_path):
     assert seeded == derive_keys(DEFAULT_GROUP, RngTape(7))
 
 
+@pytest.fixture
+def cli_encode(tmp_path):
+    """`anonpipe encode` of one hashed corpus under the keys in `keys_dir`,
+    which an unseeded `keygen` creates on first use."""
+    cfg = _small_config(n_samples=300, vocab_size=40, threshold_t=5)
+    (tmp_path / "scenario.cfg").write_text(cfg.to_text())
+    save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(40, 1.1, 300, cfg.seed))
+
+    def encode(keys_dir: str, out: str) -> list[bytes]:
+        if not (tmp_path / keys_dir / "keys.json").exists():
+            _cli_ok(["keygen", "--workspace", str(tmp_path / keys_dir)])
+        _cli_ok(["encode", "--config", str(tmp_path / "scenario.cfg"),
+                 "--corpus", str(tmp_path / "corpus.txt"),
+                 "--keys", str(tmp_path / keys_dir / "keys.json"), "--out", str(tmp_path / out)])
+        return formats.read_batch(tmp_path / out)
+
+    return cfg, encode
+
+
+def test_cli_encodes_under_unseeded_keys_differ(cli_encode):
+    _, encode = cli_encode
+    first, second = encode("keys", "a.bin"), encode("keys", "b.bin")
+    assert len(first) == len(second) == 300
+    assert all(a != b for a, b in zip(first, second))
+
+
+def _ephemeral_publics(report: bytes, keys: PipelineKeys) -> set[bytes]:
+    """The outer and inner envelopes' ephemeral public keys."""
+    outer = AeadEnvelope.from_bytes(formats.parse_report(report).outer)
+    _, _, inner = parse_outer_plaintext(open_envelope(keys.shuffler, outer))
+    return {outer.ephemeral_public, AeadEnvelope.from_bytes(inner).ephemeral_public}
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_cli_report_keys_come_from_the_config_seed_only_under_seeded_keys(
+    tmp_path, cli_encode, seeded
+):
+    cfg, encode = cli_encode
+    if seeded:
+        _cli_ok(["keygen", "--workspace", str(tmp_path / "keys"), "--seed", str(cfg.seed)])
+    report = encode("keys", "reports.bin")[0]
+    keys = PipelineKeys.from_json((tmp_path / "keys" / "keys.json").read_text())
+    # every ephemeral public key anyone holding the config can compute for
+    # report 0: the seals' 32-byte draws on the config seed's encode streams
+    derivable = set()
+    for name in ("encode/seal", "encode/0"):
+        rng = RngTape(cfg.seed).stream(name)
+        for n in (32, 12, 32, 12):
+            draw = rng.randbytes(n)
+            if n == 32:
+                sk = X25519PrivateKey.from_private_bytes(draw)
+                derivable.add(sk.public_key().public_bytes_raw())
+    assert bool(_ephemeral_publics(report, keys) & derivable) == seeded
+
+
+def test_cli_shuffles_under_unseeded_keys_differ_in_order_only(tmp_path, cli_encode):
+    _, encode = cli_encode
+    encode("keys", "reports.bin")
+    outputs = []
+    for out in ("s1.bin", "s2.bin"):
+        _cli_ok(["shuffle", "--config", str(tmp_path / "scenario.cfg"),
+                 "--keys", str(tmp_path / "keys" / "keys.json"),
+                 "--in", str(tmp_path / "reports.bin"), "--out", str(tmp_path / out)])
+        outputs.append(formats.read_batch(tmp_path / out))
+    assert len(outputs[0]) > 50
+    assert outputs[0] != outputs[1] and sorted(outputs[0]) == sorted(outputs[1])
+
+
+def test_cli_hashed_crowd_ids_come_from_the_keys(cli_encode):
+    _, encode = cli_encode
+
+    def crowd_ids(reports):
+        return [formats.parse_report(r).crowd_id for r in reports]
+
+    same_keys = crowd_ids(encode("a", "a1.bin")), crowd_ids(encode("a", "a2.bin"))
+    assert same_keys[0] == same_keys[1]
+    other_keys = crowd_ids(encode("b", "b.bin"))
+    assert all(a != b for a, b in zip(same_keys[0], other_keys))
+
+
 def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
     _cli_ok(["keygen", "--workspace", str(tmp_path)])
     text = (tmp_path / "keys.json").read_text()
@@ -413,6 +512,29 @@ def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
     )
     with pytest.raises(ValueError):
         PipelineKeys.from_json(json.dumps(keys))
+
+
+@pytest.mark.parametrize("damage", ["crowd_hash", "seed", "not json"])
+def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
+    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    keys = json.loads((tmp_path / "keys.json").read_text())
+    if damage == "not json":
+        text = "{"
+    else:
+        del keys[damage]
+        text = json.dumps(keys)
+    (tmp_path / "keys.json").write_text(text)
+    cfg = _small_config(n_samples=5)
+    (tmp_path / "scenario.cfg").write_text(cfg.to_text())
+    save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(10, 1.1, 5, 1))
+    res = CliRunner().invoke(cli_main, [
+        "encode", "--config", str(tmp_path / "scenario.cfg"), "--corpus",
+        str(tmp_path / "corpus.txt"), "--keys", str(tmp_path / "keys.json"),
+        "--out", str(tmp_path / "reports.bin"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and "not a keys file" in res.output
+    assert isinstance(res.exception, SystemExit) and not (tmp_path / "reports.bin").exists()
 
 
 def test_cli_keygen_offers_only_known_groups(tmp_path):
@@ -438,6 +560,25 @@ def test_cli_unknown_config_value_is_a_usage_error(tmp_path, key, value):
     assert "Usage:" in res.output and f"{key} must be one of" in res.output
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("threshold_t", 0), ("sigma", -1), ("drop_mean", -0.5)])
+@pytest.mark.parametrize("command", ["run", "shuffle"])
+def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, value):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
+    if command == "run":
+        args = ["run", "--config", str(cfg_path), "--workspace", str(tmp_path / "run")]
+    else:
+        _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+        formats.write_batch(tmp_path / "reports.bin", [])
+        args = ["shuffle", "--config", str(cfg_path), "--keys", str(tmp_path / "keys.json"),
+                "--in", str(tmp_path / "reports.bin"), "--out", str(tmp_path / "out.bin")]
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and "threshold_t must be at least 1" in res.output
+    assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out.bin").exists()
 
 
 def test_cli_params_reference_table():
