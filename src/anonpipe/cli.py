@@ -123,6 +123,11 @@ def shuffle(config_path, keys_path, in_path, out):
 def shuffle2(config_path, keys_path, in_path, out):
     """Second shuffler stage: unblind crowd pseudonyms and threshold."""
     config = _load_config(config_path)
+    if not config.two_shufflers:
+        raise click.BadParameter(
+            f"crowd_mode is {config.crowd_mode}; only blinded configs have a second shuffler",
+            param_hint="'--config'",
+        )
     keys = _load_keys(keys_path)
     crowd_width = 2 * GROUPS[config.group_id].element_len
     records = [

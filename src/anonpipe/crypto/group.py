@@ -15,6 +15,32 @@ from anonpipe.crypto import OS_RNG
 from anonpipe.errors import InvalidPoint
 
 
+# Fixed-base window: group -> T with T[i][d] = g^(d * 16^i), built on a
+# group's first exponentiation of its generator and kept for the process.
+# Keyed by the whole GroupParams, so a table serves only the parameters it
+# was built from.
+_WINDOW_BITS = 4
+_GENERATOR_TABLES: dict["GroupParams", list[list[int]]] = {}
+
+
+def _generator_table(group: "GroupParams") -> list[list[int]]:
+    table = _GENERATOR_TABLES.get(group)
+    if table is None:
+        table = _GENERATOR_TABLES[group] = _build_generator_table(group)
+    return table
+
+
+def _build_generator_table(group: "GroupParams") -> list[list[int]]:
+    q, base, table = group.modulus, group.generator, []
+    for _ in range(-(-group.order_p.bit_length() // _WINDOW_BITS)):
+        row = [1]
+        for _ in range((1 << _WINDOW_BITS) - 1):
+            row.append(row[-1] * base % q)
+        table.append(row)
+        base = row[-1] * base % q
+    return table
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
     A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
@@ -62,13 +88,23 @@ class GroupParams:
         return e
 
     def exp(self, base: int, exponent: int) -> int:
-        return pow(base, exponent, self.modulus)
+        if base != self.generator:
+            return pow(base, exponent, self.modulus)
+        # Fixed base (Brickell et al., EUROCRYPT '92): g has order p, so
+        # reduce the exponent and multiply one table entry per window.
+        q, e, acc = self.modulus, exponent % self.order_p, 1
+        mask = (1 << _WINDOW_BITS) - 1
+        for row in _generator_table(self):
+            if not e:
+                break
+            digit = e & mask
+            if digit:
+                acc = acc * row[digit] % q
+            e >>= _WINDOW_BITS
+        return acc
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.modulus)
 
     def random_scalar(self, rng=OS_RNG) -> int:
         """Uniform scalar in [1, p-1]."""
@@ -217,8 +253,11 @@ def blind(
 
 
 def unblind_decrypt(kp: KeyPair, ct: ElGamalCiphertext) -> int:
-    """Recover mu^alpha from a blinded ciphertext (mu itself if alpha = 1)."""
+    """Recover mu^alpha from a blinded ciphertext (mu itself if alpha = 1).
+
+    c1 is checked to have order p, so c1^(p - x) is c1^-x without an
+    inversion."""
     g = kp.group
     g.check_element(ct.c1)
     g.check_element(ct.c2)
-    return g.mul(ct.c2, g.inv(g.exp(ct.c1, kp.secret)))
+    return g.mul(ct.c2, g.exp(ct.c1, g.order_p - kp.secret))

@@ -246,13 +246,20 @@ class PipelineKeys:
                 public_bytes=bytes.fromhex(keys[f"{who}_public"]),
             )
 
-        x2 = int(keys["shuffler2_secret"], 16)
+        def scalar(name: str) -> int:
+            # 0 makes every pseudonym 1 (alpha) or every c2 the clear crowd ID (x2)
+            v = int(keys[name], 16)
+            if not 1 <= v < group.order_p:
+                raise ValueError(f"{name} is outside [1, p-1] for {group.group_id}")
+            return v
+
+        x2 = scalar("shuffler2_secret")
         return cls(
             group_id=keys["group_id"],
             analyzer=transport("analyzer"),
             shuffler=transport("shuffler1"),
             shuffler2=KeyPair(group=group, secret=x2, public=group.exp(group.generator, x2)),
-            blinding=BlindingSecret(alpha=int(keys["blinding_alpha"], 16)),
+            blinding=BlindingSecret(alpha=scalar("blinding_alpha")),
             crowd_hash=bytes.fromhex(keys["crowd_hash"]),
             seed=keys["seed"],
         )

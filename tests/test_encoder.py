@@ -1,8 +1,11 @@
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonpipe import formats
 from anonpipe.crypto.envelope import TransportKeyPair, open_envelope, AeadEnvelope
@@ -205,3 +208,46 @@ def test_read_batch_rejects_truncated_header(tmp_path, keep):
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(DecryptionError):
         formats.read_batch(path)
+
+
+# Shufflers and the analyzer count a DecryptionError as a reject; any other
+# exception would fail the stage.
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=80),
+        st.builds(lambda kind, rest: bytes([formats.REPORT_VERSION, kind]) + rest,
+                  st.integers(0, 255), st.binary(max_size=80)),
+    ),
+    group=st.sampled_from([None, TEST_GROUP_256]),
+)
+def test_parse_report_raises_only_decryption_error(data, group):
+    try:
+        report = formats.parse_report(data, group)
+    except DecryptionError:
+        return
+    assert report.to_bytes() == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=40),
+        st.builds(
+            lambda record_len, count, body: struct.pack(
+                "<8sIQ", formats.BATCH_MAGIC, record_len, count
+            ) + body,
+            st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+            st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)),
+            st.binary(max_size=24),
+        ),
+    )
+)
+def test_read_batch_of_any_file_raises_only_decryption_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "batch.bin"
+    path.write_bytes(data)
+    try:
+        records = formats.read_batch(path)
+    except DecryptionError:
+        return
+    assert len({len(r) for r in records}) <= 1

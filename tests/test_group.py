@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anonpipe.crypto import group as group_mod
 from anonpipe.crypto.group import (
     MODP_2048,
     TEST_GROUP_256,
@@ -152,3 +154,101 @@ def test_element_encoding_roundtrip():
     e = hash_to_group(G, b"x")
     assert G.decode_element(G.encode_element(e)) == e
     assert len(G.encode_element(e)) == G.element_len
+
+
+BOTH_GROUPS = [
+    pytest.param(TEST_GROUP_256, 200, id="test-256"),
+    pytest.param(MODP_2048, 10, id="modp-2048"),
+]
+
+
+# Each pow reference costs ~30 ms in modp-2048.
+@pytest.mark.parametrize("group, examples", BOTH_GROUPS)
+def test_generator_exp_matches_pow(group, examples):
+    q, p, g = group.modulus, group.order_p, group.generator
+
+    @settings(max_examples=examples, deadline=None)
+    @given(e=st.integers(0, 4 * p))
+    @example(e=0)
+    @example(e=1)
+    @example(e=p - 1)
+    @example(e=p)
+    @example(e=p + 1)
+    def check(e):
+        assert group.exp(g, e) == pow(g, e, q)
+        assert group.exp(g, -e) == pow(g, -e % p, q)
+
+    check()
+
+
+@pytest.mark.parametrize("group, examples", BOTH_GROUPS)
+def test_exp_of_another_base_matches_pow(group, examples):
+    q, p = group.modulus, group.order_p
+
+    @settings(max_examples=examples, deadline=None)
+    @given(base=st.integers(1, q - 1), e=st.integers(-4 * p, 4 * p))
+    def check(base, e):
+        if base != group.generator:
+            assert group.exp(base, e) == pow(base, e, q)
+
+    check()
+
+
+def test_generator_table_is_built_once_per_group(monkeypatch):
+    builds = Counter()
+    build = group_mod._build_generator_table
+
+    def counted(group):
+        builds[group.group_id] += 1
+        return build(group)
+
+    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    monkeypatch.setattr(group_mod, "_build_generator_table", counted)
+    rng = random.Random(9)
+    for group in (TEST_GROUP_256, MODP_2048):
+        for _ in range(3):
+            kp = KeyPair.generate(group, rng)
+            elgamal_encrypt(group, kp.public, hash_to_group(group, b"crowd"), rng)
+    assert builds == {"test-256": 1, "modp-2048": 1}
+    table = group_mod._GENERATOR_TABLES[G]
+    assert len(table) == 64 and {len(row) for row in table} == {16}
+    assert table[5][11] == pow(G.generator, 11 * 16**5, G.modulus)
+
+
+@pytest.mark.parametrize("group, examples", BOTH_GROUPS)
+def test_unblind_decrypt_matches_inverting_c1_to_the_x(group, examples):
+    q, p, g = group.modulus, group.order_p, group.generator
+
+    @settings(max_examples=examples, deadline=None)
+    @given(k1=st.integers(1, p - 1), k2=st.integers(1, p - 1), x=st.integers(1, p - 1))
+    def check(k1, k2, x):
+        c1, c2 = pow(g, k1, q), pow(g, k2, q)
+        kp = KeyPair(group=group, secret=x, public=pow(g, x, q))
+        expected = c2 * pow(pow(c1, x, q), -1, q) % q
+        assert unblind_decrypt(kp, ElGamalCiphertext(c1=c1, c2=c2)) == expected
+
+    check()
+
+
+_FUZZ_KEYS = KeyPair.generate(G, random.Random(10))
+_FUZZ_ALPHA = BlindingSecret.generate(G, random.Random(11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=2 * G.element_len + 2),
+        st.binary(min_size=2 * G.element_len, max_size=2 * G.element_len),
+    )
+)
+def test_hostile_ciphertext_bytes_raise_only_invalid_point(data):
+    # the blinded stages count InvalidPoint as `invalid`; nothing else may escape
+    try:
+        ct = ElGamalCiphertext.from_bytes(G, data)
+    except InvalidPoint:
+        return
+    for apply in (lambda: blind(G, ct, _FUZZ_ALPHA), lambda: unblind_decrypt(_FUZZ_KEYS, ct)):
+        try:
+            apply()
+        except InvalidPoint:
+            pass

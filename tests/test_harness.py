@@ -13,6 +13,7 @@ from anonpipe import formats
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
+from anonpipe.crypto.group import GROUPS
 from anonpipe.encoder import parse_outer_plaintext
 from anonpipe.harness import (
     DEFAULT_GROUP,
@@ -535,6 +536,44 @@ def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and "not a keys file" in res.output
     assert isinstance(res.exception, SystemExit) and not (tmp_path / "reports.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "command, scalar, value",
+    [("shuffle", "blinding_alpha", "0"), ("shuffle2", "shuffler2_secret", "0"),
+     ("shuffle2", "shuffler2_secret", "p")],
+)
+def test_cli_out_of_range_key_scalar_is_a_usage_error(tmp_path, command, scalar, value):
+    # alpha = 0 makes every pseudonym 1; x2 = 0 or p makes h = 1, so every
+    # client's c2 is its crowd ID in the clear
+    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    keys = json.loads((tmp_path / "keys.json").read_text())
+    keys[scalar] = f"{GROUPS[keys['group_id']].order_p:x}" if value == "p" else value
+    (tmp_path / "keys.json").write_text(json.dumps(keys))
+    (tmp_path / "scenario.cfg").write_text(_small_config(crowd_mode="blinded").to_text())
+    formats.write_batch(tmp_path / "in.bin", [])
+    res = CliRunner().invoke(cli_main, [
+        command, "--config", str(tmp_path / "scenario.cfg"), "--keys",
+        str(tmp_path / "keys.json"), "--in", str(tmp_path / "in.bin"),
+        "--out", str(tmp_path / "out.bin"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "not a keys file" in res.output and scalar in res.output
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_cli_shuffle2_of_a_config_without_blinding_is_a_usage_error(tmp_path):
+    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    (tmp_path / "scenario.cfg").write_text(_small_config().to_text())
+    formats.write_batch(tmp_path / "in.bin", [])
+    res = CliRunner().invoke(cli_main, [
+        "shuffle2", "--config", str(tmp_path / "scenario.cfg"), "--keys",
+        str(tmp_path / "keys.json"), "--in", str(tmp_path / "in.bin"),
+        "--out", str(tmp_path / "out.bin"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and "only blinded configs" in res.output
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_cli_keygen_offers_only_known_groups(tmp_path):
