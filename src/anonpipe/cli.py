@@ -129,7 +129,7 @@ def shuffle2(config_path, keys_path, in_path, out):
             param_hint="'--config'",
         )
     keys = _load_keys(keys_path)
-    crowd_width = 2 * GROUPS[config.group_id].element_len
+    crowd_width = formats.crowd_id_width(formats.KIND_BLINDED, GROUPS[config.group_id])
     records = [
         (blob[:crowd_width], blob[crowd_width:]) for blob in formats.read_batch(in_path)
     ]

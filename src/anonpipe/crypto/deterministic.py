@@ -16,16 +16,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from anonpipe.errors import IntegrityError
 
-KEY_LEN = 16
 _SIV_LEN = 12
 
 DETERMINISTIC_OVERHEAD = _SIV_LEN + 16  # synthetic IV + GCM tag
-
-
-def message_derived_key(m: bytes) -> bytes:
-    if not m:
-        raise ValueError("message must be nonempty")
-    return hashlib.sha256(b"anonpipe-mdk-v1|" + m).digest()[:KEY_LEN]
 
 
 def _synthetic_iv(key: bytes, m: bytes) -> bytes:

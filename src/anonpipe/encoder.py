@@ -11,17 +11,11 @@ from dataclasses import dataclass
 from anonpipe import formats
 from anonpipe.crypto import OS_RNG
 from anonpipe.crypto.deterministic import deterministic_decrypt, deterministic_encrypt
-from anonpipe.crypto.envelope import ENVELOPE_OVERHEAD, AeadEnvelope, seal
+from anonpipe.crypto.envelope import AeadEnvelope, seal
 from anonpipe.crypto.group import GroupParams, elgamal_encrypt, hash_to_group
 from anonpipe.crypto.shamir import PrimeField, ShamirShare, eval_poly
 from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
-from anonpipe.formats import (
-    KIND_BLINDED,
-    KIND_FIXED,
-    KIND_HASHED,
-    KIND_PLAIN,
-    WireReport,
-)
+from anonpipe.formats import KIND_BLINDED, KIND_FIXED, KIND_HASHED, KIND_PLAIN
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +163,9 @@ def make_crowd_id(
     if mode == "plain":
         data = formats.encode_plain_crowd(crowd_key)
     elif mode == "hashed":
+        if not hash_key:
+            # unkeyed, anyone could recompute every client's crowd ID
+            raise MissingKey("hashed crowd IDs need the clients' crowd-hash key")
         data = hashlib.blake2b(
             crowd_key, key=hash_key[:64], digest_size=formats.HASHED_CROWD_WIDTH
         ).digest()
@@ -191,36 +188,11 @@ def encode_report(
     shuffler_public: bytes,
     pad_to: int,
     rng=OS_RNG,
-) -> WireReport:
+) -> bytes:
     """Nested encryption: inner sealed to the analyzer, outer to the shuffler."""
     inner = seal(analyzer_public, formats.pad_payload(payload, pad_to), rng)
-    outer_plain = bytes([crowd_id.kind]) + crowd_id.data + inner.to_bytes()
-    outer = seal(shuffler_public, outer_plain, rng)
-    return WireReport(kind=crowd_id.kind, crowd_id=crowd_id.data, outer=outer.to_bytes())
-
-
-def parse_outer_plaintext(
-    data: bytes, group: GroupParams | None = None
-) -> tuple[int, bytes, bytes]:
-    """Split an opened outer layer into (kind, crowd_id, inner envelope bytes)."""
-    if not data:
-        raise DecryptionError("empty outer plaintext")
-    kind = data[0]
-    width = formats.crowd_id_width(kind, group)
-    if len(data) < 1 + width + ENVELOPE_OVERHEAD:
-        raise DecryptionError("truncated outer plaintext")
-    return kind, data[1 : 1 + width], data[1 + width :]
-
-
-def inner_envelope_length(pad_to: int) -> int:
-    return ENVELOPE_OVERHEAD + pad_to
-
-
-def report_length(kind: int, pad_to: int, group: GroupParams | None = None) -> int:
-    """Serialized report size: a pipeline constant given kind and padding."""
-    width = formats.crowd_id_width(kind, group)
-    outer_plain = 1 + width + inner_envelope_length(pad_to)
-    return 2 + width + ENVELOPE_OVERHEAD + outer_plain
+    outer_plain = formats.build_outer_plaintext(crowd_id.kind, crowd_id.data, inner.to_bytes())
+    return formats.build_report(seal(shuffler_public, outer_plain, rng).to_bytes())
 
 
 def open_inner(envelope_bytes: bytes, analyzer_keypair) -> bytes:

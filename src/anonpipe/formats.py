@@ -1,8 +1,15 @@
 """Wire and file formats shared by all pipeline stages.
 
 Report wire format (bit exact):
-    version (1) || crowd_id_kind (1) || crowd_id bytes (width by kind)
-    || outer envelope bytes
+    version (1) || outer envelope
+
+The outer envelope is sealed to the shuffler; its plaintext is
+    crowd_id_kind (1) || crowd_id (width by kind) || inner envelope
+and the inner envelope is sealed to the analyzer; its plaintext is
+    payload length (u16 LE) || payload || zero padding to pad_to bytes.
+An envelope is its plaintext plus ENVELOPE_OVERHEAD bytes (see
+`anonpipe.crypto.envelope`).  The crowd ID travels only inside the outer
+envelope, so only the shuffler, after opening it, learns a report's crowd.
 
 Batch file format:
     magic (8) || record_length (u32 LE) || count (u64 LE) || records
@@ -14,13 +21,13 @@ observer learns nothing from record sizes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
+from anonpipe.crypto.envelope import ENVELOPE_OVERHEAD
 from anonpipe.crypto.group import GroupParams
 from anonpipe.errors import DecryptionError, PayloadTooLarge
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 # Crowd-ID kinds and their serialized widths.
 KIND_PLAIN = 0
@@ -74,26 +81,42 @@ def unpad_payload(padded: bytes) -> bytes:
     return padded[2 : 2 + n]
 
 
-@dataclass(frozen=True)
-class WireReport:
-    """A serialized-form report: clear kind/crowd-ID plus the outer envelope."""
-
-    kind: int
-    crowd_id: bytes
-    outer: bytes  # serialized AeadEnvelope
-
-    def to_bytes(self) -> bytes:
-        return bytes([REPORT_VERSION, self.kind]) + self.crowd_id + self.outer
+def build_report(outer: bytes) -> bytes:
+    return bytes([REPORT_VERSION]) + outer
 
 
-def parse_report(data: bytes, group: GroupParams | None = None) -> WireReport:
-    if len(data) < 2 or data[0] != REPORT_VERSION:
+def parse_report(data: bytes) -> bytes:
+    """The outer envelope bytes of a report of this version."""
+    if not data or data[0] != REPORT_VERSION:
         raise DecryptionError("bad report header")
-    kind = data[1]
+    return data[1:]
+
+
+def build_outer_plaintext(kind: int, crowd_id: bytes, inner: bytes) -> bytes:
+    return bytes([kind]) + crowd_id + inner
+
+
+def parse_outer_plaintext(
+    data: bytes, group: GroupParams | None = None
+) -> tuple[int, bytes, bytes]:
+    """Split an opened outer layer into (kind, crowd_id, inner envelope bytes)."""
+    if not data:
+        raise DecryptionError("empty outer plaintext")
+    kind = data[0]
     width = crowd_id_width(kind, group)
-    if len(data) < 2 + width:
-        raise DecryptionError("truncated report")
-    return WireReport(kind=kind, crowd_id=data[2 : 2 + width], outer=data[2 + width :])
+    if len(data) < 1 + width + ENVELOPE_OVERHEAD:
+        raise DecryptionError("truncated outer plaintext")
+    return kind, data[1 : 1 + width], data[1 + width :]
+
+
+def inner_envelope_length(pad_to: int) -> int:
+    return ENVELOPE_OVERHEAD + pad_to
+
+
+def report_length(kind: int, pad_to: int, group: GroupParams | None = None) -> int:
+    """Serialized report size: a pipeline constant given kind and padding."""
+    outer_plain = 1 + crowd_id_width(kind, group) + inner_envelope_length(pad_to)
+    return 1 + ENVELOPE_OVERHEAD + outer_plain
 
 
 def write_batch(path: str | Path, records: list[bytes]) -> None:

@@ -29,7 +29,6 @@ from anonpipe.encoder import (
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
-    report_length,
     secret_share_encode,
 )
 from anonpipe.errors import StageFailed
@@ -254,11 +253,15 @@ class PipelineKeys:
             return v
 
         x2 = scalar("shuffler2_secret")
+        # g^x2 is a group member, so this also rejects every non-member
+        h = int(keys["shuffler2_public"], 16)
+        if h != group.exp(group.generator, x2):
+            raise ValueError("shuffler2_public is not g^shuffler2_secret")
         return cls(
             group_id=keys["group_id"],
             analyzer=transport("analyzer"),
             shuffler=transport("shuffler1"),
-            shuffler2=KeyPair(group=group, secret=x2, public=group.exp(group.generator, x2)),
+            shuffler2=KeyPair(group=group, secret=x2, public=h),
             blinding=BlindingSecret(alpha=scalar("blinding_alpha")),
             crowd_hash=bytes.fromhex(keys["crowd_hash"]),
             seed=keys["seed"],
@@ -343,8 +346,7 @@ def encode_words(
             shuffler2_public=s2_public,
             rng=tape.stream(f"encode/crowd/{i}") if config.two_shufflers else None,
         )
-        rep = encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng)
-        return rep.to_bytes()
+        return encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng)
 
     return map_records(encode_one, range(len(words)))
 
@@ -363,7 +365,7 @@ def first_shuffler_stage(
     kind = CROWD_KINDS[config.crowd_mode]
     batch = shuffler_mod.intake(
         report_blobs, shuffler_keypair, "epoch-0", tape.stream("shuffle1/intake"), group,
-        kind=kind, report_len=report_length(kind, derived_pad_to(config), group),
+        kind=kind, report_len=formats.report_length(kind, derived_pad_to(config), group),
     )
     if config.two_shufflers:
         out = shuffler_mod.blind_stage1(batch, group, blinding)

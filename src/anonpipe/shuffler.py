@@ -22,9 +22,8 @@ from anonpipe.crypto.group import (
     blind,
     unblind_decrypt,
 )
-from anonpipe.encoder import parse_outer_plaintext
 from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
-from anonpipe.formats import parse_report
+from anonpipe.formats import parse_outer_plaintext, parse_report
 from anonpipe.parallel import map_records
 
 MODES = ("naive", "randomized_threshold", "noisy_drop", "both")
@@ -75,25 +74,22 @@ def intake(
 
     Source metadata (arrival order, addresses, timing) is dropped here;
     malformed reports are counted and skipped, never fatal.  Given the
-    batch's crowd-ID `kind` and `report_len`, a report of another kind or
-    length is counted corrupt before it is opened, so every record kept has
-    the batch's inner-envelope length.  A repeat of an earlier report, or a
-    report whose clear crowd ID differs from its sealed one, counts as
-    corrupt too: honest reports never repeat, so copies could only make a
-    crowd of one client.
+    batch's `report_len`, a report of another length is counted corrupt
+    before it is opened; given its crowd-ID `kind`, so is a report whose
+    sealed kind differs.  With both, every record kept has the batch's
+    inner-envelope length.  A repeat of an earlier report counts as corrupt
+    too: honest reports never repeat, so copies could only make a crowd of
+    one client.
     """
 
     def open_one(blob: bytes) -> tuple[bytes, bytes] | None:
         try:
             if report_len is not None and len(blob) != report_len:
                 raise DecryptionError("report length differs from the batch's")
-            wire = parse_report(blob, group)
-            if kind is not None and wire.kind != kind:
-                raise DecryptionError("crowd-ID kind differs from the batch's")
-            outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(wire.outer))
+            outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(parse_report(blob)))
             outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
-            if outer_kind != wire.kind or crowd_id != wire.crowd_id:
-                raise DecryptionError("sealed crowd ID differs from the clear one")
+            if kind is not None and outer_kind != kind:
+                raise DecryptionError("crowd-ID kind differs from the batch's")
             return crowd_id, inner
         except (AuthenticationError, DecryptionError, InvalidPoint):
             return None

@@ -15,17 +15,15 @@ from anonpipe.crypto.shamir import GF251, PrimeField, shamir_reconstruct
 from anonpipe.encoder import (
     encode_report,
     flip_bits,
-    inner_envelope_length,
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
     message_field_key,
     open_inner,
-    parse_outer_plaintext,
-    report_length,
     secret_share_encode,
     secret_share_open,
 )
+from anonpipe.formats import inner_envelope_length, parse_outer_plaintext, report_length
 from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
 
 
@@ -120,6 +118,14 @@ def test_hashed_crowd_id_stable_and_keyed():
     assert len(a.data) == formats.HASHED_CROWD_WIDTH
 
 
+def test_hashed_crowd_id_requires_key():
+    # unkeyed, anyone could recompute every client's crowd ID
+    with pytest.raises(MissingKey):
+        make_crowd_id(b"crowd", "hashed")
+    with pytest.raises(MissingKey):
+        make_crowd_id(b"crowd", "hashed", hash_key=b"")
+
+
 def test_fixed_crowd_id_is_constant():
     assert make_crowd_id(b"x", "fixed") == make_crowd_id(b"y", "fixed")
 
@@ -154,21 +160,42 @@ def _transport_keys(seed):
     return TransportKeyPair.generate(rng), TransportKeyPair.generate(rng), rng
 
 
+def _open_outer(report, shuffler):
+    return open_envelope(shuffler, AeadEnvelope.from_bytes(formats.parse_report(report)))
+
+
 def test_report_nesting_roundtrip():
     analyzer, shuffler, rng = _transport_keys(10)
     cid = make_crowd_id(b"crowd", "hashed", hash_key=b"hk")
     report = encode_report(b"payload", cid, analyzer.public_bytes, shuffler.public_bytes, 64, rng)
-    parsed = formats.parse_report(report.to_bytes())
-    assert parsed.kind == formats.KIND_HASHED
-    assert parsed.crowd_id == cid.data
+    assert report[0] == formats.REPORT_VERSION
 
-    outer_plain = open_envelope(shuffler, AeadEnvelope.from_bytes(parsed.outer))
-    kind, crowd, inner = parse_outer_plaintext(outer_plain)
+    kind, crowd, inner = parse_outer_plaintext(_open_outer(report, shuffler))
     assert (kind, crowd) == (formats.KIND_HASHED, cid.data)
     # the shuffler cannot open the inner envelope
     with pytest.raises(Exception):
         open_inner(inner, shuffler)
     assert open_inner(inner, analyzer) == b"payload"
+
+
+@pytest.mark.parametrize("mode", ["plain", "hashed", "blinded"])
+def test_crowd_id_travels_only_inside_the_outer_envelope(mode):
+    analyzer, shuffler, rng = _transport_keys(13)
+    h = KeyPair.generate(TEST_GROUP_256, rng).public
+    reports = []
+    for _ in range(2):
+        cid = make_crowd_id(
+            b"w1", mode, hash_key=b"hk", group=TEST_GROUP_256, shuffler2_public=h, rng=rng
+        )
+        report = encode_report(b"w1", cid, analyzer.public_bytes, shuffler.public_bytes, 32, rng)
+        assert cid.data not in report
+        assert parse_outer_plaintext(_open_outer(report, shuffler), TEST_GROUP_256)[1] == cid.data
+        reports.append(report)
+    if mode == "hashed":
+        # one key, one word: equal crowd IDs, yet no 8-byte window of one
+        # report equals the other's at the same offset after the version
+        a, b = reports
+        assert all(a[i : i + 8] != b[i : i + 8] for i in range(1, len(a) - 7))
 
 
 def test_report_lengths_are_uniform():
@@ -181,7 +208,7 @@ def test_report_lengths_are_uniform():
         payload = rng.randbytes(rng.randrange(0, pad_to - 1))
         cid = make_crowd_id(b"c%d" % (i % 7), "hashed", hash_key=b"hk")
         r = encode_report(payload, cid, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng)
-        sizes.add(len(r.to_bytes()))
+        sizes.add(len(r))
     assert sizes == {expected}
 
 
@@ -189,8 +216,7 @@ def test_inner_envelope_length_constant():
     analyzer, shuffler, rng = _transport_keys(12)
     cid = make_crowd_id(b"c", "fixed")
     r = encode_report(b"xy", cid, analyzer.public_bytes, shuffler.public_bytes, 48, rng)
-    outer_plain = open_envelope(shuffler, AeadEnvelope.from_bytes(formats.parse_report(r.to_bytes()).outer))
-    _, _, inner = parse_outer_plaintext(outer_plain)
+    _, _, inner = parse_outer_plaintext(_open_outer(r, shuffler))
     assert len(inner) == inner_envelope_length(48)
 
 
@@ -216,17 +242,35 @@ def test_read_batch_rejects_truncated_header(tmp_path, keep):
 @given(
     data=st.one_of(
         st.binary(max_size=80),
-        st.builds(lambda kind, rest: bytes([formats.REPORT_VERSION, kind]) + rest,
+        st.builds(lambda version, rest: bytes([version]) + rest,
+                  st.sampled_from([formats.REPORT_VERSION - 1, formats.REPORT_VERSION]),
+                  st.binary(max_size=80)),
+    ),
+)
+def test_parse_report_raises_only_decryption_error(data):
+    try:
+        outer = formats.parse_report(data)
+    except DecryptionError:
+        return
+    assert formats.build_report(outer) == data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=80),
+        st.builds(lambda kind, rest: bytes([kind]) + rest,
                   st.integers(0, 255), st.binary(max_size=80)),
     ),
     group=st.sampled_from([None, TEST_GROUP_256]),
 )
-def test_parse_report_raises_only_decryption_error(data, group):
+def test_parse_outer_plaintext_raises_only_decryption_error(data, group):
     try:
-        report = formats.parse_report(data, group)
+        kind, crowd, inner = formats.parse_outer_plaintext(data, group)
     except DecryptionError:
         return
-    assert report.to_bytes() == data
+    assert formats.build_outer_plaintext(kind, crowd, inner) == data
+    assert len(crowd) == formats.crowd_id_width(kind, group)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,7 +14,6 @@ from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
 from anonpipe.crypto.group import GROUPS
-from anonpipe.encoder import parse_outer_plaintext
 from anonpipe.harness import (
     DEFAULT_GROUP,
     BaselineReport,
@@ -198,24 +197,21 @@ def test_blinded_scenario_in_modp_2048_matches_test_group(tmp_path):
 def _hostile_reports(cfg, keys):
     """An honest hashed batch and one validly sealed report, in the crowd
     of the most common word, whose inner envelope has another length: it
-    was padded 16 bytes longer, and it is just as long as the honest
-    reports but its clear crowd-ID kind says plain."""
+    was padded 16 bytes longer, or it is just as long as the honest
+    reports but its sealed crowd ID is plain, padded 16 bytes shorter."""
     tape = RngTape(cfg.seed)
     corpus = generate_zipf_corpus(cfg.vocab_size, cfg.zipf_exponent, cfg.n_samples, cfg.seed)
     blobs = encode_corpus(cfg, corpus, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes)
 
-    def one(pad_to):
+    def one(pad_to, crowd_mode="hashed"):
         return encode_words(
-            dataclasses.replace(cfg, pad_to=pad_to), [item_word(1)], tape,
+            dataclasses.replace(cfg, pad_to=pad_to, crowd_mode=crowd_mode), [item_word(1)], tape,
             keys.analyzer.public_bytes, keys.shuffler.public_bytes,
         )[0]
 
     pad_to = derived_pad_to(cfg)
     longer = one(pad_to + 16)
-    relabelled = formats.WireReport(
-        formats.KIND_PLAIN, formats.encode_plain_crowd(b"w1"),
-        formats.parse_report(one(pad_to - 16)).outer,
-    ).to_bytes()
+    relabelled = one(pad_to - 16, "plain")
     assert len(relabelled) == len(blobs[0]) != len(longer)
     return blobs, {"longer": longer, "relabelled": relabelled}
 
@@ -449,10 +445,15 @@ def test_cli_encodes_under_unseeded_keys_differ(cli_encode):
     assert all(a != b for a, b in zip(first, second))
 
 
+def _open_outer(report: bytes, keys: PipelineKeys):
+    """A report's outer envelope and its opened (kind, crowd ID, inner)."""
+    outer = AeadEnvelope.from_bytes(formats.parse_report(report))
+    return outer, formats.parse_outer_plaintext(open_envelope(keys.shuffler, outer))
+
+
 def _ephemeral_publics(report: bytes, keys: PipelineKeys) -> set[bytes]:
     """The outer and inner envelopes' ephemeral public keys."""
-    outer = AeadEnvelope.from_bytes(formats.parse_report(report).outer)
-    _, _, inner = parse_outer_plaintext(open_envelope(keys.shuffler, outer))
+    outer, (_, _, inner) = _open_outer(report, keys)
     return {outer.ephemeral_public, AeadEnvelope.from_bytes(inner).ephemeral_public}
 
 
@@ -491,15 +492,17 @@ def test_cli_shuffles_under_unseeded_keys_differ_in_order_only(tmp_path, cli_enc
     assert outputs[0] != outputs[1] and sorted(outputs[0]) == sorted(outputs[1])
 
 
-def test_cli_hashed_crowd_ids_come_from_the_keys(cli_encode):
+def test_cli_hashed_crowd_ids_come_from_the_keys(tmp_path, cli_encode):
     _, encode = cli_encode
 
-    def crowd_ids(reports):
-        return [formats.parse_report(r).crowd_id for r in reports]
+    def crowd_ids(keys_dir, out):
+        reports = encode(keys_dir, out)
+        keys = PipelineKeys.from_json((tmp_path / keys_dir / "keys.json").read_text())
+        return [_open_outer(r, keys)[1][1] for r in reports]
 
-    same_keys = crowd_ids(encode("a", "a1.bin")), crowd_ids(encode("a", "a2.bin"))
+    same_keys = crowd_ids("a", "a1.bin"), crowd_ids("a", "a2.bin")
     assert same_keys[0] == same_keys[1]
-    other_keys = crowd_ids(encode("b", "b.bin"))
+    other_keys = crowd_ids("b", "b.bin")
     assert all(a != b for a, b in zip(same_keys[0], other_keys))
 
 
@@ -513,6 +516,32 @@ def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
     )
     with pytest.raises(ValueError):
         PipelineKeys.from_json(json.dumps(keys))
+
+
+@pytest.mark.parametrize("value", ["4", "zz", "g^(x2+1)", "q-1"])
+def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, value):
+    # clients encrypt crowd IDs to the h that keys.json names, so it must be
+    # hex, a group member (q-1 is not) and g^x2
+    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    keys = json.loads((tmp_path / "keys.json").read_text())
+    group = GROUPS[keys["group_id"]]
+    x2 = int(keys["shuffler2_secret"], 16)
+    keys["shuffler2_public"] = {
+        "g^(x2+1)": f"{group.exp(group.generator, x2 + 1):x}",
+        "q-1": f"{group.modulus - 1:x}",
+    }.get(value, value)
+    with pytest.raises(ValueError):
+        PipelineKeys.from_json(json.dumps(keys))
+    (tmp_path / "keys.json").write_text(json.dumps(keys))
+    (tmp_path / "scenario.cfg").write_text(_small_config(n_samples=5, crowd_mode="blinded").to_text())
+    save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(10, 1.1, 5, 1))
+    res = CliRunner().invoke(cli_main, [
+        "encode", "--config", str(tmp_path / "scenario.cfg"), "--corpus",
+        str(tmp_path / "corpus.txt"), "--keys", str(tmp_path / "keys.json"),
+        "--out", str(tmp_path / "reports.bin"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "not a keys file" in res.output and not (tmp_path / "reports.bin").exists()
 
 
 @pytest.mark.parametrize("damage", ["crowd_hash", "seed", "not json"])

@@ -13,13 +13,14 @@ from anonpipe.crypto.group import (
     elgamal_encrypt,
     hash_to_group,
 )
-from anonpipe.encoder import CrowdId, encode_report, make_crowd_id, report_length
+from anonpipe.encoder import CrowdId, encode_report, make_crowd_id
+from anonpipe.errors import DecryptionError
 from anonpipe.formats import (
     KIND_HASHED,
     KIND_PLAIN,
-    WireReport,
     encode_plain_crowd,
     parse_report,
+    report_length,
 )
 from anonpipe.shuffler import (
     Batch,
@@ -45,8 +46,9 @@ def _reports(crowd_keys, seed=0, pad_to=48):
     blobs = []
     for key in crowd_keys:
         cid = make_crowd_id(key, "hashed", hash_key=b"hk")
-        r = encode_report(b"v:" + key, cid, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng)
-        blobs.append(r.to_bytes())
+        blobs.append(
+            encode_report(b"v:" + key, cid, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng)
+        )
     return blobs, shuffler, rng
 
 
@@ -73,7 +75,7 @@ def test_intake_without_group_counts_blinded_reports_corrupt():
     kp2 = KeyPair.generate(G, rng)
     cid = make_crowd_id(b"a", "blinded", group=G, shuffler2_public=kp2.public, rng=rng)
     blinded = encode_report(b"v", cid, shuffler.public_bytes, shuffler.public_bytes, 48, rng)
-    batch = intake([blinded.to_bytes()] + blobs, shuffler, "e", rng)
+    batch = intake([blinded] + blobs, shuffler, "e", rng)
     assert len(batch.records) == 1
     assert batch.stats["corrupt"] == 1
 
@@ -90,18 +92,16 @@ def test_intake_counts_reports_of_another_length_or_kind_corrupt():
         )
 
     # Each hostile report opens, and each would carry an inner envelope of
-    # another length than the batch's 108 bytes: a longer pad, a plain-kind
-    # report padded to the batch's report length, and a report whose clear
-    # kind says hashed while its sealed kind says plain.
-    relabelled = WireReport(KIND_HASHED, b"\x00" * 8, report(plain_crowd, 32).outer)
-    hostile = [report(hashed, 64), report(plain_crowd, 16), relabelled]
+    # another length than the batch's 108 bytes: a longer pad, and a report
+    # of the batch's exact length whose sealed kind is plain, padded 16
+    # bytes shorter to make room for the wider crowd ID.
+    hostile = [report(hashed, 64), report(plain_crowd, 32)]
     report_len = report_length(KIND_HASHED, 48)
-    assert [len(r.to_bytes()) == report_len for r in hostile] == [False, True, True]
-    hostile = [r.to_bytes() for r in hostile]
+    assert [len(r) == report_len for r in hostile] == [False, True]
 
     batch = intake(blobs + hostile, shuffler, "e", rng, kind=KIND_HASHED, report_len=report_len)
     assert sorted(batch.records) == sorted(intake(blobs, shuffler, "e", rng).records)
-    assert batch.stats["corrupt"] == 3
+    assert batch.stats["corrupt"] == 2
     assert len({len(inner) for _, inner in batch.records}) == 1
 
 
@@ -112,12 +112,15 @@ def test_intake_drops_repeats_of_a_report():
     assert batch.stats == {"input_count": 23, "corrupt": 21}
 
 
-def test_intake_counts_a_changed_clear_crowd_id_corrupt():
-    # a copy of report "a" that names the crowd of "b" in the clear
+def test_intake_counts_a_report_of_the_old_layout_corrupt():
+    # version 1 carried the kind and crowd ID in the clear before the outer
+    # envelope; such a report is rejected on its header, never opened
     blobs, shuffler, rng = _reports([b"a", b"b"])
-    a, b = parse_report(blobs[0]), parse_report(blobs[1])
-    relabelled = WireReport(a.kind, b.crowd_id, a.outer).to_bytes()
-    batch = intake(blobs + [relabelled], shuffler, "e", rng)
+    crowd = make_crowd_id(b"a", "hashed", hash_key=b"hk").data
+    old = bytes([1, KIND_HASHED]) + crowd + parse_report(blobs[0])
+    with pytest.raises(DecryptionError, match="bad report header"):
+        parse_report(old)
+    batch = intake(blobs + [old], shuffler, "e", rng)
     assert sorted(batch.records) == sorted(intake(blobs, shuffler, "e", rng).records)
     assert batch.stats["corrupt"] == 1
 
