@@ -24,10 +24,6 @@ class DecodedCorpus:
     records: list[bytes]
     failures: int = 0
 
-    @property
-    def input_count(self) -> int:
-        return len(self.records) + self.failures
-
 
 def decrypt_corpus(
     inner_blobs: list[bytes], analyzer_keypair: TransportKeyPair

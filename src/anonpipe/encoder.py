@@ -10,7 +10,11 @@ from dataclasses import dataclass
 
 from anonpipe import formats
 from anonpipe.crypto import OS_RNG
-from anonpipe.crypto.deterministic import deterministic_decrypt, deterministic_encrypt
+from anonpipe.crypto.deterministic import (
+    DETERMINISTIC_OVERHEAD,
+    deterministic_decrypt,
+    deterministic_encrypt,
+)
 from anonpipe.crypto.envelope import AeadEnvelope, seal
 from anonpipe.crypto.group import GroupParams, elgamal_encrypt, hash_to_group
 from anonpipe.crypto.shamir import PrimeField, ShamirShare, eval_poly
@@ -75,6 +79,11 @@ class SecretShareEncoding:
             + field.encode(self.aux.x)
             + field.encode(self.aux.y)
         )
+
+    @staticmethod
+    def payload_length(field: PrimeField, message_len: int) -> int:
+        """`to_payload`'s size for a message of `message_len` bytes."""
+        return 2 + DETERMINISTIC_OVERHEAD + message_len + 2 * field.elem_len
 
     @classmethod
     def from_payload(cls, field: PrimeField, payload: bytes) -> "SecretShareEncoding":

@@ -65,9 +65,14 @@ def encode_plain_crowd(key: bytes) -> bytes:
     return bytes([len(key)]) + key.ljust(PLAIN_CROWD_WIDTH - 1, b"\x00")
 
 
+def padded_length(payload_len: int) -> int:
+    """The smallest pad_to that holds a payload of `payload_len` bytes."""
+    return 2 + payload_len
+
+
 def pad_payload(payload: bytes, pad_to: int) -> bytes:
     """Length-prefixed, zero-padded payload of exactly pad_to bytes."""
-    if len(payload) + 2 > pad_to:
+    if padded_length(len(payload)) > pad_to:
         raise PayloadTooLarge(f"{len(payload)}-byte payload exceeds pad_to={pad_to}")
     return struct.pack("<H", len(payload)) + payload.ljust(pad_to - 2, b"\x00")
 

@@ -20,10 +20,11 @@ from anonpipe import formats
 from anonpipe import shuffler as shuffler_mod
 from anonpipe.crypto import OS_RNG
 from anonpipe.crypto.envelope import TransportKeyPair
-from anonpipe.crypto.group import GROUPS, BlindingSecret, KeyPair
+from anonpipe.crypto.group import GROUPS, BlindingSecret, GroupParams, KeyPair
 from anonpipe.crypto.shamir import PrimeField
 from anonpipe.encoder import (
     CROWD_KINDS,
+    SecretShareEncoding,
     encode_report,
     flip_bits,
     k_ary_randomized_response,
@@ -33,7 +34,7 @@ from anonpipe.encoder import (
 )
 from anonpipe.errors import StageFailed
 from anonpipe.parallel import map_records
-from anonpipe.shuffler import MODES, Batch, ThresholdPolicy
+from anonpipe.shuffler import Batch, ThresholdPolicy
 
 DEFAULT_GROUP = "test-256"
 
@@ -99,7 +100,6 @@ class ScenarioConfig:
     threshold_t: int = 20
     drop_mean: float = 0.0
     sigma: float = 0.0
-    policy_mode: str = "naive"
     pad_to: int = 0  # 0: derived from the group and share parameters
     group_id: str = DEFAULT_GROUP
 
@@ -108,12 +108,7 @@ class ScenarioConfig:
         return self.crowd_mode == "blinded"
 
     def policy(self) -> ThresholdPolicy:
-        return ThresholdPolicy(
-            threshold_t=self.threshold_t,
-            drop_mean=self.drop_mean,
-            sigma=self.sigma,
-            mode=self.policy_mode,
-        )
+        return ThresholdPolicy(self.threshold_t, self.drop_mean, self.sigma)
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
@@ -123,17 +118,15 @@ class ScenarioConfig:
         cfg = cls()
         casts = {f.name: type(f.default) for f in fields(cls)}
         for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.partition("#")[0].strip()
+            if not line:
                 continue
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, casts[key](value))
-        for key, allowed in (
-            ("group_id", GROUPS), ("crowd_mode", CROWD_KINDS), ("policy_mode", MODES)
-        ):
+        for key, allowed in (("group_id", GROUPS), ("crowd_mode", CROWD_KINDS)):
             if getattr(cfg, key) not in allowed:
                 raise ValueError(
                     f"{key} must be one of {', '.join(allowed)}, not {getattr(cfg, key)!r}"
@@ -145,17 +138,12 @@ class ScenarioConfig:
 def derived_pad_to(config: ScenarioConfig) -> int:
     if config.pad_to:
         return config.pad_to
-    max_word = len(item_word(config.vocab_size))
+    payload = len(item_word(config.vocab_size))
     if config.secret_share_t:
-        fld = PrimeField(GROUPS[config.group_id].order_p)
-        # c = deterministic-encryption overhead + message; payload adds the
-        # length prefix and the share (x, y).
-        from anonpipe.crypto.deterministic import DETERMINISTIC_OVERHEAD
-
-        payload = 2 + (DETERMINISTIC_OVERHEAD + max_word) + 2 * fld.elem_len
-    else:
-        payload = max_word
-    return payload + 2
+        payload = SecretShareEncoding.payload_length(
+            PrimeField(GROUPS[config.group_id].order_p), payload
+        )
+    return formats.padded_length(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +243,8 @@ class PipelineKeys:
         x2 = scalar("shuffler2_secret")
         # g^x2 is a group member, so this also rejects every non-member
         h = int(keys["shuffler2_public"], 16)
-        if h != group.exp(group.generator, x2):
+        # pow, not group.exp: one power of g does not pay for the fixed-base table
+        if h != pow(group.generator, x2, group.modulus):
             raise ValueError("shuffler2_public is not g^shuffler2_secret")
         return cls(
             group_id=keys["group_id"],
@@ -277,7 +266,7 @@ def derive_keys(group_id: str, tape: RngTape) -> PipelineKeys:
         analyzer=TransportKeyPair.generate(tape.stream("keys/analyzer")),
         shuffler=TransportKeyPair.generate(tape.stream("keys/shuffler1")),
         shuffler2=KeyPair.generate(group, tape.stream("keys/shuffler2")),
-        blinding=BlindingSecret.generate(group, tape.stream("shuffle1/blind")),
+        blinding=_blinding_secret(group, tape),
         crowd_hash=_crowd_hash_key(tape),
         seed=tape.seed,
     )
@@ -285,6 +274,10 @@ def derive_keys(group_id: str, tape: RngTape) -> PipelineKeys:
 
 def _crowd_hash_key(tape: RngTape) -> bytes:
     return tape.stream("keys/crowd-hash").randbytes(16)
+
+
+def _blinding_secret(group: GroupParams, tape: RngTape) -> BlindingSecret:
+    return BlindingSecret.generate(group, tape.stream("shuffle1/blind"))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +392,7 @@ def shuffle_stage(
     drawn from `tape` as `derive_keys` draws it."""
     if not config.two_shufflers:
         return first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, None)
-    blinding = BlindingSecret.generate(GROUPS[config.group_id], tape.stream("shuffle1/blind"))
+    blinding = _blinding_secret(GROUPS[config.group_id], tape)
     staged = first_shuffler_stage(config, report_blobs, tape, shuffler_keypair, blinding)
     return second_shuffler_stage(config, staged, tape, shuffler2_keypair)
 
@@ -622,7 +615,7 @@ def run_perms_demo(
 
     config = ScenarioConfig(
         name="perms-demo", seed=seed, crowd_mode="hashed", threshold_t=threshold_t,
-        sigma=sigma, policy_mode="randomized_threshold", pad_to=16, group_id=group_id,
+        sigma=sigma, pad_to=16, group_id=group_id,
     )
     keys = derive_keys(group_id, tape)
     blobs = encode_words(

@@ -26,29 +26,19 @@ from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
 from anonpipe.formats import parse_outer_plaintext, parse_report
 from anonpipe.parallel import map_records
 
-MODES = ("naive", "randomized_threshold", "noisy_drop", "both")
-
-
 @dataclass(frozen=True)
 class ThresholdPolicy:
+    """Each crowd loses d ~ rounded N(drop_mean, sigma^2) members when
+    drop_mean > 0, then is forwarded only if the rest are strictly more than
+    threshold_t + N(0, sigma^2) noise, drawn when sigma > 0."""
+
     threshold_t: int
     drop_mean: float = 0.0
     sigma: float = 0.0
-    mode: str = "naive"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown threshold mode {self.mode!r}")
         if self.threshold_t < 1 or self.sigma < 0 or self.drop_mean < 0:
             raise ValueError("threshold_t must be at least 1, sigma and drop_mean at least 0")
-
-    @property
-    def drops(self) -> bool:
-        return self.mode in ("noisy_drop", "both")
-
-    @property
-    def noisy(self) -> bool:
-        return self.mode in ("randomized_threshold", "both")
 
 
 @dataclass
@@ -112,7 +102,7 @@ def count_crowds(batch: Batch) -> dict[bytes, int]:
 
 def draw_drop(policy: ThresholdPolicy, rng) -> int:
     """Rounded-normal drop count, clamped at zero."""
-    if not policy.drops:
+    if not policy.drop_mean:
         return 0
     return max(0, round(rng.gauss(policy.drop_mean, policy.sigma)))
 
@@ -121,7 +111,7 @@ def crowd_survives(count: int, policy: ThresholdPolicy, rng) -> tuple[bool, int]
     """Forwarding decision for one crowd: drop d items, then require the
     remaining count to be strictly more than T + noise."""
     d = draw_drop(policy, rng)
-    noise = rng.gauss(0.0, policy.sigma) if policy.noisy else 0.0
+    noise = rng.gauss(0.0, policy.sigma) if policy.sigma else 0.0
     return (count - d) > policy.threshold_t + noise, d
 
 

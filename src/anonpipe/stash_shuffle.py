@@ -37,11 +37,23 @@ class ShuffleParams:
     chunk_cap: int  # C
     stash_cap: int  # S
     window: int  # W
-    drain_per_bucket: int  # K = ceil(S / B)
-    alpha: float
-    bucket_size: int  # D = ceil(N / B)
-    item_len: int
-    private_mem_budget: int | None = None
+    item_len: int  # every record's length
+
+    @property
+    def bucket_size(self) -> int:
+        """D = ceil(N / B)."""
+        return -(-self.n_items // self.num_buckets)
+
+    @property
+    def drain_per_bucket(self) -> int:
+        """K = ceil(S / B)."""
+        return -(-self.stash_cap // self.num_buckets)
+
+    @property
+    def alpha(self) -> float:
+        """The alpha of C = D/B + alpha * sqrt(D/B)."""
+        ratio = self.bucket_size / self.num_buckets
+        return (self.chunk_cap - ratio) / math.sqrt(ratio)
 
     @property
     def mid_slots(self) -> int:
@@ -68,33 +80,17 @@ def make_params(
     item_len: int = DEFAULT_RECORD_LEN,
     private_mem_budget: int | None = None,
 ) -> ShuffleParams:
-    """Build params with an explicit chunk cap C (alpha is back-derived)."""
+    """Build params with an explicit chunk cap C, checking the working set
+    against `private_mem_budget` when one is given."""
     if num_buckets < 1 or n_items < 1:
         raise ValueError("need n_items >= 1 and num_buckets >= 1")
     if chunk_cap < 1:
         raise ValueError("chunk cap must be >= 1")
-    d = -(-n_items // num_buckets)
-    params = ShuffleParams(
-        n_items=n_items,
-        num_buckets=num_buckets,
-        chunk_cap=chunk_cap,
-        stash_cap=stash_cap,
-        window=window,
-        drain_per_bucket=-(-stash_cap // num_buckets),
-        alpha=alpha_for_chunk_cap(n_items, num_buckets, chunk_cap),
-        bucket_size=d,
-        item_len=item_len,
-        private_mem_budget=private_mem_budget,
-    )
-    _check_budget(params)
+    params = ShuffleParams(n_items, num_buckets, chunk_cap, stash_cap, window, item_len)
+    ws = params.working_set_bytes()
+    if private_mem_budget is not None and ws > private_mem_budget:
+        raise BudgetExceeded(ws, private_mem_budget)
     return params
-
-
-def _check_budget(params: ShuffleParams) -> None:
-    if params.private_mem_budget is not None:
-        ws = params.working_set_bytes()
-        if ws > params.private_mem_budget:
-            raise BudgetExceeded(ws, params.private_mem_budget)
 
 
 def chunk_cap_for_alpha(n_items: int, num_buckets: int, alpha: float) -> int:
@@ -113,13 +109,6 @@ def params_for(n_items: int, item_len: int) -> ShuffleParams:
         n_items, b, chunk_cap_for_alpha(n_items, b, 4.0), max(16, -(-n_items // 8)), 4,
         item_len=item_len,
     )
-
-
-def alpha_for_chunk_cap(n_items: int, num_buckets: int, chunk_cap: int) -> float:
-    """Invert C = D/B + alpha * sqrt(D/B)."""
-    d = -(-n_items // num_buckets)
-    ratio = d / num_buckets
-    return (chunk_cap - ratio) / math.sqrt(ratio)
 
 
 def analytic_overhead(params: ShuffleParams) -> float:
@@ -262,17 +251,16 @@ def stash_shuffle(
     max_attempts: int = 8,
     keep_trace: bool = True,
 ) -> ShuffleResult:
-    """Obliviously permute `records`, which share one length, returning a
-    uniformly chosen feasible permutation."""
+    """Obliviously permute `records`, each `params.item_len` bytes long,
+    returning a uniformly chosen feasible permutation."""
     if len(records) != params.n_items:
         raise ValueError("record count does not match params.n_items")
-    if len(set(map(len, records))) != 1:
-        raise ValueError("items must share one length")
-    item_len = len(records[0])
+    if any(len(rec) != params.item_len for rec in records):
+        raise ValueError(f"every record must be params.item_len = {params.item_len} bytes")
     failed: list[str] = []
     for attempt in range(1, max_attempts + 1):
         trace = Trace(enabled=keep_trace)
-        cipher = ItemCipher(rng, item_len)
+        cipher = ItemCipher(rng, params.item_len)
         try:
             out, peak = _attempt(records, params, cipher, rng, trace)
             return ShuffleResult(
@@ -299,7 +287,7 @@ def _attempt(records, params, cipher, rng, trace):
     k = params.drain_per_bucket
     w = params.window
     bucket_stride = b_count * c + k
-    item_len = len(records[0])
+    item_len = params.item_len
 
     real = bytes([FLAG_REAL])
     dummy = bytes([FLAG_DUMMY]) + b"\x00" * item_len

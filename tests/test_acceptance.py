@@ -224,7 +224,7 @@ def test_criterion_6_shamir_exhaustive():
 @criterion("7. 100 random batches: blinded pipeline == plaintext pipeline")
 def test_criterion_7_blinded_equivalence():
     g = TEST_GROUP_256
-    policy = ThresholdPolicy(5, drop_mean=2, sigma=1, mode="both")
+    policy = ThresholdPolicy(5, drop_mean=2, sigma=1)
     for seed in range(100):
         rng = random.Random(7000 + seed)
         kp2 = KeyPair.generate(g, rng)
@@ -266,7 +266,7 @@ def _oracle_forward_prob(count, t, drop_mean, sigma, draws, seed):
 
 @criterion("8. forwarding probabilities match the Monte Carlo oracle within 0.01")
 def test_criterion_8_threshold_kernel():
-    policy = ThresholdPolicy(20, drop_mean=10, sigma=2, mode="both")
+    policy = ThresholdPolicy(20, drop_mean=10, sigma=2)
     rng = random.Random(88)
     for count in (10, 20, 25, 30, 40):
         oracle = _oracle_forward_prob(count, 20, 10, 2, 1_000_000, seed=count)
@@ -309,7 +309,7 @@ def test_criterion_9_end_to_end_utility(tmp_path):
     secret_crowd = run_scenario(
         _utility_config(
             name="secret-crowd", crowd_mode="hashed", secret_share_t=20,
-            threshold_t=20, drop_mean=10, sigma=2, policy_mode="both",
+            threshold_t=20, drop_mean=10, sigma=2,
         ),
         tmp_path / "secret-crowd",
     )

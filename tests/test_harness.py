@@ -12,8 +12,12 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from anonpipe import formats
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
+from anonpipe.crypto import group as group_mod
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
-from anonpipe.crypto.group import GROUPS
+from anonpipe.crypto.group import GROUPS, MODP_2048
+from anonpipe.crypto.shamir import PrimeField
+from anonpipe.encoder import secret_share_encode
+from anonpipe.errors import PayloadTooLarge
 from anonpipe.harness import (
     DEFAULT_GROUP,
     BaselineReport,
@@ -36,6 +40,7 @@ from anonpipe.harness import (
     save_corpus,
     shuffle_stage,
 )
+from anonpipe.shuffler import Batch, apply_threshold, count_crowds
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +90,47 @@ def test_config_text_roundtrip():
     cfg = ScenarioConfig(
         name="x", vocab_size=5000, zipf_exponent=1.3, n_samples=777, seed=5,
         crowd_mode="blinded", secret_share_t=20, threshold_t=25, drop_mean=10,
-        sigma=2, policy_mode="both", pad_to=0, group_id="test-256",
+        sigma=2, pad_to=0, group_id="test-256",
     )
     assert ScenarioConfig.from_text(cfg.to_text()) == cfg
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        ScenarioConfig.from_text("budget = 12\n")
+    # policy_mode once chose whether drop_mean and sigma applied; they always do
+    for line in ("budget = 12\n", "policy_mode = both\n"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            ScenarioConfig.from_text(line)
+
+
+def test_config_drop_mean_and_sigma_apply_without_a_mode():
+    policy = ScenarioConfig.from_text("threshold_t = 5\ndrop_mean = 10\nsigma = 2\n").policy()
+    rng = random.Random(12)
+    batch = Batch("e", [(b"crowd", rng.randbytes(16)) for _ in range(30)])
+    out = apply_threshold(batch, count_crowds(batch), policy, rng)
+    assert 0 < len(out.records) < 30
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = ScenarioConfig.from_text(block)
+    assert (cfg.name, cfg.crowd_mode, cfg.secret_share_t, cfg.group_id) == (
+        "demo", "hashed", 0, "test-256"
+    )
+
+
+@pytest.mark.parametrize("secret_share_t", [0, 5])
+def test_longest_word_payload_pads_to_exactly_derived_pad_to(secret_share_t):
+    cfg = _small_config(vocab_size=1000, secret_share_t=secret_share_t)
+    word = item_word(cfg.vocab_size)
+    payload = word
+    if secret_share_t:
+        fld = PrimeField(GROUPS[cfg.group_id].order_p)
+        payload = secret_share_encode(word, secret_share_t, fld, random.Random(1)).to_payload(fld)
+    pad_to = derived_pad_to(cfg)
+    assert len(formats.pad_payload(payload, pad_to)) == pad_to
+    with pytest.raises(PayloadTooLarge):
+        formats.pad_payload(payload, pad_to - 1)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +138,6 @@ def test_config_rejects_unknown_keys():
     [
         ("group_id", "modp-3072", "modp-2048, test-256"),
         ("crowd_mode", "hashd", "plain, hashed, fixed, blinded"),
-        ("policy_mode", "strict", "naive, randomized_threshold, noisy_drop, both"),
     ],
 )
 def test_config_rejects_unknown_values(key, value, allowed):
@@ -156,7 +193,7 @@ def test_recovery_shrinks_as_threshold_rises(tmp_path):
 
 
 def test_scenario_artifacts_are_reproducible(tmp_path):
-    cfg = _small_config(secret_share_t=5, drop_mean=3, sigma=1, policy_mode="both")
+    cfg = _small_config(secret_share_t=5, drop_mean=3, sigma=1)
     run_scenario(cfg, tmp_path / "a")
     run_scenario(cfg, tmp_path / "b")
     for name in ("corpus.txt", "reports.bin", "shuffled.bin", "histogram.csv"):
@@ -164,9 +201,9 @@ def test_scenario_artifacts_are_reproducible(tmp_path):
 
 
 def test_blinded_scenario_matches_hashed_scenario(tmp_path):
-    cfg_plain = _small_config(secret_share_t=5, drop_mean=3, sigma=1, policy_mode="both")
+    cfg_plain = _small_config(secret_share_t=5, drop_mean=3, sigma=1)
     cfg_blind = _small_config(
-        secret_share_t=5, drop_mean=3, sigma=1, policy_mode="both", crowd_mode="blinded"
+        secret_share_t=5, drop_mean=3, sigma=1, crowd_mode="blinded"
     )
     r1 = run_scenario(cfg_plain, tmp_path / "plain")
     r2 = run_scenario(cfg_blind, tmp_path / "blind")
@@ -363,7 +400,7 @@ def _cli_ok(args):
     [
         pytest.param({}, id="hashed"),
         pytest.param(
-            dict(crowd_mode="blinded", drop_mean=2, sigma=1, policy_mode="both"),
+            dict(crowd_mode="blinded", drop_mean=2, sigma=1),
             id="blinded",
         ),
     ],
@@ -518,6 +555,13 @@ def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
         PipelineKeys.from_json(json.dumps(keys))
 
 
+def test_loading_keys_builds_no_generator_table(monkeypatch):
+    text = derive_keys("modp-2048", RngTape(1)).to_json()
+    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    assert PipelineKeys.from_json(text).to_json() == text
+    assert MODP_2048 not in group_mod._GENERATOR_TABLES
+
+
 @pytest.mark.parametrize("value", ["4", "zz", "g^(x2+1)", "q-1"])
 def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, value):
     # clients encrypt crowd IDs to the h that keys.json names, so it must be
@@ -616,7 +660,7 @@ def test_cli_keygen_offers_only_known_groups(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("group_id", "modp-3072"), ("crowd_mode", "hashd"), ("policy_mode", "strict")]
+    "key, value", [("group_id", "modp-3072"), ("crowd_mode", "hashd")]
 )
 def test_cli_unknown_config_value_is_a_usage_error(tmp_path, key, value):
     cfg_path = tmp_path / "scenario.cfg"
@@ -627,6 +671,17 @@ def test_cli_unknown_config_value_is_a_usage_error(tmp_path, key, value):
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and f"{key} must be one of" in res.output
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_config_naming_policy_mode_is_a_usage_error(tmp_path):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(_small_config(n_samples=50).to_text() + "policy_mode = both\n")
+    res = CliRunner().invoke(
+        cli_main, ["run", "--config", str(cfg_path), "--workspace", str(tmp_path / "run")]
+    )
+    assert res.exit_code == 2, res.output
+    assert "unknown config key 'policy_mode'" in res.output
     assert not (tmp_path / "run").exists()
 
 

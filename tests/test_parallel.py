@@ -195,7 +195,7 @@ ARTIFACTS = (
         pytest.param(
             ScenarioConfig(
                 vocab_size=30, n_samples=800, seed=5, crowd_mode="blinded", threshold_t=5,
-                drop_mean=2, sigma=1, policy_mode="both",
+                drop_mean=2, sigma=1,
             ),
             id="blinded",
         ),

@@ -158,14 +158,14 @@ def test_zero_noise_zero_drop_equals_naive():
     counts = count_crowds(batch)
     naive = apply_threshold(batch, counts, ThresholdPolicy(20), random.Random(3))
     degenerate = apply_threshold(
-        batch, counts, ThresholdPolicy(20, drop_mean=0, sigma=0, mode="both"), random.Random(3)
+        batch, counts, ThresholdPolicy(20, drop_mean=0, sigma=0), random.Random(3)
     )
     assert sorted(naive.records) == sorted(degenerate.records)
 
 
 def test_noisy_drop_removes_d_members_from_survivors():
     rng = random.Random(4)
-    policy = ThresholdPolicy(threshold_t=5, drop_mean=3, sigma=0, mode="noisy_drop")
+    policy = ThresholdPolicy(threshold_t=5, drop_mean=3, sigma=0)
     batch = _batch_of({b"a": 30}, rng)
     out = apply_threshold(batch, count_crowds(batch), policy, rng)
     assert len(out.records) == 27  # sigma=0 so d is exactly drop_mean
@@ -173,7 +173,7 @@ def test_noisy_drop_removes_d_members_from_survivors():
 
 def test_draw_drop_never_negative():
     rng = random.Random(5)
-    policy = ThresholdPolicy(threshold_t=5, drop_mean=0.5, sigma=4, mode="noisy_drop")
+    policy = ThresholdPolicy(threshold_t=5, drop_mean=0.5, sigma=4)
     assert min(draw_drop(policy, rng) for _ in range(2000)) == 0
 
 
@@ -186,18 +186,13 @@ def test_crowd_survives_boundary_without_noise():
 
 def test_survival_probability_monotone_in_count():
     rng = random.Random(7)
-    policy = ThresholdPolicy(20, drop_mean=10, sigma=2, mode="both")
+    policy = ThresholdPolicy(20, drop_mean=10, sigma=2)
     probs = []
     for count in range(20, 45, 4):
         hits = sum(crowd_survives(count, policy, rng)[0] for _ in range(4000))
         probs.append(hits / 4000)
     for lo, hi in zip(probs, probs[1:]):
         assert hi >= lo - 0.02  # monotone up to sampling noise
-
-
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        ThresholdPolicy(20, mode="lenient")
 
 
 def test_shuffle_batch_is_a_permutation():
@@ -279,7 +274,7 @@ def test_stage2_pseudonyms_preserve_equality():
 
 def test_blinded_pipeline_matches_plaintext_pipeline():
     # same crowds, same thresholding randomness -> identical surviving sets
-    policy = ThresholdPolicy(5, drop_mean=2, sigma=1, mode="both")
+    policy = ThresholdPolicy(5, drop_mean=2, sigma=1)
     for seed in range(10):
         rng = random.Random(100 + seed)
         kp2 = KeyPair.generate(G, rng)

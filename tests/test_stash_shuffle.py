@@ -7,7 +7,6 @@ from scipy import stats
 from anonpipe.errors import BudgetExceeded, ShuffleFailed
 from anonpipe.stash_shuffle import (
     REFERENCE_SCENARIOS,
-    alpha_for_chunk_cap,
     analytic_overhead,
     chunk_cap_for_alpha,
     make_params,
@@ -122,6 +121,13 @@ def test_mixed_item_lengths_rejected():
     p = make_params(8, 2, chunk_cap=4, stash_cap=4, window=2, item_len=4)
     with pytest.raises(ValueError):
         stash_shuffle([b"aaaa"] * 7 + [b"bb"], p, rng)
+
+
+def test_records_of_another_length_than_params_rejected():
+    rng = random.Random(5)
+    p = make_params(8, 2, chunk_cap=4, stash_cap=4, window=2, item_len=4)
+    with pytest.raises(ValueError, match="item_len"):
+        stash_shuffle([b"aaaaa"] * 8, p, rng)
 
 
 def test_record_count_must_match():
