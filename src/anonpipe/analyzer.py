@@ -88,7 +88,6 @@ def secret_share_decode(
 @dataclass
 class Histogram:
     bins: dict[bytes, int]
-    released: dict[bytes, float] | None = None
 
     @property
     def unique_count(self) -> int:
@@ -115,9 +114,7 @@ def dp_release(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     scale = sensitivity / min(epsilon, 1e6)
-    released = {k: v + laplace_noise(rng, scale) for k, v in sorted(hist.bins.items())}
-    hist.released = released
-    return released
+    return {k: v + laplace_noise(rng, scale) for k, v in sorted(hist.bins.items())}
 
 
 # ---------------------------------------------------------------------------

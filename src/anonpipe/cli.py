@@ -24,9 +24,9 @@ def _load_config(path: str) -> ScenarioConfig:
         raise click.BadParameter(str(exc), param_hint="'--config'") from exc
 
 
-def _load_keys(path: str) -> PipelineKeys:
+def _load_keys(path: str, config: ScenarioConfig) -> PipelineKeys:
     try:
-        return PipelineKeys.from_json(Path(path).read_text())
+        return PipelineKeys.from_json(Path(path).read_text(), GROUPS[config.group_id])
     except (KeyError, TypeError, ValueError) as exc:
         raise click.BadParameter(
             f"not a keys file from `keygen` ({type(exc).__name__}: {exc})", param_hint="'--keys'"
@@ -39,6 +39,7 @@ def main():
 
 
 @main.command()
+@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--workspace", type=click.Path(), default=".", show_default=True)
 @click.option(
     "--seed", type=int, default=None,
@@ -46,13 +47,10 @@ def main():
     "that use these keys, from this seed, as `run` does. Without it, all of them "
     "come from the operating system's secure RNG.",
 )
-@click.option(
-    "--group", "group_id", type=click.Choice(sorted(GROUPS)), default=harness.DEFAULT_GROUP,
-    show_default=True,
-)
-def keygen(workspace, seed, group_id):
-    """Generate analyzer/shuffler key material into keys.json."""
-    keys = harness.derive_keys(group_id, RngTape(seed))
+def keygen(config_path, workspace, seed):
+    """Generate key material in the config's group into keys.json."""
+    # the config's seed never seeds keys: anyone who has the config knows it
+    keys = harness.derive_keys(_load_config(config_path).group_id, RngTape(seed))
     out = Path(workspace) / "keys.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(keys.to_json() + "\n")
@@ -60,14 +58,11 @@ def keygen(workspace, seed, group_id):
 
 
 @main.command()
-@click.option("--vocab-size", type=int, default=100_000, show_default=True)
-@click.option("--exponent", type=float, default=1.1, show_default=True)
-@click.option("--n-samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-def generate(vocab_size, exponent, n_samples, seed, out):
-    """Generate a synthetic long-tail corpus file."""
-    corpus = harness.generate_zipf_corpus(vocab_size, exponent, n_samples, seed)
+def generate(config_path, out):
+    """Generate the config's synthetic long-tail corpus file, as `run` does."""
+    corpus = _load_config(config_path).corpus()
     harness.save_corpus(out, corpus)
     click.echo(f"wrote {len(corpus)} samples to {out}")
 
@@ -80,8 +75,11 @@ def generate(vocab_size, exponent, n_samples, seed, out):
 def encode(config_path, corpus_path, keys_path, out):
     """Encode a corpus into a batch file of wire reports."""
     config = _load_config(config_path)
-    keys = _load_keys(keys_path)
-    corpus = harness.load_corpus(corpus_path)
+    keys = _load_keys(keys_path, config)
+    try:
+        corpus = harness.load_corpus(corpus_path, config.vocab_size)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--corpus'") from exc
     blobs = harness.encode_corpus(
         config, corpus, RngTape(keys.seed), keys.analyzer.public_bytes,
         keys.shuffler.public_bytes, keys.shuffler2, hash_key=keys.crowd_hash,
@@ -102,7 +100,7 @@ def shuffle(config_path, keys_path, in_path, out):
     configs write the blinded intermediate batch for `shuffle2`.
     """
     config = _load_config(config_path)
-    keys = _load_keys(keys_path)
+    keys = _load_keys(keys_path, config)
     batch = harness.first_shuffler_stage(
         config, formats.read_batch(in_path), RngTape(keys.seed), keys.shuffler,
         keys.blinding,
@@ -128,7 +126,7 @@ def shuffle2(config_path, keys_path, in_path, out):
             f"crowd_mode is {config.crowd_mode}; only blinded configs have a second shuffler",
             param_hint="'--config'",
         )
-    keys = _load_keys(keys_path)
+    keys = _load_keys(keys_path, config)
     crowd_width = formats.crowd_id_width(formats.KIND_BLINDED, GROUPS[config.group_id])
     records = [
         (blob[:crowd_width], blob[crowd_width:]) for blob in formats.read_batch(in_path)
@@ -149,7 +147,7 @@ def shuffle2(config_path, keys_path, in_path, out):
 def analyze(config_path, keys_path, in_path, out_dir):
     """Decrypt and decode an inner-envelope batch into a histogram."""
     config = _load_config(config_path)
-    keys = _load_keys(keys_path)
+    keys = _load_keys(keys_path, config)
     inner_blobs = formats.read_batch(in_path)
     hist, stats = harness.analyze_stage(config, inner_blobs, keys.analyzer)
     out_dir = Path(out_dir)
@@ -162,13 +160,9 @@ def analyze(config_path, keys_path, in_path, out_dir):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--workspace", type=click.Path(), default="run", show_default=True)
-@click.option("--seed", type=int, default=None, help="override the config seed")
-def run(config_path, workspace, seed):
+def run(config_path, workspace):
     """Run a whole scenario end to end and print the utility report."""
-    config = _load_config(config_path)
-    if seed is not None:
-        config.seed = seed
-    report = harness.run_scenario(config, workspace)
+    report = harness.run_scenario(_load_config(config_path), workspace)
     click.echo(report.table())
     click.echo(report.to_json())
 

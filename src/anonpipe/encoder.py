@@ -15,7 +15,7 @@ from anonpipe.crypto.deterministic import (
     deterministic_decrypt,
     deterministic_encrypt,
 )
-from anonpipe.crypto.envelope import AeadEnvelope, seal
+from anonpipe.crypto.envelope import AeadEnvelope, open_envelope, seal
 from anonpipe.crypto.group import GroupParams, elgamal_encrypt, hash_to_group
 from anonpipe.crypto.shamir import PrimeField, ShamirShare, eval_poly
 from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
@@ -97,6 +97,11 @@ class SecretShareEncoding:
         x = field.decode(payload[2 + clen : 2 + clen + w])
         y = field.decode(payload[2 + clen + w :])
         return cls(c=c, aux=ShamirShare(x=x, y=y))
+
+
+# The field of every secret-share payload, whatever the config's group:
+# test-256's p, a 255-bit prime, so a share's size does not grow with the group.
+SHARE_FIELD = PrimeField(0x61d689bea9b7b2c11663b2f54bd92fd39ae2ec3f525d4573408046134d38cd15)
 
 
 def message_field_key(field: PrimeField, m: bytes) -> int:
@@ -205,7 +210,5 @@ def encode_report(
 
 
 def open_inner(envelope_bytes: bytes, analyzer_keypair) -> bytes:
-    from anonpipe.crypto.envelope import open_envelope
-
     env = AeadEnvelope.from_bytes(envelope_bytes)
     return formats.unpad_payload(open_envelope(analyzer_keypair, env))

@@ -21,9 +21,9 @@ from anonpipe import shuffler as shuffler_mod
 from anonpipe.crypto import OS_RNG
 from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.group import GROUPS, BlindingSecret, GroupParams, KeyPair
-from anonpipe.crypto.shamir import PrimeField
 from anonpipe.encoder import (
     CROWD_KINDS,
+    SHARE_FIELD,
     SecretShareEncoding,
     encode_report,
     flip_bits,
@@ -74,10 +74,23 @@ def save_corpus(path: str | Path, items: np.ndarray) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in items) + "\n")
 
 
-def load_corpus(path: str | Path) -> np.ndarray:
-    return np.array(
-        [int(line) for line in Path(path).read_text().split()], dtype=np.int64
-    )
+def load_corpus(path: str | Path, vocab_size: int) -> np.ndarray:
+    """A corpus file's items, one per line; ValueError names the first line
+    that is not an integer in [1, vocab_size]."""
+    items = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            item = int(line)
+        except ValueError:
+            item = 0  # never an item
+        if not 1 <= item <= vocab_size:
+            raise ValueError(
+                f"line {lineno}: {line.strip()!r} is not an item in [1, {vocab_size}]"
+            )
+        items.append(item)
+    return np.array(items, dtype=np.int64)
 
 
 def item_word(item: int) -> bytes:
@@ -106,6 +119,10 @@ class ScenarioConfig:
     @property
     def two_shufflers(self) -> bool:
         return self.crowd_mode == "blinded"
+
+    def corpus(self) -> np.ndarray:
+        """The synthetic corpus of `run` and `generate`."""
+        return generate_zipf_corpus(self.vocab_size, self.zipf_exponent, self.n_samples, self.seed)
 
     def policy(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.threshold_t, self.drop_mean, self.sigma)
@@ -140,9 +157,7 @@ def derived_pad_to(config: ScenarioConfig) -> int:
         return config.pad_to
     payload = len(item_word(config.vocab_size))
     if config.secret_share_t:
-        payload = SecretShareEncoding.payload_length(
-            PrimeField(GROUPS[config.group_id].order_p), payload
-        )
+        payload = SecretShareEncoding.payload_length(SHARE_FIELD, payload)
     return formats.padded_length(payload)
 
 
@@ -154,11 +169,17 @@ def derived_pad_to(config: ScenarioConfig) -> int:
 class UtilityReport:
     name: str
     ground_truth_unique: int
-    recovered_unique: int
-    recovery_ratio: float
     stage_counts: dict = field(default_factory=dict)
     stage_seconds: dict = field(default_factory=dict)
     recovered_values: set = field(default_factory=set, repr=False)
+
+    @property
+    def recovered_unique(self) -> int:
+        return len(self.recovered_values)
+
+    @property
+    def recovery_ratio(self) -> float:
+        return self.recovered_unique / self.ground_truth_unique if self.ground_truth_unique else 0.0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -197,7 +218,6 @@ class PipelineKeys:
     derived from (None: drawn from the OS RNG).  The stage commands draw
     from `RngTape(seed)`, so they are seeded exactly when the keys are."""
 
-    group_id: str
     analyzer: TransportKeyPair
     shuffler: TransportKeyPair
     shuffler2: KeyPair
@@ -208,7 +228,6 @@ class PipelineKeys:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "group_id": self.group_id,
                 "analyzer_secret": self.analyzer.secret_bytes.hex(),
                 "analyzer_public": self.analyzer.public_bytes.hex(),
                 "shuffler1_secret": self.shuffler.secret_bytes.hex(),
@@ -223,9 +242,9 @@ class PipelineKeys:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "PipelineKeys":
+    def from_json(cls, text: str, group: GroupParams) -> "PipelineKeys":
+        """Keys in the config's `group`; keys made in another fail a check below."""
         keys = json.loads(text)
-        group = GROUPS[keys["group_id"]]
 
         def transport(who: str) -> TransportKeyPair:
             return TransportKeyPair(
@@ -245,9 +264,8 @@ class PipelineKeys:
         h = int(keys["shuffler2_public"], 16)
         # pow, not group.exp: one power of g does not pay for the fixed-base table
         if h != pow(group.generator, x2, group.modulus):
-            raise ValueError("shuffler2_public is not g^shuffler2_secret")
+            raise ValueError(f"shuffler2_public is not g^shuffler2_secret in {group.group_id}")
         return cls(
-            group_id=keys["group_id"],
             analyzer=transport("analyzer"),
             shuffler=transport("shuffler1"),
             shuffler2=KeyPair(group=group, secret=x2, public=h),
@@ -262,7 +280,6 @@ def derive_keys(group_id: str, tape: RngTape) -> PipelineKeys:
     function of its seed (evaluation only)."""
     group = GROUPS[group_id]
     return PipelineKeys(
-        group_id=group_id,
         analyzer=TransportKeyPair.generate(tape.stream("keys/analyzer")),
         shuffler=TransportKeyPair.generate(tape.stream("keys/shuffler1")),
         shuffler2=KeyPair.generate(group, tape.stream("keys/shuffler2")),
@@ -319,7 +336,6 @@ def encode_words(
     keys' `crowd_hash`), the crowd-hash key is drawn from `tape` as
     `derive_keys` draws it."""
     group = GROUPS[config.group_id]
-    fld = PrimeField(group.order_p)
     pad_to = derived_pad_to(config)
     if hash_key is None:
         hash_key = _crowd_hash_key(tape)
@@ -328,7 +344,9 @@ def encode_words(
     def encode_one(i: int) -> bytes:
         word, rng = words[i], tape.stream(f"encode/{i}")
         if config.secret_share_t:
-            payload = secret_share_encode(word, config.secret_share_t, fld, rng).to_payload(fld)
+            payload = secret_share_encode(
+                word, config.secret_share_t, SHARE_FIELD, rng
+            ).to_payload(SHARE_FIELD)
         else:
             payload = word
         crowd = make_crowd_id(
@@ -400,13 +418,11 @@ def shuffle_stage(
 def analyze_stage(
     config: ScenarioConfig, inner_blobs: list[bytes], analyzer_keypair: TransportKeyPair
 ) -> tuple[analyzer_mod.Histogram, dict]:
-    group = GROUPS[config.group_id]
     corpus = analyzer_mod.decrypt_corpus(inner_blobs, analyzer_keypair)
     stats = {"decrypt_failures": corpus.failures}
     if config.secret_share_t:
-        fld = PrimeField(group.order_p)
         decoded = analyzer_mod.secret_share_decode(
-            corpus.records, config.secret_share_t, fld
+            corpus.records, config.secret_share_t, SHARE_FIELD
         )
         stats.update(
             undecoded_groups=decoded.undecoded_groups,
@@ -436,12 +452,7 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
         timings[stage] = time.perf_counter() - start
         return result
 
-    corpus = timed(
-        "generate",
-        lambda: generate_zipf_corpus(
-            config.vocab_size, config.zipf_exponent, config.n_samples, config.seed
-        ),
-    )
+    corpus = timed("generate", config.corpus)
     save_corpus(workspace / "corpus.txt", corpus)
     counts["corpus"] = len(corpus)
 
@@ -474,12 +485,9 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
     (workspace / "analyzer_stats.json").write_text(json.dumps(stats) + "\n")
     counts["recovered_records"] = hist.total
 
-    truth_unique = len(set(corpus.tolist()))
     report = UtilityReport(
         name=config.name,
-        ground_truth_unique=truth_unique,
-        recovered_unique=hist.unique_count,
-        recovery_ratio=hist.unique_count / truth_unique if truth_unique else 0.0,
+        ground_truth_unique=len(set(corpus.tolist())),
         stage_counts=counts,
         stage_seconds=timings,
         recovered_values=set(hist.bins),
@@ -496,8 +504,11 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
 class BaselineReport:
     name: str
     epsilon: float
-    recovered_unique: int
     recovered_values: set = field(default_factory=set, repr=False)
+
+    @property
+    def recovered_unique(self) -> int:
+        return len(self.recovered_values)
 
 
 def _poisson_detection_count(lam: float, bins: int, alpha: float) -> int:
@@ -537,10 +548,7 @@ def local_dp_baseline(
     q = (1.0 - p) / (vocab_size - 1) if vocab_size > 1 else 0.0
     cutoff = _poisson_detection_count(n * q, vocab_size, alpha)
     recovered = {value + 1 for value, obs in observed.items() if obs >= cutoff}
-    return BaselineReport(
-        name=name, epsilon=epsilon, recovered_unique=len(recovered),
-        recovered_values=recovered,
-    )
+    return BaselineReport(name=name, epsilon=epsilon, recovered_values=recovered)
 
 
 def _partition_of(item: int, num_partitions: int) -> int:
@@ -581,7 +589,6 @@ def partitioned_baseline(
     return BaselineReport(
         name=f"krr-partitioned-{num_partitions}",
         epsilon=epsilon,
-        recovered_unique=len(recovered),
         recovered_values=recovered,
     )
 
@@ -598,7 +605,6 @@ def run_perms_demo(
     threshold_t: int = 100,
     sigma: float = 4.0,
     group_id: str = DEFAULT_GROUP,
-    workspace: str | Path = ".",
 ) -> UtilityReport:
     """Page/feature/action-bitmap tuples with client-side bit flipping and a
     high randomized threshold."""
@@ -624,12 +630,9 @@ def run_perms_demo(
     )
     out = shuffle_stage(config, blobs, tape, keys.shuffler, keys.shuffler2)
     hist, _ = analyze_stage(config, [i for _, i in out.records], keys.analyzer)
-    truth = len(set(tuples))
     return UtilityReport(
         name=config.name,
-        ground_truth_unique=truth,
-        recovered_unique=hist.unique_count,
-        recovery_ratio=hist.unique_count / truth if truth else 0.0,
+        ground_truth_unique=len(set(tuples)),
         stage_counts={"reports": len(blobs), "surviving": len(out.records)},
         recovered_values=set(hist.bins),
     )

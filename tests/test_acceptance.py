@@ -296,7 +296,7 @@ def test_criterion_9_end_to_end_utility(tmp_path):
         _utility_config(name="naive", crowd_mode="hashed", threshold_t=20),
         tmp_path / "naive",
     )
-    corpus = load_corpus(tmp_path / "naive" / "corpus.txt")
+    corpus = load_corpus(tmp_path / "naive" / "corpus.txt", _utility_config().vocab_size)
     counts = Counter(corpus.tolist())
     expected = {item_word(k) for k, c in counts.items() if c > 20}
     assert naive.recovered_values == expected

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def test_corpus_file_roundtrip(tmp_path):
     corpus = generate_zipf_corpus(50, 1.0, 200, seed=1)
     path = tmp_path / "corpus.txt"
     save_corpus(path, corpus)
-    assert np.array_equal(load_corpus(path), corpus)
+    assert np.array_equal(load_corpus(path, 50), corpus)
 
 
 def test_rng_tape_streams_are_stable_and_independent():
@@ -110,6 +111,25 @@ def test_config_drop_mean_and_sigma_apply_without_a_mode():
     assert 0 < len(out.records) < 30
 
 
+def test_readme_cli_lines_run(tmp_path, monkeypatch):
+    """Every `anonpipe` line of the README's sh blocks, in order, over its
+    example config, exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tmp_path / "scenario.cfg").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    monkeypatch.chdir(tmp_path)
+    lines = [
+        shlex.split(line, comments=True)
+        for block in readme.split("```sh\n")[1:]
+        for line in block.split("```", 1)[0].splitlines()
+    ]
+    commands = [args[1:] for args in lines if args and args[0] == "anonpipe"]
+    assert {"params", "run", "generate", "keygen", "encode", "shuffle", "analyze"} <= {
+        args[0] for args in commands
+    }
+    for args in commands:
+        _cli_ok(args)
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -131,6 +151,20 @@ def test_longest_word_payload_pads_to_exactly_derived_pad_to(secret_share_t):
     assert len(formats.pad_payload(payload, pad_to)) == pad_to
     with pytest.raises(PayloadTooLarge):
         formats.pad_payload(payload, pad_to - 1)
+
+
+def test_secret_share_reports_are_as_long_in_every_group():
+    # the share field is one 255-bit prime whatever the group
+    keys = derive_keys(DEFAULT_GROUP, RngTape(1))
+    public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
+    lengths = {
+        len(encode_words(
+            _small_config(vocab_size=3000, crowd_mode="fixed", secret_share_t=20, group_id=g),
+            [item_word(3000)], RngTape(1), *public,
+        )[0])
+        for g in GROUPS
+    }
+    assert len(lengths) == 1
 
 
 @pytest.mark.parametrize(
@@ -176,7 +210,7 @@ def test_encode_without_a_hash_key_draws_the_keys_crowd_hash():
 def test_naive_scenario_recovers_exactly_above_threshold(tmp_path):
     cfg = _small_config()
     report = run_scenario(cfg, tmp_path)
-    corpus = load_corpus(tmp_path / "corpus.txt")
+    corpus = load_corpus(tmp_path / "corpus.txt", cfg.vocab_size)
     counts = Counter(corpus.tolist())
     expected = {item_word(k) for k, c in counts.items() if c > cfg.threshold_t}
     assert report.recovered_values == expected
@@ -214,7 +248,7 @@ def test_secret_share_scenario_hides_below_t(tmp_path):
     # threshold passes everything; only share groups of >= t decode
     cfg = _small_config(secret_share_t=8, threshold_t=1)
     report = run_scenario(cfg, tmp_path)
-    corpus = load_corpus(tmp_path / "corpus.txt")
+    corpus = load_corpus(tmp_path / "corpus.txt", cfg.vocab_size)
     counts = Counter(corpus.tolist())
     expected = {item_word(k) for k, c in counts.items() if c >= 8 and c > 1}
     assert report.recovered_values == expected
@@ -395,6 +429,13 @@ def _cli_ok(args):
     return res
 
 
+def _write_config(tmp_path, **kw) -> str:
+    """`_small_config(**kw)` written to `scenario.cfg` in `tmp_path`; its path."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(_small_config(**kw).to_text())
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -410,10 +451,9 @@ def test_cli_stagewise_pipeline_matches_run(tmp_path, extra):
     cfg_path, keys_path = str(tmp_path / "scenario.cfg"), str(tmp_path / "keys.json")
     (tmp_path / "scenario.cfg").write_text(cfg.to_text())
 
-    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", str(cfg.seed),
-             "--group", "test-256"])
-    _cli_ok(["generate", "--vocab-size", "120", "--exponent", "1.1", "--n-samples", "800",
-             "--seed", str(cfg.seed), "--out", str(tmp_path / "corpus.txt")])
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path),
+             "--seed", str(cfg.seed)])
+    _cli_ok(["generate", "--config", cfg_path, "--out", str(tmp_path / "corpus.txt")])
     _cli_ok(["encode", "--config", cfg_path, "--corpus", str(tmp_path / "corpus.txt"),
              "--keys", keys_path, "--out", str(tmp_path / "reports.bin")])
     if cfg.two_shufflers:
@@ -444,15 +484,18 @@ def test_cli_stagewise_pipeline_matches_run(tmp_path, extra):
 
 
 def test_cli_keygen_unseeded_keys_differ_and_seeded_keys_match_run(tmp_path):
+    cfg_path = _write_config(tmp_path)
     for name in ("a", "b"):
-        _cli_ok(["keygen", "--workspace", str(tmp_path / name)])
+        _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path / name)])
     assert (tmp_path / "a" / "keys.json").read_text() != (tmp_path / "b" / "keys.json").read_text()
     a = json.loads((tmp_path / "a" / "keys.json").read_text())
     b = json.loads((tmp_path / "b" / "keys.json").read_text())
     assert all(a[k] != b[k] for k in a if k.endswith(("_secret", "_alpha")))
 
-    _cli_ok(["keygen", "--workspace", str(tmp_path / "s"), "--seed", "7"])
-    seeded = PipelineKeys.from_json((tmp_path / "s" / "keys.json").read_text())
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path / "s"), "--seed", "7"])
+    seeded = PipelineKeys.from_json(
+        (tmp_path / "s" / "keys.json").read_text(), GROUPS[DEFAULT_GROUP]
+    )
     assert seeded == derive_keys(DEFAULT_GROUP, RngTape(7))
 
 
@@ -466,7 +509,8 @@ def cli_encode(tmp_path):
 
     def encode(keys_dir: str, out: str) -> list[bytes]:
         if not (tmp_path / keys_dir / "keys.json").exists():
-            _cli_ok(["keygen", "--workspace", str(tmp_path / keys_dir)])
+            _cli_ok(["keygen", "--config", str(tmp_path / "scenario.cfg"),
+                     "--workspace", str(tmp_path / keys_dir)])
         _cli_ok(["encode", "--config", str(tmp_path / "scenario.cfg"),
                  "--corpus", str(tmp_path / "corpus.txt"),
                  "--keys", str(tmp_path / keys_dir / "keys.json"), "--out", str(tmp_path / out)])
@@ -500,9 +544,12 @@ def test_cli_report_keys_come_from_the_config_seed_only_under_seeded_keys(
 ):
     cfg, encode = cli_encode
     if seeded:
-        _cli_ok(["keygen", "--workspace", str(tmp_path / "keys"), "--seed", str(cfg.seed)])
+        _cli_ok(["keygen", "--config", str(tmp_path / "scenario.cfg"),
+                 "--workspace", str(tmp_path / "keys"), "--seed", str(cfg.seed)])
     report = encode("keys", "reports.bin")[0]
-    keys = PipelineKeys.from_json((tmp_path / "keys" / "keys.json").read_text())
+    keys = PipelineKeys.from_json(
+        (tmp_path / "keys" / "keys.json").read_text(), GROUPS[cfg.group_id]
+    )
     # every ephemeral public key anyone holding the config can compute for
     # report 0: the seals' 32-byte draws on the config seed's encode streams
     derivable = set()
@@ -530,11 +577,13 @@ def test_cli_shuffles_under_unseeded_keys_differ_in_order_only(tmp_path, cli_enc
 
 
 def test_cli_hashed_crowd_ids_come_from_the_keys(tmp_path, cli_encode):
-    _, encode = cli_encode
+    cfg, encode = cli_encode
 
     def crowd_ids(keys_dir, out):
         reports = encode(keys_dir, out)
-        keys = PipelineKeys.from_json((tmp_path / keys_dir / "keys.json").read_text())
+        keys = PipelineKeys.from_json(
+            (tmp_path / keys_dir / "keys.json").read_text(), GROUPS[cfg.group_id]
+        )
         return [_open_outer(r, keys)[1][1] for r in reports]
 
     same_keys = crowd_ids("a", "a1.bin"), crowd_ids("a", "a2.bin")
@@ -544,21 +593,22 @@ def test_cli_hashed_crowd_ids_come_from_the_keys(tmp_path, cli_encode):
 
 
 def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
-    _cli_ok(["keygen", "--workspace", str(tmp_path)])
+    _cli_ok(["keygen", "--config", _write_config(tmp_path), "--workspace", str(tmp_path)])
     text = (tmp_path / "keys.json").read_text()
-    assert PipelineKeys.from_json(text).to_json() + "\n" == text
+    group = GROUPS[DEFAULT_GROUP]
+    assert PipelineKeys.from_json(text, group).to_json() + "\n" == text
     keys = json.loads(text)
     keys["analyzer_public"], keys["shuffler1_public"] = (
         keys["shuffler1_public"], keys["analyzer_public"]
     )
     with pytest.raises(ValueError):
-        PipelineKeys.from_json(json.dumps(keys))
+        PipelineKeys.from_json(json.dumps(keys), group)
 
 
 def test_loading_keys_builds_no_generator_table(monkeypatch):
     text = derive_keys("modp-2048", RngTape(1)).to_json()
     monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
-    assert PipelineKeys.from_json(text).to_json() == text
+    assert PipelineKeys.from_json(text, MODP_2048).to_json() == text
     assert MODP_2048 not in group_mod._GENERATOR_TABLES
 
 
@@ -566,18 +616,18 @@ def test_loading_keys_builds_no_generator_table(monkeypatch):
 def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, value):
     # clients encrypt crowd IDs to the h that keys.json names, so it must be
     # hex, a group member (q-1 is not) and g^x2
-    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    cfg_path = _write_config(tmp_path, n_samples=5, crowd_mode="blinded")
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
     keys = json.loads((tmp_path / "keys.json").read_text())
-    group = GROUPS[keys["group_id"]]
+    group = GROUPS[DEFAULT_GROUP]
     x2 = int(keys["shuffler2_secret"], 16)
     keys["shuffler2_public"] = {
         "g^(x2+1)": f"{group.exp(group.generator, x2 + 1):x}",
         "q-1": f"{group.modulus - 1:x}",
     }.get(value, value)
     with pytest.raises(ValueError):
-        PipelineKeys.from_json(json.dumps(keys))
+        PipelineKeys.from_json(json.dumps(keys), group)
     (tmp_path / "keys.json").write_text(json.dumps(keys))
-    (tmp_path / "scenario.cfg").write_text(_small_config(n_samples=5, crowd_mode="blinded").to_text())
     save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(10, 1.1, 5, 1))
     res = CliRunner().invoke(cli_main, [
         "encode", "--config", str(tmp_path / "scenario.cfg"), "--corpus",
@@ -590,7 +640,8 @@ def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, 
 
 @pytest.mark.parametrize("damage", ["crowd_hash", "seed", "not json"])
 def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
-    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    cfg_path = _write_config(tmp_path, n_samples=5)
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
     keys = json.loads((tmp_path / "keys.json").read_text())
     if damage == "not json":
         text = "{"
@@ -598,8 +649,6 @@ def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
         del keys[damage]
         text = json.dumps(keys)
     (tmp_path / "keys.json").write_text(text)
-    cfg = _small_config(n_samples=5)
-    (tmp_path / "scenario.cfg").write_text(cfg.to_text())
     save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(10, 1.1, 5, 1))
     res = CliRunner().invoke(cli_main, [
         "encode", "--config", str(tmp_path / "scenario.cfg"), "--corpus",
@@ -619,11 +668,11 @@ def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
 def test_cli_out_of_range_key_scalar_is_a_usage_error(tmp_path, command, scalar, value):
     # alpha = 0 makes every pseudonym 1; x2 = 0 or p makes h = 1, so every
     # client's c2 is its crowd ID in the clear
-    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+    cfg_path = _write_config(tmp_path, crowd_mode="blinded")
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
     keys = json.loads((tmp_path / "keys.json").read_text())
-    keys[scalar] = f"{GROUPS[keys['group_id']].order_p:x}" if value == "p" else value
+    keys[scalar] = f"{GROUPS[DEFAULT_GROUP].order_p:x}" if value == "p" else value
     (tmp_path / "keys.json").write_text(json.dumps(keys))
-    (tmp_path / "scenario.cfg").write_text(_small_config(crowd_mode="blinded").to_text())
     formats.write_batch(tmp_path / "in.bin", [])
     res = CliRunner().invoke(cli_main, [
         command, "--config", str(tmp_path / "scenario.cfg"), "--keys",
@@ -636,8 +685,8 @@ def test_cli_out_of_range_key_scalar_is_a_usage_error(tmp_path, command, scalar,
 
 
 def test_cli_shuffle2_of_a_config_without_blinding_is_a_usage_error(tmp_path):
-    _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
-    (tmp_path / "scenario.cfg").write_text(_small_config().to_text())
+    cfg_path = _write_config(tmp_path)
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
     formats.write_batch(tmp_path / "in.bin", [])
     res = CliRunner().invoke(cli_main, [
         "shuffle2", "--config", str(tmp_path / "scenario.cfg"), "--keys",
@@ -650,13 +699,76 @@ def test_cli_shuffle2_of_a_config_without_blinding_is_a_usage_error(tmp_path):
 
 
 def test_cli_keygen_offers_only_known_groups(tmp_path):
-    res = CliRunner().invoke(cli_main, ["keygen", "--workspace", str(tmp_path),
-                                        "--group", "modp-3072"])
+    cfg_path = _write_config(tmp_path, group_id="modp-3072")
+    res = CliRunner().invoke(cli_main, ["keygen", "--config", cfg_path,
+                                        "--workspace", str(tmp_path)])
     assert res.exit_code == 2 and "modp-3072" in res.output
     assert not (tmp_path / "keys.json").exists()
-    _cli_ok(["keygen", "--workspace", str(tmp_path), "--group", "modp-2048", "--seed", "1"])
-    loaded = PipelineKeys.from_json((tmp_path / "keys.json").read_text())
+    cfg_path = _write_config(tmp_path, group_id="modp-2048")
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
+    loaded = PipelineKeys.from_json((tmp_path / "keys.json").read_text(), MODP_2048)
     assert loaded == derive_keys("modp-2048", RngTape(1))
+
+
+@pytest.mark.parametrize("crowd_mode", ["hashed", "blinded"])
+@pytest.mark.parametrize("keys_group, config_group", [("test-256", "modp-2048"),
+                                                      ("modp-2048", "test-256")])
+def test_cli_keys_from_another_group_are_a_usage_error(
+    tmp_path, crowd_mode, keys_group, config_group
+):
+    # keys.json names no group: keys made in another fail a range or g^x2 check
+    _cli_ok(["keygen", "--config", _write_config(tmp_path, group_id=keys_group),
+             "--workspace", str(tmp_path), "--seed", "1"])
+    cfg_path = _write_config(tmp_path, n_samples=5, crowd_mode=crowd_mode, group_id=config_group)
+    save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(10, 1.1, 5, 1))
+    formats.write_batch(tmp_path / "in.bin", [])
+    out = tmp_path / "out"
+    out.mkdir()
+    keys = ["--config", cfg_path, "--keys", str(tmp_path / "keys.json")]
+    batch_in = ["--in", str(tmp_path / "in.bin")]
+    commands = [
+        ["encode", *keys, "--corpus", str(tmp_path / "corpus.txt"), "--out", str(out / "r.bin")],
+        ["shuffle", *keys, *batch_in, "--out", str(out / "s.bin")],
+        ["analyze", *keys, *batch_in, "--out-dir", str(out)],
+    ]
+    if crowd_mode == "blinded":
+        commands.append(["shuffle2", *keys, *batch_in, "--out", str(out / "s2.bin")])
+    for args in commands:
+        res = CliRunner().invoke(cli_main, args)
+        assert res.exit_code == 2, (args[0], res.output)
+        assert "not a keys file" in res.output and config_group in res.output
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [pytest.param({}, id="hashed"),
+     pytest.param(dict(crowd_mode="fixed", secret_share_t=5, threshold_t=1), id="shares")],
+)
+def test_cli_generate_and_encode_write_run_corpus_and_reports(tmp_path, extra):
+    cfg_path = _write_config(tmp_path, n_samples=300, vocab_size=60, **extra)
+    _cli_ok(["run", "--config", cfg_path, "--workspace", str(tmp_path / "full")])
+    _cli_ok(["generate", "--config", cfg_path, "--out", str(tmp_path / "corpus.txt")])
+    # seeded as `run` seeds its keys: from the config's seed, 11
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "11"])
+    _cli_ok(["encode", "--config", cfg_path, "--keys", str(tmp_path / "keys.json"),
+             "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "reports.bin")])
+    for name in ("corpus.txt", "reports.bin"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["7x", "41", "0"])
+def test_cli_encode_of_a_corpus_item_outside_the_vocabulary_is_a_usage_error(tmp_path, bad):
+    cfg_path = _write_config(tmp_path, n_samples=5, vocab_size=40)
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
+    (tmp_path / "corpus.txt").write_text(f"1\n40\n{bad}\n2\n")
+    res = CliRunner().invoke(cli_main, [
+        "encode", "--config", cfg_path, "--keys", str(tmp_path / "keys.json"),
+        "--corpus", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "reports.bin"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and f"line 3: '{bad}'" in res.output
+    assert isinstance(res.exception, SystemExit) and not (tmp_path / "reports.bin").exists()
 
 
 @pytest.mark.parametrize(
@@ -689,14 +801,15 @@ def test_cli_config_naming_policy_mode_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("command", ["run", "shuffle"])
 def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, value):
     cfg_path = tmp_path / "scenario.cfg"
-    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
     if command == "run":
         args = ["run", "--config", str(cfg_path), "--workspace", str(tmp_path / "run")]
     else:
-        _cli_ok(["keygen", "--workspace", str(tmp_path), "--seed", "1"])
+        _cli_ok(["keygen", "--config", _write_config(tmp_path, n_samples=50),
+                 "--workspace", str(tmp_path), "--seed", "1"])
         formats.write_batch(tmp_path / "reports.bin", [])
         args = ["shuffle", "--config", str(cfg_path), "--keys", str(tmp_path / "keys.json"),
                 "--in", str(tmp_path / "reports.bin"), "--out", str(tmp_path / "out.bin")]
+    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
     res = CliRunner().invoke(cli_main, args)
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and "threshold_t must be at least 1" in res.output
