@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -285,3 +286,41 @@ def test_same_input_bucket_pairs_split_like_a_uniform_permutation():
         out = stash_shuffle(items, p, rng, keep_trace=False).records
         together += out.index(items[0]) // 2 == out.index(items[1]) // 2
     assert stats.binomtest(together, runs, 0.2).pvalue > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the permutation, RNG draw order, trace and failure history
+# are pinned, so a rework of the private-memory code must reproduce them
+
+_GOLDEN = [
+    # (params, seed, attempts, failed phases, sha256 of the result)
+    (params_for(1, 24), 1, 1, [],
+     "a0f1ade8dfc9c5294efe58a2a72ed2eba036078fb6073992b32b79e985fa7fd6"),
+    (params_for(50, 24), 2, 1, [],
+     "18cda1e55b5f232036a6f7798288324999d97013cc374ead57f773294a939c11"),
+    (params_for(2100, 24), 3, 1, [],
+     "e163d9055df5dc4075333fb448cecbcd30fe24a51572cda3389715598daa6da4"),
+    # the perfbench `stash` workload's parameters
+    (make_params(4000, 20, 30, 1200, 4, item_len=150), 4, 1, [],
+     "bfb2b0ace98c83615e29f68f2ad8a37b2e537dc433720591919db152a6673d95"),
+    # N < B*D: three pads travel through to the output
+    (make_params(97, 5, 14, 30, 3, item_len=16), 5, 1, [],
+     "c7b13638fdc9daabe08d76ac3cbe71ef4a366d1a17bdcfc3319b3026d4158f9d"),
+    # tight caps: failed attempts before the one that succeeds
+    (make_params(6, 3, 1, 2, 3, item_len=4), 185, 3, ["distribution", "drain"],
+     "8a9343367757ef3d9b8f04850958dc03592ddad8422126d24e1d9352ee6dfe93"),
+    (make_params(10, 3, 2, 3, 1, item_len=4), 0, 3, ["compression", "drain"],
+     "d507c82b99a7f0695a29fe93c2b80a709675388d9c16ce5c2273e9cb789e9593"),
+]
+
+
+@pytest.mark.parametrize("p,seed,attempts,failed,digest", _GOLDEN)
+def test_golden_output(p, seed, attempts, failed, digest):
+    rng = random.Random(seed)
+    items = _items(p.n_items, rng, p.item_len)
+    res = stash_shuffle(items, p, rng, max_attempts=64)
+    assert (res.attempts, res.failed_phases) == (attempts, failed)
+    h = hashlib.sha256(b"".join(res.records))
+    h.update(repr((res.attempts, res.failed_phases, res.peak_private_bytes)).encode())
+    h.update(res.trace.dump().encode())
+    assert h.hexdigest() == digest
