@@ -14,6 +14,7 @@ from anonpipe import harness
 from anonpipe import shuffler as shuffler_mod
 from anonpipe import stash_shuffle as ss
 from anonpipe.crypto.group import GROUPS
+from anonpipe.errors import DecryptionError
 from anonpipe.harness import PipelineKeys, RngTape, ScenarioConfig
 
 
@@ -31,6 +32,13 @@ def _load_keys(path: str, config: ScenarioConfig) -> PipelineKeys:
         raise click.BadParameter(
             f"not a keys file from `keygen` ({type(exc).__name__}: {exc})", param_hint="'--keys'"
         ) from exc
+
+
+def _read_batch(path: str) -> list[bytes]:
+    try:
+        return formats.read_batch(path)
+    except DecryptionError as exc:
+        raise click.BadParameter(f"not a batch file ({exc})", param_hint="'--in'") from exc
 
 
 @click.group()
@@ -102,7 +110,7 @@ def shuffle(config_path, keys_path, in_path, out):
     config = _load_config(config_path)
     keys = _load_keys(keys_path, config)
     batch = harness.first_shuffler_stage(
-        config, formats.read_batch(in_path), RngTape(keys.seed), keys.shuffler,
+        config, _read_batch(in_path), RngTape(keys.seed), keys.shuffler,
         keys.blinding,
     )
     if config.two_shufflers:
@@ -129,7 +137,7 @@ def shuffle2(config_path, keys_path, in_path, out):
     keys = _load_keys(keys_path, config)
     crowd_width = formats.crowd_id_width(formats.KIND_BLINDED, GROUPS[config.group_id])
     records = [
-        (blob[:crowd_width], blob[crowd_width:]) for blob in formats.read_batch(in_path)
+        (blob[:crowd_width], blob[crowd_width:]) for blob in _read_batch(in_path)
     ]
     batch = harness.second_shuffler_stage(
         config, shuffler_mod.Batch(epoch_id="epoch-0", records=records),
@@ -148,7 +156,7 @@ def analyze(config_path, keys_path, in_path, out_dir):
     """Decrypt and decode an inner-envelope batch into a histogram."""
     config = _load_config(config_path)
     keys = _load_keys(keys_path, config)
-    inner_blobs = formats.read_batch(in_path)
+    inner_blobs = _read_batch(in_path)
     hist, stats = harness.analyze_stage(config, inner_blobs, keys.analyzer)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -142,9 +142,9 @@ def read_batch(path: str | Path) -> list[bytes]:
         magic, record_len, count = _BATCH_HEADER.unpack(header)
         if magic != BATCH_MAGIC:
             raise DecryptionError("bad batch magic")
-        if record_len == 0:
-            return []
         body = fh.read()
+    if count and not record_len:
+        raise DecryptionError("batch records of length 0")
     if len(body) != record_len * count:
-        raise DecryptionError("batch truncated")
+        raise DecryptionError("batch body does not match its header")
     return [body[i * record_len : (i + 1) * record_len] for i in range(count)]

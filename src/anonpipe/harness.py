@@ -148,6 +148,15 @@ class ScenarioConfig:
                 raise ValueError(
                     f"{key} must be one of {', '.join(allowed)}, not {getattr(cfg, key)!r}"
                 )
+        for key, ok, rule in (
+            ("vocab_size", cfg.vocab_size >= 1, "at least 1"),
+            ("n_samples", cfg.n_samples >= 1, "at least 1"),
+            ("zipf_exponent", cfg.zipf_exponent > 0, "positive"),
+            ("secret_share_t", cfg.secret_share_t >= 0, "at least 0"),
+            ("pad_to", cfg.pad_to >= 0, "at least 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, not {getattr(cfg, key)!r}")
         cfg.policy()
         return cfg
 

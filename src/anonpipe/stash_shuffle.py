@@ -3,11 +3,13 @@
 Two phases.  Distribution reads one input bucket at a time, deals its items
 to randomly chosen output buckets subject to a per-(input, output) chunk
 quota C, parks overflow in a bounded private stash, and writes each chunk
-of C slots (padded with dummies) to an intermediate array as one sealed
-blob; the stash drains into one sealed K-slot region per output bucket.
-Compression slides a W-bucket window over the intermediate array, opens a
-bucket's B + 1 blobs, filters dummies, shuffles the items in private memory,
-and streams the result to the output.
+of C slots (its items, then dummies) to an intermediate array as one sealed
+blob; the stash drains into one sealed K-slot region per output bucket.  A
+blob's plaintext is its slots' flag bytes (real, pad or dummy) followed by
+their items, so its length depends only on its slot count.  Compression
+slides a W-bucket window over the intermediate array, opens a bucket's
+B + 1 blobs, keeps each blob's slots before its first dummy, shuffles the
+items in private memory, and streams the result to the output.
 
 Every read and write against the untrusted arrays depends only on the
 parameters, never on data values, and is recorded in a trace for tests.
@@ -19,7 +21,6 @@ nothing about the final order.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -195,8 +196,8 @@ class Trace:
         )
 
 
-# Slot flags, the first byte of every slot inside the authenticated blobs.
-# Dummies only pad chunks and are discarded during compression; pads stand
+# Slot flags, at the head of a blob's plaintext.  Dummies only fill the tail
+# of a chunk or drain region and are discarded during compression; pads stand
 # in for missing items of a short last input bucket and travel all the way
 # to the output, keeping the per-bucket export schedule independent of
 # N mod (B*D).
@@ -206,22 +207,45 @@ FLAG_PAD = 2
 
 
 class ItemCipher:
-    """AEAD over a run of (flag || item) slots under an ephemeral per-attempt
-    key; every blob gets a fresh nonce."""
+    """AEAD over a run of slots under an ephemeral per-attempt key; every
+    blob gets a fresh nonce.  A blob of n slots seals n flag bytes followed
+    by n items, 12 + n * (1 + item_len) + 16 bytes whatever it holds.  In
+    private memory an item is its record's bytes or `pad`, a zero-filled
+    sentinel told apart by identity; dummies exist only inside blobs."""
 
     def __init__(self, rng, item_len: int):
         self._aead = AESGCM(rng.randbytes(16))
         self._rng = rng
-        self._slot_len = 1 + item_len
+        self._item_len = item_len
+        self.pad = memoryview(bytes(item_len))
 
-    def encrypt(self, slots: list[bytes]) -> bytes:
+    def encrypt(self, items: list, slots: int) -> bytes:
+        """Seal `items` followed by dummies up to `slots` slots."""
+        fill = slots - len(items)
+        pad = self.pad
+        plaintext = b"".join([
+            bytes([FLAG_PAD if x is pad else FLAG_REAL for x in items]),
+            bytes([FLAG_DUMMY]) * fill,
+            *items,
+            bytes(fill * self._item_len),
+        ])
         nonce = self._rng.randbytes(12)
-        return nonce + self._aead.encrypt(nonce, b"".join(slots), None)
+        return nonce + self._aead.encrypt(nonce, plaintext, None)
 
-    def decrypt(self, blob: bytes) -> list[bytes]:
+    def decrypt(self, blob: bytes) -> list:
+        """The items of a blob: its slots before the first dummy."""
         pt = self._aead.decrypt(blob[:12], blob[12:], None)
-        step = self._slot_len
-        return [pt[i : i + step] for i in range(0, len(pt), step)]
+        step = self._item_len
+        slots = len(pt) // (1 + step)
+        count = pt.find(FLAG_DUMMY, 0, slots)
+        if count < 0:
+            count = slots
+        items = [pt[i : i + step] for i in range(slots, slots + count * step, step)]
+        i = pt.find(FLAG_PAD, 0, count)
+        while i >= 0:
+            items[i] = self.pad
+            i = pt.find(FLAG_PAD, i + 1, count)
+        return items
 
 
 def shuffle_to_buckets(num_buckets: int, bucket_size: int, rng) -> list[int]:
@@ -289,48 +313,41 @@ def _attempt(records, params, cipher, rng, trace):
     bucket_stride = b_count * c + k
     item_len = params.item_len
 
-    real = bytes([FLAG_REAL])
-    dummy = bytes([FLAG_DUMMY]) + b"\x00" * item_len
-    pad = bytes([FLAG_PAD]) + b"\x00" * item_len
     mid: list[bytes | None] = [None] * (b_count * (b_count + 1))
-    stash: list[deque] = [deque() for _ in range(b_count)]
-    stash_total = 0
+    stash: list[list] = [[] for _ in range(b_count)]
     max_stash = 0
 
     trace.phase = "distribution"
     for b in range(b_count):
         targets = shuffle_to_buckets(b_count, d, rng)
-        chunks: list[list[bytes]] = [[] for _ in range(b_count)]
-        for j in range(b_count):
-            while len(chunks[j]) < c and stash[j]:
-                chunks[j].append(stash[j].popleft())
-                stash_total -= 1
+        # each chunk starts with its target's oldest stashed items
+        chunks = [st[:c] for st in stash]
+        for st in stash:
+            del st[:c]
         trace.log("in", b * d, d, "read")
-        for i, j in enumerate(targets):
-            idx = b * d + i
-            # a short last bucket is padded; pads ride through to the
-            # output so every bucket exports exactly D items
-            slot = real + records[idx] if idx < n else pad
-            if len(chunks[j]) < c:
-                chunks[j].append(slot)
-            elif stash_total < s:
-                stash[j].append(slot)
-                stash_total += 1
-                max_stash = max(max_stash, stash_total)
-            else:
-                raise _AttemptFailed("distribution")
-        for j in range(b_count):
-            chunk = chunks[j]
-            chunk += [dummy] * (c - len(chunk))
-            mid[j * (b_count + 1) + b] = cipher.encrypt(chunk)
+        # a short last bucket is padded; pads ride through to the output so
+        # every bucket exports exactly D items
+        block = records[b * d : (b + 1) * d]
+        block += [cipher.pad] * (d - len(block))
+        for item, j in zip(block, targets):
+            chunks[j].append(item)
+        # past C, a target's items queue at the back of its stash, in order
+        for st, chunk in zip(stash, chunks):
+            st += chunk[c:]
+            del chunk[c:]
+        stash_total = sum(map(len, stash))
+        if stash_total > s:
+            raise _AttemptFailed("distribution")
+        max_stash = max(max_stash, stash_total)
+        for j, chunk in enumerate(chunks):
+            mid[j * (b_count + 1) + b] = cipher.encrypt(chunk, c)
             trace.log("mid", j * bucket_stride + b * c, c, "write")
 
     trace.phase = "drain"
-    for j in range(b_count):
-        if len(stash[j]) > k:
+    for j, st in enumerate(stash):
+        if len(st) > k:
             raise _AttemptFailed("drain")
-        region = list(stash[j]) + [dummy] * (k - len(stash[j]))
-        mid[j * (b_count + 1) + b_count] = cipher.encrypt(region)
+        mid[j * (b_count + 1) + b_count] = cipher.encrypt(st, k)
         trace.log("mid", j * bucket_stride + b_count * c, k, "write")
 
     trace.phase = "compression"
@@ -338,21 +355,20 @@ def _attempt(records, params, cipher, rng, trace):
     # The window buffers up to W fully imported buckets; bucket occupancy
     # fluctuates around D, so sizing by W*D alone would overflow constantly.
     queue_cap = w * bucket_stride
-    queue: list[bytes] = []
+    queue: list = []
     max_queue = 0
-    out: list[bytes] = []
+    out: list = []
 
     def import_bucket(bk: int) -> None:
         nonlocal max_queue
         trace.log("mid", bk * bucket_stride, bucket_stride, "read")
-        blobs = mid[bk * (b_count + 1) : (bk + 1) * (b_count + 1)]
-        slots = [
-            slot for blob in blobs for slot in cipher.decrypt(blob) if slot[0] != FLAG_DUMMY
-        ]
-        rng.shuffle(slots)
-        if len(queue) + len(slots) > queue_cap:
+        items = []
+        for blob in mid[bk * (b_count + 1) : (bk + 1) * (b_count + 1)]:
+            items += cipher.decrypt(blob)
+        rng.shuffle(items)
+        if len(queue) + len(items) > queue_cap:
             raise _AttemptFailed("compression")
-        queue.extend(slots)
+        queue.extend(items)
         max_queue = max(max_queue, len(queue))
 
     def drain_queue() -> None:
@@ -371,7 +387,7 @@ def _attempt(records, params, cipher, rng, trace):
         drain_queue()
 
     assert len(out) == b_count * d
-    result = [slot[1:] for slot in out if slot[0] == FLAG_REAL]
+    result = [item for item in out if item is not cipher.pad]
     assert len(result) == n
     dist_peak = (d + b_count * c + max_stash) * item_len + d * _POINTER_BYTES
     comp_peak = (bucket_stride + max_queue) * item_len

@@ -236,6 +236,24 @@ def test_read_batch_rejects_truncated_header(tmp_path, keep):
         formats.read_batch(path)
 
 
+def test_empty_batch_file_roundtrip(tmp_path):
+    path = tmp_path / "batch.bin"
+    formats.write_batch(path, [])
+    assert formats.read_batch(path) == []
+
+
+@pytest.mark.parametrize(
+    "record_len, count, body",
+    [(0, 5, b"garbage"), (0, 5, b""), (0, 0, b"garbage"), (10, 3, b"a" * 29), (10, 3, b"a" * 31)],
+)
+def test_read_batch_rejects_a_body_its_header_does_not_describe(tmp_path, record_len, count, body):
+    # a header claiming zero-length records once read as an empty batch
+    path = tmp_path / "batch.bin"
+    path.write_bytes(struct.pack("<8sIQ", formats.BATCH_MAGIC, record_len, count) + body)
+    with pytest.raises(DecryptionError):
+        formats.read_batch(path)
+
+
 # Shufflers and the analyzer count a DecryptionError as a reject; any other
 # exception would fail the stage.
 @settings(max_examples=300, deadline=None)

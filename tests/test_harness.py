@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import shlex
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -815,6 +816,49 @@ def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, v
     assert "Usage:" in res.output and "threshold_t must be at least 1" in res.output
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
     assert not (tmp_path / "run").exists() and not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [("vocab_size", 0, "at least 1"), ("n_samples", 0, "at least 1"),
+     ("zipf_exponent", 0, "positive"), ("secret_share_t", -2, "at least 0"),
+     ("pad_to", -1, "at least 0")],
+)
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_cli_out_of_range_config_value_is_a_usage_error(tmp_path, command, key, value, rule):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"{key} must be {rule}"):
+        ScenarioConfig.from_text(cfg_path.read_text())
+    out = tmp_path / "out"
+    args = {"generate": ["generate", "--config", str(cfg_path), "--out", str(out)],
+            "run": ["run", "--config", str(cfg_path), "--workspace", str(out)]}[command]
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and f"{key} must be {rule}" in res.output
+    assert isinstance(res.exception, SystemExit) and not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "zero-length records"])
+@pytest.mark.parametrize("command", ["shuffle", "shuffle2", "analyze"])
+def test_cli_unreadable_batch_file_is_a_usage_error(tmp_path, command, damage):
+    cfg_path = _write_config(tmp_path, crowd_mode="blinded")
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
+    batch = tmp_path / "in.bin"
+    if damage == "truncated":
+        formats.write_batch(batch, [b"r" * 40] * 3)
+        batch.write_bytes(batch.read_bytes()[:-1])
+    else:
+        # once read as an empty batch, so `shuffle` wrote one and exited 0
+        batch.write_bytes(struct.pack("<8sIQ", formats.BATCH_MAGIC, 0, 5) + b"garbage")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli_main, [
+        command, "--config", cfg_path, "--keys", str(tmp_path / "keys.json"),
+        "--in", str(batch), "--out-dir" if command == "analyze" else "--out", str(out),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and "'--in'" in res.output and "not a batch file" in res.output
+    assert isinstance(res.exception, SystemExit) and not out.exists()
 
 
 def test_cli_params_reference_table():

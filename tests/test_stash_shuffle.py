@@ -6,8 +6,10 @@ import pytest
 from scipy import stats
 
 from anonpipe.errors import BudgetExceeded, ShuffleFailed
+from anonpipe.shuffler import Batch, shuffle_batch
 from anonpipe.stash_shuffle import (
     REFERENCE_SCENARIOS,
+    ItemCipher,
     analytic_overhead,
     chunk_cap_for_alpha,
     make_params,
@@ -188,6 +190,46 @@ def test_peak_private_memory_within_declared_working_set():
     p = make_params(300, 5, chunk_cap=30, stash_cap=40, window=3, item_len=24)
     res = stash_shuffle(_items(300, rng, 24), p, rng)
     assert res.peak_private_bytes <= p.working_set_bytes()
+
+
+def _blob_lengths(monkeypatch, n, seed):
+    """Lengths of the blobs `shuffle_batch` seals and opens, in call order,
+    for a batch of n records of 8 + 40 bytes; and the params it ran at."""
+    sealed, opened = [], []
+    encrypt, decrypt = ItemCipher.encrypt, ItemCipher.decrypt
+
+    def spy_encrypt(self, *args):
+        blob = encrypt(self, *args)
+        sealed.append(len(blob))
+        return blob
+
+    def spy_decrypt(self, blob):
+        opened.append(len(blob))
+        return decrypt(self, blob)
+
+    rng = random.Random(seed)
+    batch = Batch("e", [(rng.randbytes(8), rng.randbytes(40)) for _ in range(n)])
+    with monkeypatch.context() as m:
+        m.setattr(ItemCipher, "encrypt", spy_encrypt)
+        m.setattr(ItemCipher, "decrypt", spy_decrypt)
+        assert sorted(shuffle_batch(batch, rng).records) == sorted(batch.records)
+    return sealed, opened, params_for(n, 48)
+
+
+def test_blob_lengths_depend_only_on_the_parameters(monkeypatch):
+    # 99 records fill 3 buckets of 33; 97 leave two pads in the last one
+    sealed, opened, p = _blob_lengths(monkeypatch, 99, 1)
+    b, d = p.num_buckets, p.bucket_size
+    assert (b, b * d) == (3, 99)
+    chunk = 12 + p.chunk_cap * (1 + p.item_len) + 16
+    drain = 12 + p.drain_per_bucket * (1 + p.item_len) + 16
+    # one attempt: B chunks per input bucket, then B drain regions; each
+    # output bucket then opens its B chunks and its drain region
+    assert sealed == [chunk] * (b * b) + [drain] * b
+    assert opened == ([chunk] * b + [drain]) * b
+    padded = _blob_lengths(monkeypatch, 97, 2)
+    assert padded[2].num_buckets * padded[2].bucket_size == 99
+    assert padded[:2] == (sealed, opened)
 
 
 # ---------------------------------------------------------------------------
