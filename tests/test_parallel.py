@@ -1,6 +1,8 @@
 """map_records: results, when it forks, and that every child is reaped; the
-pipeline's artifacts and its counts of hostile records at any CPU count."""
+pipeline's artifacts and its counts of hostile records at any CPU count, and
+the golden digests of a blinded run's artifacts."""
 
+import hashlib
 import os
 import pickle
 import random
@@ -299,3 +301,44 @@ def test_decrypt_corpus_counts_every_hostile_envelope_when_forked(honest, hostil
         corpus = decrypt_corpus(mixed, keys.analyzer)
     assert corpus.failures == len(hostile)
     assert corpus.records == expected.records
+
+
+# ---------------------------------------------------------------------------
+# golden blinded artifacts: the sha256 of each file pins the bytes of a
+# seeded blinded run, also where the encoder's arithmetic changes
+
+GOLDEN_BLINDED = {
+    "test-256": ScenarioConfig(
+        vocab_size=30, n_samples=600, seed=5, crowd_mode="blinded", threshold_t=5
+    ),
+    "modp-2048": ScenarioConfig(
+        name="small", vocab_size=3, n_samples=12, seed=11, crowd_mode="blinded",
+        threshold_t=2, group_id="modp-2048",
+    ),
+}
+GOLDEN_DIGESTS = {
+    "test-256": {
+        "reports.bin": "70b29158e6a1629fa2de95e1a9d8ef1c9cd21e36683c383a3361004740f698c8",
+        "shuffled.bin": "6f9f8938dbcede84a374f245b630fe65376a07c0163dc27e653d03b649d3ca9b",
+        "histogram.csv": "68f6831d97d52ba934aa5b8675b2382f0da2be0c3538187e0a7ffe3c23def7ba",
+    },
+    "modp-2048": {
+        "reports.bin": "f9066d89c187cb817c6d539a8831af213230dda3beff52ebe68981c2f927d9bb",
+        "shuffled.bin": "2c227cb4ae99180fe1ddf04b7ceac7949a01dc2414a4c4a40153bed8d67a0b72",
+        "histogram.csv": "bf49a3821fbc8c0c94734d1ccaafaebd599919227f7db09be0e03f8d38e0aeaf",
+    },
+}
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("group_id", list(GOLDEN_BLINDED))
+def test_blinded_artifacts_match_their_golden_digests(tmp_path, cpus, forked, group_id, n_cpus):
+    cpus(n_cpus)
+    run_scenario(GOLDEN_BLINDED[group_id], tmp_path)
+    # 600 records fork at 2 CPUs; the 12 of modp-2048 never do
+    assert bool(forked) == (n_cpus == 2 and group_id == "test-256")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS[group_id]
+    }
+    assert digests == GOLDEN_DIGESTS[group_id]
