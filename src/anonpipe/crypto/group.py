@@ -15,23 +15,17 @@ from anonpipe.crypto import OS_RNG
 from anonpipe.errors import InvalidPoint
 
 
-# Fixed-base window: group -> T with T[i][d] = g^(d * 16^i), built on a
-# group's first exponentiation of its generator and kept for the process.
+# Fixed-base windows: group -> {base: T} with T[i][d] = base^(d * 16^i).  g's
+# table is built on a group's first exponentiation of g; one other base per
+# group gets one from `GroupParams.fix_base`, which replaces the previous one.
 # Keyed by the whole GroupParams, so a table serves only the parameters it
-# was built from.
+# was built from, and kept for the process, so forked workers inherit it.
 _WINDOW_BITS = 4
-_GENERATOR_TABLES: dict["GroupParams", list[list[int]]] = {}
+_GENERATOR_TABLES: dict["GroupParams", dict[int, list[list[int]]]] = {}
 
 
-def _generator_table(group: "GroupParams") -> list[list[int]]:
-    table = _GENERATOR_TABLES.get(group)
-    if table is None:
-        table = _GENERATOR_TABLES[group] = _build_generator_table(group)
-    return table
-
-
-def _build_generator_table(group: "GroupParams") -> list[list[int]]:
-    q, base, table = group.modulus, group.generator, []
+def _build_table(group: "GroupParams", base: int) -> list[list[int]]:
+    q, table = group.modulus, []
     for _ in range(-(-group.order_p.bit_length() // _WINDOW_BITS)):
         row = [1]
         for _ in range((1 << _WINDOW_BITS) - 1):
@@ -39,6 +33,10 @@ def _build_generator_table(group: "GroupParams") -> list[list[int]]:
         table.append(row)
         base = row[-1] * base % q
     return table
+
+
+def _table(group: "GroupParams", base: int) -> list[list[int]] | None:
+    return _GENERATOR_TABLES.get(group, {}).get(base)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -87,14 +85,29 @@ class GroupParams:
             raise InvalidPoint(f"not an element of {self.group_id}")
         return e
 
+    def fix_base(self, base: int) -> None:
+        """Check `base` once and give it a fixed-base table: `exp` then
+        takes its powers from the table, and `elgamal_encrypt` skips its
+        membership check.  Fixing a new base drops the previous one's table."""
+        if _table(self, base) is not None:
+            return
+        self.check_element(base)
+        tables = {b: t for b, t in _GENERATOR_TABLES.get(self, {}).items() if b == self.generator}
+        tables[base] = _build_table(self, base)
+        _GENERATOR_TABLES[self] = tables
+
     def exp(self, base: int, exponent: int) -> int:
-        if base != self.generator:
-            return pow(base, exponent, self.modulus)
-        # Fixed base (Brickell et al., EUROCRYPT '92): g has order p, so
-        # reduce the exponent and multiply one table entry per window.
+        table = _table(self, base)
+        if table is None:
+            if base != self.generator:
+                return pow(base, exponent, self.modulus)
+            table = _GENERATOR_TABLES.setdefault(self, {})[base] = _build_table(self, base)
+        # Fixed base (Brickell et al., EUROCRYPT '92): a tabled base is a
+        # member, so it has order p (or is 1): reduce the exponent and
+        # multiply one table entry per window.
         q, e, acc = self.modulus, exponent % self.order_p, 1
         mask = (1 << _WINDOW_BITS) - 1
-        for row in _generator_table(self):
+        for row in table:
             if not e:
                 break
             digit = e & mask
@@ -232,7 +245,8 @@ class BlindingSecret:
 def elgamal_encrypt(
     group: GroupParams, public: int, mu: int, rng=OS_RNG
 ) -> ElGamalCiphertext:
-    group.check_element(public)
+    if _table(group, public) is None:  # a tabled base passed the check when fixed
+        group.check_element(public)
     group.check_element(mu)
     r = group.random_scalar(rng)
     return ElGamalCiphertext(

@@ -2,8 +2,8 @@
 
 Sharing uses a random degree-(t-1) polynomial with P(0) = secret;
 reconstruction is Lagrange interpolation at zero.  The field is a
-parameter: pipelines use the group scalar field, exhaustive tests use
-GF(251).
+parameter: pipelines use `encoder.SHARE_FIELD`, a 255-bit prime field that
+is the same in every group; exhaustive tests use GF(251).
 """
 
 from __future__ import annotations

@@ -349,6 +349,10 @@ def encode_words(
     if hash_key is None:
         hash_key = _crowd_hash_key(tape)
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
+    if config.two_shufflers and s2_public is not None:
+        # checked and tabled here, before map_records forks, so every worker
+        # inherits h's table and no report checks h again
+        group.fix_base(s2_public)
 
     def encode_one(i: int) -> bytes:
         word, rng = words[i], tape.stream(f"encode/{i}")

@@ -11,6 +11,7 @@ from anonpipe.crypto.group import (
     TEST_GROUP_256,
     BlindingSecret,
     ElGamalCiphertext,
+    GroupParams,
     KeyPair,
     blind,
     elgamal_encrypt,
@@ -182,37 +183,88 @@ def test_generator_exp_matches_pow(group, examples):
 
 
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)
-def test_exp_of_another_base_matches_pow(group, examples):
+def test_exp_of_another_base_matches_pow(monkeypatch, group, examples):
     q, p = group.modulus, group.order_p
+    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    fixed = hash_to_group(group, b"fixed base")
+    group.fix_base(fixed)
 
     @settings(max_examples=examples, deadline=None)
     @given(base=st.integers(1, q - 1), e=st.integers(-4 * p, 4 * p))
+    @example(base=fixed, e=0)
+    @example(base=fixed, e=p)
+    @example(base=fixed, e=-1)
     def check(base, e):
         if base != group.generator:
             assert group.exp(base, e) == pow(base, e, q)
+        assert group.exp(fixed, e) == pow(fixed, e, q)
 
     check()
+    assert group_mod._table(group, fixed) is not None
 
 
-def test_generator_table_is_built_once_per_group(monkeypatch):
-    builds = Counter()
-    build = group_mod._build_generator_table
+@pytest.fixture
+def builds(monkeypatch):
+    """(group, base) of every table built, from an empty cache."""
+    built = Counter()
+    build = group_mod._build_table
 
-    def counted(group):
-        builds[group.group_id] += 1
-        return build(group)
+    def counted(group, base):
+        built[group.group_id, base] += 1
+        return build(group, base)
 
     monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
-    monkeypatch.setattr(group_mod, "_build_generator_table", counted)
+    monkeypatch.setattr(group_mod, "_build_table", counted)
+    return built
+
+
+def test_generator_table_is_built_once_per_group(builds):
     rng = random.Random(9)
     for group in (TEST_GROUP_256, MODP_2048):
         for _ in range(3):
             kp = KeyPair.generate(group, rng)
             elgamal_encrypt(group, kp.public, hash_to_group(group, b"crowd"), rng)
-    assert builds == {"test-256": 1, "modp-2048": 1}
-    table = group_mod._GENERATOR_TABLES[G]
+    assert builds == {("test-256", 4): 1, ("modp-2048", 4): 1}
+    table = group_mod._GENERATOR_TABLES[G][G.generator]
     assert len(table) == 64 and {len(row) for row in table} == {16}
     assert table[5][11] == pow(G.generator, 11 * 16**5, G.modulus)
+
+
+@pytest.mark.parametrize("non_member", [0, 2, G.modulus - 1, G.modulus])
+def test_fixing_a_non_member_raises_and_builds_no_table(builds, non_member):
+    with pytest.raises(InvalidPoint):
+        G.fix_base(non_member)
+    assert not builds and G not in group_mod._GENERATOR_TABLES
+
+
+def test_fixing_a_second_base_evicts_the_first(builds):
+    rng = random.Random(10)
+    first, second = (KeyPair.generate(G, rng).public for _ in range(2))
+    G.fix_base(first)
+    G.fix_base(first)
+    G.fix_base(second)
+    assert set(group_mod._GENERATOR_TABLES[G]) == {G.generator, second}
+    assert builds == {("test-256", G.generator): 1, ("test-256", first): 1, ("test-256", second): 1}
+    assert G.exp(first, 12345) == pow(first, 12345, G.modulus)
+    assert G.exp(second, 12345) == pow(second, 12345, G.modulus)
+
+
+def test_encrypting_to_a_fixed_key_checks_only_mu(monkeypatch):
+    rng = random.Random(11)
+    kp = KeyPair.generate(G, rng)
+    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    G.fix_base(kp.public)
+    checked = []
+    is_element = GroupParams.is_element
+    monkeypatch.setattr(
+        GroupParams, "is_element", lambda self, e: checked.append(e) or is_element(self, e)
+    )
+    mu = hash_to_group(G, b"crowd")
+    ct = elgamal_encrypt(G, kp.public, mu, rng)
+    assert checked == [mu]
+    assert unblind_decrypt(kp, ct) == mu
+    with pytest.raises(InvalidPoint):
+        elgamal_encrypt(G, kp.public, G.modulus - 1, rng)
 
 
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from anonpipe import parallel
 from anonpipe.analyzer import decrypt_corpus
-from anonpipe.crypto.group import GROUPS
+from anonpipe.crypto import group as group_mod
+from anonpipe.crypto.group import GROUPS, GroupParams
 from anonpipe.encoder import CROWD_KINDS
 from anonpipe.formats import inner_envelope_length, report_length
 from anonpipe.harness import (
@@ -342,3 +343,76 @@ def test_blinded_artifacts_match_their_golden_digests(tmp_path, cpus, forked, gr
         for name in GOLDEN_DIGESTS[group_id]
     }
     assert digests == GOLDEN_DIGESTS[group_id]
+
+
+# ---------------------------------------------------------------------------
+# shuffler 2's key on the forked encode path
+
+SPY_WORDS = [item_word(1 + i % 30) for i in range(2 * MIN_PER_WORKER + 88)]
+
+
+@pytest.fixture(scope="module")
+def spy_keys():
+    return derive_keys("test-256", RngTape(5))
+
+
+@pytest.fixture
+def group_events(monkeypatch, tmp_path, forked):
+    """Membership checks and table builds in the parent and in every forked
+    child, from an empty table cache: (event, pid, children forked so far,
+    element).  Children append to one file, so their events are seen too."""
+    log = tmp_path / "group-events"
+    log.touch()
+    is_element, build = GroupParams.is_element, group_mod._build_table
+
+    def record(event, e):
+        with open(log, "a") as f:
+            f.write(f"{event} {os.getpid()} {len(forked)} {e}\n")
+
+    def spy_is_element(self, e):
+        record("check", e)
+        return is_element(self, e)
+
+    def spy_build(group, base):
+        record("build", base)
+        return build(group, base)
+
+    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    monkeypatch.setattr(GroupParams, "is_element", spy_is_element)
+    monkeypatch.setattr(group_mod, "_build_table", spy_build)
+    return lambda: [
+        (event, int(pid), int(n), int(e))
+        for event, pid, n, e in (line.split() for line in log.read_text().splitlines())
+    ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(ScenarioConfig(seed=5), id="hashed"),
+        pytest.param(ScenarioConfig(seed=5, crowd_mode="fixed", secret_share_t=20), id="secret"),
+        pytest.param(ScenarioConfig(seed=5, crowd_mode="fixed"), id="fixed"),
+        pytest.param(ScenarioConfig(seed=5, crowd_mode="blinded"), id="blinded"),
+    ],
+)
+def test_shuffler2_key_is_checked_and_tabled_once_before_the_fork(
+    cpus, forked, group_events, spy_keys, config
+):
+    cpus(2)
+    encode_words(
+        config, SPY_WORDS, RngTape(config.seed), spy_keys.analyzer.public_bytes,
+        spy_keys.shuffler.public_bytes, spy_keys.shuffler2, hash_key=spy_keys.crowd_hash,
+    )
+    assert forked
+    events = group_events()
+    if not config.two_shufflers:
+        assert events == []
+        return
+    h = spy_keys.shuffler2.public
+    assert [(event, pid, n) for event, pid, n, e in events if e == h] == [
+        ("check", os.getpid(), 0),
+        ("build", os.getpid(), 0),
+    ]
+    # one mu per report, in the parent and in the child
+    checks = [pid for event, pid, _, e in events if event == "check" and e != h]
+    assert len(checks) == len(SPY_WORDS) and set(checks) == {os.getpid(), *forked}
