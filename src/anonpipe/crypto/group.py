@@ -12,31 +12,14 @@ import hashlib
 from dataclasses import dataclass
 
 from anonpipe.crypto import OS_RNG
+from anonpipe.crypto.modexp import mod_exp
 from anonpipe.errors import InvalidPoint
 
 
-# Fixed-base windows: group -> {base: T} with T[i][d] = base^(d * 16^i).  g's
-# table is built on a group's first exponentiation of g; one other base per
-# group gets one from `GroupParams.fix_base`, which replaces the previous one.
-# Keyed by the whole GroupParams, so a table serves only the parameters it
-# was built from, and kept for the process, so forked workers inherit it.
-_WINDOW_BITS = 4
-_GENERATOR_TABLES: dict["GroupParams", dict[int, list[list[int]]]] = {}
-
-
-def _build_table(group: "GroupParams", base: int) -> list[list[int]]:
-    q, table = group.modulus, []
-    for _ in range(-(-group.order_p.bit_length() // _WINDOW_BITS)):
-        row = [1]
-        for _ in range((1 << _WINDOW_BITS) - 1):
-            row.append(row[-1] * base % q)
-        table.append(row)
-        base = row[-1] * base % q
-    return table
-
-
-def _table(group: "GroupParams", base: int) -> list[list[int]] | None:
-    return _GENERATOR_TABLES.get(group, {}).get(base)
+# One checked base per group, set by `GroupParams.fix_base`: `elgamal_encrypt`
+# skips the membership check of a public key that is its group's fixed base.
+# Kept for the process, so forked workers inherit it.
+_FIXED_BASES: dict["GroupParams", int] = {}
 
 
 def jacobi(a: int, n: int) -> int:
@@ -86,35 +69,14 @@ class GroupParams:
         return e
 
     def fix_base(self, base: int) -> None:
-        """Check `base` once and give it a fixed-base table: `exp` then
-        takes its powers from the table, and `elgamal_encrypt` skips its
-        membership check.  Fixing a new base drops the previous one's table."""
-        if _table(self, base) is not None:
-            return
-        self.check_element(base)
-        tables = {b: t for b, t in _GENERATOR_TABLES.get(self, {}).items() if b == self.generator}
-        tables[base] = _build_table(self, base)
-        _GENERATOR_TABLES[self] = tables
+        """Check `base` once and fix it as the public key that
+        `elgamal_encrypt` trusts without a check.  Fixing a new base forgets
+        the previous one."""
+        if _FIXED_BASES.get(self) != base:
+            _FIXED_BASES[self] = self.check_element(base)
 
     def exp(self, base: int, exponent: int) -> int:
-        table = _table(self, base)
-        if table is None:
-            if base != self.generator:
-                return pow(base, exponent, self.modulus)
-            table = _GENERATOR_TABLES.setdefault(self, {})[base] = _build_table(self, base)
-        # Fixed base (Brickell et al., EUROCRYPT '92): a tabled base is a
-        # member, so it has order p (or is 1): reduce the exponent and
-        # multiply one table entry per window.
-        q, e, acc = self.modulus, exponent % self.order_p, 1
-        mask = (1 << _WINDOW_BITS) - 1
-        for row in table:
-            if not e:
-                break
-            digit = e & mask
-            if digit:
-                acc = acc * row[digit] % q
-            e >>= _WINDOW_BITS
-        return acc
+        return mod_exp(base, exponent, self.modulus)
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
@@ -245,7 +207,7 @@ class BlindingSecret:
 def elgamal_encrypt(
     group: GroupParams, public: int, mu: int, rng=OS_RNG
 ) -> ElGamalCiphertext:
-    if _table(group, public) is None:  # a tabled base passed the check when fixed
+    if _FIXED_BASES.get(group) != public:  # a fixed base passed the check when fixed
         group.check_element(public)
     group.check_element(mu)
     r = group.random_scalar(rng)

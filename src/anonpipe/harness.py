@@ -271,8 +271,7 @@ class PipelineKeys:
         x2 = scalar("shuffler2_secret")
         # g^x2 is a group member, so this also rejects every non-member
         h = int(keys["shuffler2_public"], 16)
-        # pow, not group.exp: one power of g does not pay for the fixed-base table
-        if h != pow(group.generator, x2, group.modulus):
+        if h != group.exp(group.generator, x2):
             raise ValueError(f"shuffler2_public is not g^shuffler2_secret in {group.group_id}")
         return cls(
             analyzer=transport("analyzer"),
@@ -350,8 +349,8 @@ def encode_words(
         hash_key = _crowd_hash_key(tape)
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
     if config.two_shufflers and s2_public is not None:
-        # checked and tabled here, before map_records forks, so every worker
-        # inherits h's table and no report checks h again
+        # checked here, before map_records forks, so every worker inherits
+        # the check and no report checks h again
         group.fix_base(s2_public)
 
     def encode_one(i: int) -> bytes:

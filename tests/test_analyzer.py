@@ -1,8 +1,11 @@
 import math
 import random
 import statistics
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from anonpipe.analyzer import (
@@ -19,8 +22,8 @@ from anonpipe.analyzer import (
 )
 from anonpipe.crypto.envelope import TransportKeyPair, seal
 from anonpipe.crypto.shamir import PrimeField
-from anonpipe.encoder import secret_share_encode
-from anonpipe.errors import NonCanonicalTuple
+from anonpipe.encoder import SecretShareEncoding, secret_share_encode
+from anonpipe.errors import DecryptionError, NonCanonicalTuple
 from anonpipe.formats import pad_payload
 
 FIELD = PrimeField((1 << 127) - 1)
@@ -134,6 +137,43 @@ def test_below_threshold_fuzz():
         m = b"s%d" % trial
         res = secret_share_decode(_payloads(m, copies, t, rng), t, FIELD)
         assert res.messages == []
+
+
+_HONEST = _payloads(b"m", 4, 3, random.Random(8)) + _payloads(b"n", 4, 3, random.Random(9))
+_HONEST_C = sorted({SecretShareEncoding.from_payload(FIELD, p).c for p in _HONEST})
+
+
+def _framed(c: bytes, x: int, y: int) -> bytes:
+    # SecretShareEncoding.to_payload's layout, also for x = 0
+    return struct.pack("<H", len(c)) + c + FIELD.encode(x) + FIELD.encode(y)
+
+
+_field_ints = st.integers(0, FIELD.modulus - 1)
+_hostile_payloads = st.lists(
+    st.one_of(
+        st.sampled_from(_HONEST),  # honest shares, replays among them
+        st.builds(_framed, st.sampled_from(_HONEST_C), _field_ints, _field_ints),  # forged
+        st.builds(_framed, st.binary(max_size=40), _field_ints, _field_ints),
+        st.binary(max_size=2 * FIELD.elem_len + 60),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads=_hostile_payloads, t=st.integers(1, 4))
+def test_any_payload_list_is_counted_and_never_raises(payloads, t):
+    parsed = []
+    for payload in payloads:
+        try:
+            parsed.append(SecretShareEncoding.from_payload(FIELD, payload))
+        except (DecryptionError, ValueError):
+            pass
+    res = secret_share_decode(payloads, t, FIELD)
+    assert res.parse_failures == len(payloads) - len(parsed)
+    assert len(res.messages) <= len(parsed)
+    decoded = len(set(res.messages))
+    assert decoded + res.undecoded_groups + res.adversarial_groups == len({e.c for e in parsed})
 
 
 # ---------------------------------------------------------------------------

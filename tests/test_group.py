@@ -1,11 +1,13 @@
 import random
-from collections import Counter
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anonpipe.crypto import group as group_mod
+from anonpipe.crypto import modexp
 from anonpipe.crypto.group import (
     MODP_2048,
     TEST_GROUP_256,
@@ -183,11 +185,9 @@ def test_generator_exp_matches_pow(group, examples):
 
 
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)
-def test_exp_of_another_base_matches_pow(monkeypatch, group, examples):
+def test_exp_of_another_base_matches_pow(group, examples):
     q, p = group.modulus, group.order_p
-    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
     fixed = hash_to_group(group, b"fixed base")
-    group.fix_base(fixed)
 
     @settings(max_examples=examples, deadline=None)
     @given(base=st.integers(1, q - 1), e=st.integers(-4 * p, 4 * p))
@@ -200,59 +200,53 @@ def test_exp_of_another_base_matches_pow(monkeypatch, group, examples):
         assert group.exp(fixed, e) == pow(fixed, e, q)
 
     check()
-    assert group_mod._table(group, fixed) is not None
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """(group, base) of every table built, from an empty cache."""
-    built = Counter()
-    build = group_mod._build_table
-
-    def counted(group, base):
-        built[group.group_id, base] += 1
-        return build(group, base)
-
-    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
-    monkeypatch.setattr(group_mod, "_build_table", counted)
-    return built
+def fixed_bases(monkeypatch):
+    """The groups' fixed bases, from none."""
+    bases = {}
+    monkeypatch.setattr(group_mod, "_FIXED_BASES", bases)
+    return bases
 
 
-def test_generator_table_is_built_once_per_group(builds):
-    rng = random.Random(9)
-    for group in (TEST_GROUP_256, MODP_2048):
-        for _ in range(3):
-            kp = KeyPair.generate(group, rng)
-            elgamal_encrypt(group, kp.public, hash_to_group(group, b"crowd"), rng)
-    assert builds == {("test-256", 4): 1, ("modp-2048", 4): 1}
-    table = group_mod._GENERATOR_TABLES[G][G.generator]
-    assert len(table) == 64 and {len(row) for row in table} == {16}
-    assert table[5][11] == pow(G.generator, 11 * 16**5, G.modulus)
+@pytest.fixture
+def checked(monkeypatch):
+    """Every element whose membership is checked."""
+    seen = []
+    is_element = GroupParams.is_element
+    monkeypatch.setattr(
+        GroupParams, "is_element", lambda self, e: seen.append(e) or is_element(self, e)
+    )
+    return seen
 
 
 @pytest.mark.parametrize("non_member", [0, 2, G.modulus - 1, G.modulus])
-def test_fixing_a_non_member_raises_and_builds_no_table(builds, non_member):
+def test_fixing_a_non_member_raises_and_builds_no_table(fixed_bases, non_member):
     with pytest.raises(InvalidPoint):
         G.fix_base(non_member)
-    assert not builds and G not in group_mod._GENERATOR_TABLES
+    assert fixed_bases == {}
 
 
-def test_fixing_a_second_base_evicts_the_first(builds):
+def test_fixing_a_second_base_evicts_the_first(fixed_bases, checked):
     rng = random.Random(10)
     first, second = (KeyPair.generate(G, rng).public for _ in range(2))
     G.fix_base(first)
     G.fix_base(first)
     G.fix_base(second)
-    assert set(group_mod._GENERATOR_TABLES[G]) == {G.generator, second}
-    assert builds == {("test-256", G.generator): 1, ("test-256", first): 1, ("test-256", second): 1}
-    assert G.exp(first, 12345) == pow(first, 12345, G.modulus)
-    assert G.exp(second, 12345) == pow(second, 12345, G.modulus)
+    assert fixed_bases == {G: second}
+    assert checked == [first, second]
+    mu = hash_to_group(G, b"crowd")
+    checked.clear()
+    elgamal_encrypt(G, first, mu, rng)
+    elgamal_encrypt(G, second, mu, rng)
+    assert checked == [first, mu, mu]
 
 
 def test_encrypting_to_a_fixed_key_checks_only_mu(monkeypatch):
     rng = random.Random(11)
     kp = KeyPair.generate(G, rng)
-    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    monkeypatch.setattr(group_mod, "_FIXED_BASES", {})
     G.fix_base(kp.public)
     checked = []
     is_element = GroupParams.is_element
@@ -280,6 +274,72 @@ def test_unblind_decrypt_matches_inverting_c1_to_the_x(group, examples):
         assert unblind_decrypt(kp, ElGamalCiphertext(c1=c1, c2=c2)) == expected
 
     check()
+
+
+# The three tests above compare `exp` with `pow` on OpenSSL's path, which is
+# the default here; these run them again on the built-in fallback.
+@pytest.mark.parametrize(
+    "compare",
+    [
+        test_generator_exp_matches_pow,
+        test_exp_of_another_base_matches_pow,
+        test_unblind_decrypt_matches_inverting_c1_to_the_x,
+    ],
+    ids=lambda f: f.__name__,
+)
+@pytest.mark.parametrize("group, examples", BOTH_GROUPS)
+def test_exp_matches_pow_with_the_fallback_forced(monkeypatch, compare, group, examples):
+    monkeypatch.setattr(modexp, "_power", pow)
+    compare(group, examples)
+
+
+def test_the_first_power_loads_openssl(monkeypatch):
+    monkeypatch.setattr(modexp, "_power", None)
+    assert G.exp(G.generator, 5) == 4**5
+    assert isinstance(modexp._power.__self__, modexp._OpenSSL)
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP_256, MODP_2048], ids=lambda g: g.group_id)
+def test_exp_outside_the_native_range_keeps_pow_semantics(group):
+    q, p = group.modulus, group.order_p
+    for base in (0, 1, q - 1, q, q + 3, -5, 2 * q - 1):
+        for e in (0, 1, 7, p, -1):
+            try:
+                expected = pow(base, e, q)
+            except ValueError:  # 0 and q have no inverse
+                with pytest.raises(ValueError):
+                    group.exp(base, e)
+            else:
+                assert group.exp(base, e) == expected
+
+
+def test_a_failed_openssl_call_raises():
+    # OpenSSL's Montgomery arithmetic needs an odd modulus
+    with pytest.raises(RuntimeError, match="BN_MONT_CTX_set"):
+        modexp._OpenSSL().power(3, 5, 10)
+
+
+def test_threads_sharing_the_scratch_numbers_get_pows_answers():
+    rng = random.Random(12)
+    q, p = G.modulus, G.order_p
+    jobs = [[(rng.randrange(1, q), rng.randrange(p)) for _ in range(200)] for _ in range(4)]
+    results = [None] * len(jobs)
+
+    def work(i):
+        results[i] = [G.exp(base, e) for base, e in jobs[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[pow(base, e, q) for base, e in job] for job in jobs]
 
 
 _FUZZ_KEYS = KeyPair.generate(G, random.Random(10))

@@ -14,7 +14,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from anonpipe import formats
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
-from anonpipe.crypto import group as group_mod
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
 from anonpipe.crypto.group import GROUPS, MODP_2048
 from anonpipe.crypto.shamir import PrimeField
@@ -604,13 +603,6 @@ def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
     )
     with pytest.raises(ValueError):
         PipelineKeys.from_json(json.dumps(keys), group)
-
-
-def test_loading_keys_builds_no_generator_table(monkeypatch):
-    text = derive_keys("modp-2048", RngTape(1)).to_json()
-    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
-    assert PipelineKeys.from_json(text, MODP_2048).to_json() == text
-    assert MODP_2048 not in group_mod._GENERATOR_TABLES
 
 
 @pytest.mark.parametrize("value", ["4", "zz", "g^(x2+1)", "q-1"])

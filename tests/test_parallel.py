@@ -1,6 +1,7 @@
 """map_records: results, when it forks, and that every child is reaped; the
-pipeline's artifacts and its counts of hostile records at any CPU count, and
-the golden digests of a blinded run's artifacts."""
+pipeline's artifacts and its counts of hostile records at any CPU count, the
+golden digests of a blinded run's artifacts, and group powers whose first
+use is in a forked child."""
 
 import hashlib
 import os
@@ -17,7 +18,16 @@ from hypothesis import strategies as st
 from anonpipe import parallel
 from anonpipe.analyzer import decrypt_corpus
 from anonpipe.crypto import group as group_mod
-from anonpipe.crypto.group import GROUPS, GroupParams
+from anonpipe.crypto import modexp
+from anonpipe.crypto.group import (
+    GROUPS,
+    BlindingSecret,
+    ElGamalCiphertext,
+    GroupParams,
+    KeyPair,
+    elgamal_encrypt,
+    hash_to_group,
+)
 from anonpipe.encoder import CROWD_KINDS
 from anonpipe.formats import inner_envelope_length, report_length
 from anonpipe.harness import (
@@ -30,7 +40,7 @@ from anonpipe.harness import (
     run_scenario,
 )
 from anonpipe.parallel import MIN_PER_WORKER, map_records
-from anonpipe.shuffler import intake
+from anonpipe.shuffler import Batch, blind_stage1, intake
 
 
 class Boom(Exception):
@@ -358,12 +368,12 @@ def spy_keys():
 
 @pytest.fixture
 def group_events(monkeypatch, tmp_path, forked):
-    """Membership checks and table builds in the parent and in every forked
-    child, from an empty table cache: (event, pid, children forked so far,
-    element).  Children append to one file, so their events are seen too."""
+    """Membership checks in the parent and in every forked child, from no
+    fixed base: (event, pid, children forked so far, element).  Children
+    append to one file, so their events are seen too."""
     log = tmp_path / "group-events"
     log.touch()
-    is_element, build = GroupParams.is_element, group_mod._build_table
+    is_element = GroupParams.is_element
 
     def record(event, e):
         with open(log, "a") as f:
@@ -373,13 +383,8 @@ def group_events(monkeypatch, tmp_path, forked):
         record("check", e)
         return is_element(self, e)
 
-    def spy_build(group, base):
-        record("build", base)
-        return build(group, base)
-
-    monkeypatch.setattr(group_mod, "_GENERATOR_TABLES", {})
+    monkeypatch.setattr(group_mod, "_FIXED_BASES", {})
     monkeypatch.setattr(GroupParams, "is_element", spy_is_element)
-    monkeypatch.setattr(group_mod, "_build_table", spy_build)
     return lambda: [
         (event, int(pid), int(n), int(e))
         for event, pid, n, e in (line.split() for line in log.read_text().splitlines())
@@ -411,8 +416,40 @@ def test_shuffler2_key_is_checked_and_tabled_once_before_the_fork(
     h = spy_keys.shuffler2.public
     assert [(event, pid, n) for event, pid, n, e in events if e == h] == [
         ("check", os.getpid(), 0),
-        ("build", os.getpid(), 0),
     ]
     # one mu per report, in the parent and in the child
     checks = [pid for event, pid, _, e in events if event == "check" and e != h]
     assert len(checks) == len(SPY_WORDS) and set(checks) == {os.getpid(), *forked}
+
+
+# ---------------------------------------------------------------------------
+# OpenSSL's powers, loaded first in a forked child
+
+
+def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpus, forked):
+    G, rng = GROUPS["test-256"], random.Random(13)
+    kp, blinding = KeyPair.generate(G, rng), BlindingSecret.generate(G, rng)
+    cts = [
+        elgamal_encrypt(G, kp.public, hash_to_group(G, b"crowd %d" % (i % 40)), rng)
+        for i in range(600)
+    ]
+    records = [(ct.to_bytes(G), b"inner %d" % i) for i, ct in enumerate(cts)]
+    log, load = tmp_path / "loads", modexp._load
+
+    def spy_load():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return load()
+
+    monkeypatch.setattr(modexp, "_power", None)
+    monkeypatch.setattr(modexp, "_load", spy_load)
+    cpus(2)
+    out = blind_stage1(Batch(epoch_id="e", records=records), G, blinding)
+    assert len(forked) == 1
+    assert sorted(map(int, log.read_text().split())) == sorted([os.getpid(), *forked])
+    q, alpha = G.modulus, blinding.alpha
+    assert out.records == [
+        (ElGamalCiphertext(pow(ct.c1, alpha, q), pow(ct.c2, alpha, q)).to_bytes(G), inner)
+        for ct, (_, inner) in zip(cts, records)
+    ]
+    assert out.stats == {"input_count": 600, "invalid": 0}
