@@ -14,7 +14,7 @@ from anonpipe import harness
 from anonpipe import shuffler as shuffler_mod
 from anonpipe import stash_shuffle as ss
 from anonpipe.crypto.group import GROUPS
-from anonpipe.errors import DecryptionError
+from anonpipe.errors import BudgetExceeded, DecryptionError
 from anonpipe.harness import PipelineKeys, RngTape, ScenarioConfig
 
 
@@ -41,6 +41,12 @@ def _read_batch(path: str) -> list[bytes]:
         raise click.BadParameter(f"not a batch file ({exc})", param_hint="'--in'") from exc
 
 
+def _out_file(path: str | Path) -> Path:
+    """`path`, once its directory exists."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
 @click.group()
 def main():
     """Privacy-preserving collection pipeline: encode, shuffle, analyze."""
@@ -59,8 +65,7 @@ def keygen(config_path, workspace, seed):
     """Generate key material in the config's group into keys.json."""
     # the config's seed never seeds keys: anyone who has the config knows it
     keys = harness.derive_keys(_load_config(config_path).group_id, RngTape(seed))
-    out = Path(workspace) / "keys.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(Path(workspace) / "keys.json")
     out.write_text(keys.to_json() + "\n")
     click.echo(f"wrote {out}")
 
@@ -71,7 +76,7 @@ def keygen(config_path, workspace, seed):
 def generate(config_path, out):
     """Generate the config's synthetic long-tail corpus file, as `run` does."""
     corpus = _load_config(config_path).corpus()
-    harness.save_corpus(out, corpus)
+    harness.save_corpus(_out_file(out), corpus)
     click.echo(f"wrote {len(corpus)} samples to {out}")
 
 
@@ -92,7 +97,7 @@ def encode(config_path, corpus_path, keys_path, out):
         config, corpus, RngTape(keys.seed), keys.analyzer.public_bytes,
         keys.shuffler.public_bytes, keys.shuffler2, hash_key=keys.crowd_hash,
     )
-    formats.write_batch(out, blobs)
+    formats.write_batch(_out_file(out), blobs)
     click.echo(f"wrote {len(blobs)} reports to {out}")
 
 
@@ -114,10 +119,10 @@ def shuffle(config_path, keys_path, in_path, out):
         keys.blinding,
     )
     if config.two_shufflers:
-        formats.write_batch(out, [crowd + inner for crowd, inner in batch.records])
+        formats.write_batch(_out_file(out), [crowd + inner for crowd, inner in batch.records])
         click.echo(f"wrote blinded intermediate batch ({len(batch.records)} records)")
     else:
-        formats.write_batch(out, [inner for _, inner in batch.records])
+        formats.write_batch(_out_file(out), [inner for _, inner in batch.records])
         click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))
 
 
@@ -143,7 +148,7 @@ def shuffle2(config_path, keys_path, in_path, out):
         config, shuffler_mod.Batch(epoch_id="epoch-0", records=records),
         RngTape(keys.seed), keys.shuffler2,
     )
-    formats.write_batch(out, [inner for _, inner in batch.records])
+    formats.write_batch(_out_file(out), [inner for _, inner in batch.records])
     click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))
 
 
@@ -196,32 +201,35 @@ def params(n_items, buckets, chunk_cap, window, stash, record_len, budget, refer
             f"{ss.analytic_overhead(p):>8.2f}x"
         )
 
-    rows = []
-    if reference:
-        for n, b, c, w, s in ss.REFERENCE_SCENARIOS:
-            rows.append(ss.make_params(n, b, c, s, w, item_len=record_len))
-    if n_items and buckets and chunk_cap:
-        rows.append(
-            ss.make_params(
-                n_items, buckets, chunk_cap, stash, window,
-                item_len=record_len, private_mem_budget=budget,
+    rows, prior = [], []
+    try:
+        if reference:
+            for n, b, c, w, s in ss.REFERENCE_SCENARIOS:
+                rows.append(ss.make_params(n, b, c, s, w, item_len=record_len))
+        if n_items and buckets and chunk_cap:
+            rows.append(
+                ss.make_params(
+                    n_items, buckets, chunk_cap, stash, window,
+                    item_len=record_len, private_mem_budget=budget,
+                )
             )
-        )
+        if prior_art:
+            pm_budget = budget if budget else 2 * 152_000 * record_len
+            prior = [ss.prior_art_overheads(p.n_items, record_len, pm_budget) for p in rows]
+    except (ValueError, BudgetExceeded) as exc:
+        raise click.UsageError(str(exc)) from exc
     if not rows:
         raise click.UsageError("give --reference or --n-items/--buckets/--chunk-cap")
     click.echo(header)
     for p in rows:
         click.echo(row(p))
-    if prior_art:
-        pm_budget = budget if budget else 2 * 152_000 * record_len
-        for p in rows:
-            rep = ss.prior_art_overheads(p.n_items, record_len, pm_budget)
-            feasible = "yes" if rep.columnsort_feasible else "no"
-            click.echo(
-                f"N={p.n_items}: batcher {rep.batcher_multiplier}x "
-                f"(b={rep.batcher_bucket_items}), columnsort 8x "
-                f"(max {rep.columnsort_max_items} items, feasible: {feasible})"
-            )
+    for p, rep in zip(rows, prior):
+        feasible = "yes" if rep.columnsort_feasible else "no"
+        click.echo(
+            f"N={p.n_items}: batcher {rep.batcher_multiplier}x "
+            f"(b={rep.batcher_bucket_items}), columnsort 8x "
+            f"(max {rep.columnsort_max_items} items, feasible: {feasible})"
+        )
 
 
 if __name__ == "__main__":

@@ -16,12 +16,6 @@ from anonpipe.crypto.modexp import mod_exp
 from anonpipe.errors import InvalidPoint
 
 
-# One checked base per group, set by `GroupParams.fix_base`: `elgamal_encrypt`
-# skips the membership check of a public key that is its group's fixed base.
-# Kept for the process, so forked workers inherit it.
-_FIXED_BASES: dict["GroupParams", int] = {}
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
     A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
@@ -68,13 +62,6 @@ class GroupParams:
             raise InvalidPoint(f"not an element of {self.group_id}")
         return e
 
-    def fix_base(self, base: int) -> None:
-        """Check `base` once and fix it as the public key that
-        `elgamal_encrypt` trusts without a check.  Fixing a new base forgets
-        the previous one."""
-        if _FIXED_BASES.get(self) != base:
-            _FIXED_BASES[self] = self.check_element(base)
-
     def exp(self, base: int, exponent: int) -> int:
         return mod_exp(base, exponent, self.modulus)
 
@@ -93,14 +80,11 @@ class GroupParams:
         return e.to_bytes(self.element_len, "big")
 
     def decode_element(self, data: bytes) -> int:
-        """Width and range only: subgroup membership is checked by the
-        functions that apply secret exponents (`blind`, `unblind_decrypt`)."""
+        """The subgroup member `data` encodes: every element read from bytes
+        is checked here, before any secret exponent touches it."""
         if len(data) != self.element_len:
             raise InvalidPoint("bad element width")
-        e = int.from_bytes(data, "big")
-        if not 1 <= e < self.modulus:
-            raise InvalidPoint(f"element out of range for {self.group_id}")
-        return e
+        return self.check_element(int.from_bytes(data, "big"))
 
 
 # 2048-bit MODP safe prime (RFC 3526, group 14).  Generator 4 = 2^2 is a
@@ -184,9 +168,8 @@ class ElGamalCiphertext:
 
     @classmethod
     def from_bytes(cls, group: GroupParams, data: bytes) -> "ElGamalCiphertext":
+        # data of any other length than 2w leaves one half the wrong width
         w = group.element_len
-        if len(data) != 2 * w:
-            raise InvalidPoint("bad ciphertext width")
         return cls(
             c1=group.decode_element(data[:w]),
             c2=group.decode_element(data[w:]),
@@ -207,9 +190,8 @@ class BlindingSecret:
 def elgamal_encrypt(
     group: GroupParams, public: int, mu: int, rng=OS_RNG
 ) -> ElGamalCiphertext:
-    if _FIXED_BASES.get(group) != public:  # a fixed base passed the check when fixed
-        group.check_element(public)
-    group.check_element(mu)
+    """Encrypt `mu`, a member as `hash_to_group` returns, to the checked key."""
+    group.check_element(public)
     r = group.random_scalar(rng)
     return ElGamalCiphertext(
         c1=group.exp(group.generator, r),
@@ -220,8 +202,7 @@ def elgamal_encrypt(
 def blind(
     group: GroupParams, ct: ElGamalCiphertext, blinding: BlindingSecret
 ) -> ElGamalCiphertext:
-    group.check_element(ct.c1)
-    group.check_element(ct.c2)
+    """Raise both halves of `ct` to alpha; they are members, as `from_bytes` returns."""
     return ElGamalCiphertext(
         c1=group.exp(ct.c1, blinding.alpha),
         c2=group.exp(ct.c2, blinding.alpha),
@@ -231,9 +212,7 @@ def blind(
 def unblind_decrypt(kp: KeyPair, ct: ElGamalCiphertext) -> int:
     """Recover mu^alpha from a blinded ciphertext (mu itself if alpha = 1).
 
-    c1 is checked to have order p, so c1^(p - x) is c1^-x without an
-    inversion."""
+    `from_bytes` checked that c1 has order p, so c1^(p - x) is c1^-x
+    without an inversion."""
     g = kp.group
-    g.check_element(ct.c1)
-    g.check_element(ct.c2)
     return g.mul(ct.c2, g.exp(ct.c1, g.order_p - kp.secret))

@@ -14,6 +14,9 @@ envelope, so only the shuffler, after opening it, learns a report's crowd.
 Batch file format:
     magic (8) || record_length (u32 LE) || count (u64 LE) || records
 
+On the blinded path, `shuffle` writes and `shuffle2` reads records
+    crowd ID (El Gamal c1 || c2, 2 x element_len) || inner envelope
+
 All reports within one pipeline run serialize to the same length, so an
 observer learns nothing from record sizes.
 """
@@ -118,10 +121,13 @@ def inner_envelope_length(pad_to: int) -> int:
     return ENVELOPE_OVERHEAD + pad_to
 
 
+def outer_plaintext_length(kind: int, pad_to: int, group: GroupParams | None = None) -> int:
+    return 1 + crowd_id_width(kind, group) + inner_envelope_length(pad_to)
+
+
 def report_length(kind: int, pad_to: int, group: GroupParams | None = None) -> int:
     """Serialized report size: a pipeline constant given kind and padding."""
-    outer_plain = 1 + crowd_id_width(kind, group) + inner_envelope_length(pad_to)
-    return 1 + ENVELOPE_OVERHEAD + outer_plain
+    return 1 + ENVELOPE_OVERHEAD + outer_plaintext_length(kind, pad_to, group)
 
 
 def write_batch(path: str | Path, records: list[bytes]) -> None:

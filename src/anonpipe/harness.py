@@ -10,7 +10,7 @@ import random
 import struct
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from anonpipe import analyzer as analyzer_mod
 from anonpipe import formats
 from anonpipe import shuffler as shuffler_mod
 from anonpipe.crypto import OS_RNG
-from anonpipe.crypto.envelope import TransportKeyPair
+from anonpipe.crypto.envelope import MAX_PLAINTEXT, TransportKeyPair
 from anonpipe.crypto.group import GROUPS, BlindingSecret, GroupParams, KeyPair
 from anonpipe.encoder import (
     CROWD_KINDS,
@@ -157,6 +157,13 @@ class ScenarioConfig:
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, not {getattr(cfg, key)!r}")
+        # from the largest payload's needs to an outer plaintext one envelope holds
+        lo = derived_pad_to(replace(cfg, pad_to=0))
+        hi = MAX_PLAINTEXT - formats.outer_plaintext_length(
+            CROWD_KINDS[cfg.crowd_mode], 0, GROUPS[cfg.group_id]
+        )
+        if cfg.pad_to and not lo <= cfg.pad_to <= hi:
+            raise ValueError(f"pad_to must be 0 or from {lo} to {hi}, not {cfg.pad_to!r}")
         cfg.policy()
         return cfg
 
@@ -348,10 +355,6 @@ def encode_words(
     if hash_key is None:
         hash_key = _crowd_hash_key(tape)
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
-    if config.two_shufflers and s2_public is not None:
-        # checked here, before map_records forks, so every worker inherits
-        # the check and no report checks h again
-        group.fix_base(s2_public)
 
     def encode_one(i: int) -> bytes:
         word, rng = words[i], tape.stream(f"encode/{i}")

@@ -181,9 +181,9 @@ def blind_stage1(batch: Batch, group: GroupParams, blinding: BlindingSecret) -> 
         crowd_id, inner = record
         try:
             ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-            return blind(group, ct, blinding).to_bytes(group), inner
         except InvalidPoint:
             return None
+        return blind(group, ct, blinding).to_bytes(group), inner
 
     blinded = map_records(blind_one, batch.records)
     records = [rec for rec in blinded if rec is not None]
@@ -205,9 +205,9 @@ def blind_stage2_threshold(
         crowd_id, inner = record
         try:
             ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-            return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
         except InvalidPoint:
             return None
+        return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
 
     unblinded = map_records(unblind_one, batch.records)
     records = [rec for rec in unblinded if rec is not None]

@@ -87,6 +87,9 @@ def make_params(
         raise ValueError("need n_items >= 1 and num_buckets >= 1")
     if chunk_cap < 1:
         raise ValueError("chunk cap must be >= 1")
+    # W = 0 fails compression and a negative S distribution, on every attempt
+    if window < 1 or stash_cap < 0 or item_len < 1:
+        raise ValueError("need window >= 1, stash_cap >= 0 and item_len >= 1")
     params = ShuffleParams(n_items, num_buckets, chunk_cap, stash_cap, window, item_len)
     ws = params.working_set_bytes()
     if private_mem_budget is not None and ws > private_mem_budget:

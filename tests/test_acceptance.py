@@ -287,6 +287,7 @@ def _utility_config(**kw):
     return ScenarioConfig(**base)
 
 
+@pytest.mark.slow
 @criterion(
     "9. utility: naive recovery exact; secret+crowd >= 60% of no-crowd; kRR < 20%"
 )

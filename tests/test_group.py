@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonpipe.crypto import group as group_mod
 from anonpipe.crypto import modexp
 from anonpipe.crypto.group import (
     MODP_2048,
@@ -94,39 +93,59 @@ def test_blinding_preserves_equality_relation():
 
 
 def test_invalid_point_rejected():
-    rng = random.Random(6)
-    kp = KeyPair.generate(G, rng)
+    kp = KeyPair.generate(G, random.Random(6))
     # a quadratic non-residue is outside the prime-order subgroup
     non_member = G.modulus - 1
     assert not G.is_element(non_member)
-    ct = ElGamalCiphertext(c1=non_member, c2=G.generator)
-    with pytest.raises(InvalidPoint):
-        unblind_decrypt(kp, ct)
-    with pytest.raises(InvalidPoint):
-        ElGamalCiphertext.from_bytes(G, b"\x00" * (2 * G.element_len))
+    member = G.encode_element(G.generator)
+    # a ciphertext reaches `unblind_decrypt` only through decoding
+    for data in (
+        G.encode_element(non_member) + member,
+        member + G.encode_element(non_member),
+        bytes(2 * G.element_len),
+    ):
+        with pytest.raises(InvalidPoint):
+            unblind_decrypt(kp, ElGamalCiphertext.from_bytes(G, data))
 
 
 def test_blind_and_encrypt_reject_non_members():
     rng = random.Random(8)
-    kp = KeyPair.generate(G, rng)
-    non_member = G.modulus - 1
-    with pytest.raises(InvalidPoint):
-        blind(G, ElGamalCiphertext(c1=non_member, c2=G.generator), BlindingSecret.generate(G, rng))
-    with pytest.raises(InvalidPoint):
-        blind(G, ElGamalCiphertext(c1=G.generator, c2=non_member), BlindingSecret.generate(G, rng))
-    with pytest.raises(InvalidPoint):
-        elgamal_encrypt(G, kp.public, non_member, rng)
-    with pytest.raises(InvalidPoint):
-        elgamal_encrypt(G, non_member, G.generator, rng)
+    alpha = BlindingSecret.generate(G, rng)
+    member = G.encode_element(G.generator)
+    # nor `blind`
+    for data in (G.encode_element(G.modulus - 1) + member, member + G.encode_element(2)):
+        with pytest.raises(InvalidPoint):
+            blind(G, ElGamalCiphertext.from_bytes(G, data), alpha)
+    for non_member in (0, 2, G.modulus - 1, G.modulus):
+        with pytest.raises(InvalidPoint):
+            elgamal_encrypt(G, non_member, G.generator, rng)
 
 
-def test_decode_checks_width_and_range_only():
-    # subgroup membership is left to the functions that apply exponents
+def test_decode_checks_width_range_and_membership():
     q, w = G.modulus, G.element_len
-    assert G.decode_element(G.encode_element(q - 1)) == q - 1
-    for bad in (bytes(w), q.to_bytes(w, "big"), b"\xff" * w, bytes(w - 1), bytes(w + 1)):
+    assert G.decode_element(G.encode_element(G.generator)) == G.generator
+    for bad in (
+        bytes(w),
+        q.to_bytes(w, "big"),
+        b"\xff" * w,
+        (q - 1).to_bytes(w, "big"),
+        (2).to_bytes(w, "big"),
+        bytes(w - 1),
+        bytes(w + 1),
+    ):
         with pytest.raises(InvalidPoint):
             G.decode_element(bad)
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP_256, MODP_2048], ids=lambda g: g.group_id)
+@settings(max_examples=100, deadline=None)
+@given(data=st.binary(min_size=1, max_size=64))
+def test_hash_to_group_returns_a_member(group, data):
+    # Euler's criterion, independent of GroupParams.is_element: nothing
+    # checks mu after hash_to_group, so this pins that it is a member
+    q, p = group.modulus, group.order_p
+    e = hash_to_group(group, data)
+    assert 1 < e < q and pow(e, p, q) == 1
 
 
 # Each Euler reference costs a full modexp, ~30 ms in modp-2048.
@@ -187,27 +206,19 @@ def test_generator_exp_matches_pow(group, examples):
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)
 def test_exp_of_another_base_matches_pow(group, examples):
     q, p = group.modulus, group.order_p
-    fixed = hash_to_group(group, b"fixed base")
+    member = hash_to_group(group, b"another base")
 
     @settings(max_examples=examples, deadline=None)
     @given(base=st.integers(1, q - 1), e=st.integers(-4 * p, 4 * p))
-    @example(base=fixed, e=0)
-    @example(base=fixed, e=p)
-    @example(base=fixed, e=-1)
+    @example(base=member, e=0)
+    @example(base=member, e=p)
+    @example(base=member, e=-1)
     def check(base, e):
         if base != group.generator:
             assert group.exp(base, e) == pow(base, e, q)
-        assert group.exp(fixed, e) == pow(fixed, e, q)
+        assert group.exp(member, e) == pow(member, e, q)
 
     check()
-
-
-@pytest.fixture
-def fixed_bases(monkeypatch):
-    """The groups' fixed bases, from none."""
-    bases = {}
-    monkeypatch.setattr(group_mod, "_FIXED_BASES", bases)
-    return bases
 
 
 @pytest.fixture
@@ -221,44 +232,13 @@ def checked(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("non_member", [0, 2, G.modulus - 1, G.modulus])
-def test_fixing_a_non_member_raises_and_builds_no_table(fixed_bases, non_member):
-    with pytest.raises(InvalidPoint):
-        G.fix_base(non_member)
-    assert fixed_bases == {}
-
-
-def test_fixing_a_second_base_evicts_the_first(fixed_bases, checked):
-    rng = random.Random(10)
-    first, second = (KeyPair.generate(G, rng).public for _ in range(2))
-    G.fix_base(first)
-    G.fix_base(first)
-    G.fix_base(second)
-    assert fixed_bases == {G: second}
-    assert checked == [first, second]
-    mu = hash_to_group(G, b"crowd")
-    checked.clear()
-    elgamal_encrypt(G, first, mu, rng)
-    elgamal_encrypt(G, second, mu, rng)
-    assert checked == [first, mu, mu]
-
-
-def test_encrypting_to_a_fixed_key_checks_only_mu(monkeypatch):
+def test_encrypting_checks_only_the_key(checked):
     rng = random.Random(11)
     kp = KeyPair.generate(G, rng)
-    monkeypatch.setattr(group_mod, "_FIXED_BASES", {})
-    G.fix_base(kp.public)
-    checked = []
-    is_element = GroupParams.is_element
-    monkeypatch.setattr(
-        GroupParams, "is_element", lambda self, e: checked.append(e) or is_element(self, e)
-    )
     mu = hash_to_group(G, b"crowd")
     ct = elgamal_encrypt(G, kp.public, mu, rng)
-    assert checked == [mu]
+    assert checked == [kp.public]
     assert unblind_decrypt(kp, ct) == mu
-    with pytest.raises(InvalidPoint):
-        elgamal_encrypt(G, kp.public, G.modulus - 1, rng)
 
 
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)

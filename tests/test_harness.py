@@ -16,8 +16,7 @@ from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
 from anonpipe.crypto.group import GROUPS, MODP_2048
-from anonpipe.crypto.shamir import PrimeField
-from anonpipe.encoder import secret_share_encode
+from anonpipe.encoder import SHARE_FIELD, secret_share_encode
 from anonpipe.errors import PayloadTooLarge
 from anonpipe.harness import (
     DEFAULT_GROUP,
@@ -141,16 +140,17 @@ def test_readme_example_config_loads():
 
 @pytest.mark.parametrize("secret_share_t", [0, 5])
 def test_longest_word_payload_pads_to_exactly_derived_pad_to(secret_share_t):
-    cfg = _small_config(vocab_size=1000, secret_share_t=secret_share_t)
-    word = item_word(cfg.vocab_size)
-    payload = word
-    if secret_share_t:
-        fld = PrimeField(GROUPS[cfg.group_id].order_p)
-        payload = secret_share_encode(word, secret_share_t, fld, random.Random(1)).to_payload(fld)
-    pad_to = derived_pad_to(cfg)
-    assert len(formats.pad_payload(payload, pad_to)) == pad_to
-    with pytest.raises(PayloadTooLarge):
-        formats.pad_payload(payload, pad_to - 1)
+    for group_id in GROUPS:
+        cfg = _small_config(vocab_size=1000, secret_share_t=secret_share_t, group_id=group_id)
+        word = item_word(cfg.vocab_size)
+        payload = word
+        if secret_share_t:
+            share = secret_share_encode(word, secret_share_t, SHARE_FIELD, random.Random(1))
+            payload = share.to_payload(SHARE_FIELD)
+        pad_to = derived_pad_to(cfg)
+        assert len(formats.pad_payload(payload, pad_to)) == pad_to
+        with pytest.raises(PayloadTooLarge):
+            formats.pad_payload(payload, pad_to - 1)
 
 
 def test_secret_share_reports_are_as_long_in_every_group():
@@ -481,6 +481,25 @@ def test_cli_stagewise_pipeline_matches_run(tmp_path, extra):
         full / "histogram.csv"
     ).read_bytes()
     assert selectivity + "\n" == (full / "selectivity.json").read_text()
+
+
+def test_cli_stage_commands_create_the_out_directory(tmp_path):
+    cfg_path = _write_config(tmp_path, n_samples=50, crowd_mode="blinded")
+    keys = str(tmp_path / "keys.json")
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
+    corpus, reports, blinded, shuffled = (
+        tmp_path / stage / "new" / name
+        for stage, name in [("generate", "corpus.txt"), ("encode", "reports.bin"),
+                            ("shuffle", "blinded.bin"), ("shuffle2", "shuffled.bin")]
+    )
+    for args in (
+        ["generate", "--out", corpus],
+        ["encode", "--corpus", corpus, "--keys", keys, "--out", reports],
+        ["shuffle", "--keys", keys, "--in", reports, "--out", blinded],
+        ["shuffle2", "--keys", keys, "--in", blinded, "--out", shuffled],
+    ):
+        _cli_ok([args[0], "--config", cfg_path, *map(str, args[1:])])
+    assert all(path.is_file() for path in (corpus, reports, blinded, shuffled))
 
 
 def test_cli_keygen_unseeded_keys_differ_and_seeded_keys_match_run(tmp_path):
@@ -814,7 +833,9 @@ def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, v
     "key, value, rule",
     [("vocab_size", 0, "at least 1"), ("n_samples", 0, "at least 1"),
      ("zipf_exponent", 0, "positive"), ("secret_share_t", -2, "at least 0"),
-     ("pad_to", -1, "at least 0")],
+     ("pad_to", -1, "at least 0"),
+     # below the 4-byte word w300's needs, and past what one envelope holds
+     ("pad_to", 5, "0 or from 6 to 1048507"), ("pad_to", 1048508, "0 or from 6 to 1048507")],
 )
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_cli_out_of_range_config_value_is_a_usage_error(tmp_path, command, key, value, rule):
@@ -868,3 +889,24 @@ def test_cli_params_requires_arguments():
     runner = CliRunner()
     res = runner.invoke(cli_main, ["params"])
     assert res.exit_code != 0
+
+
+ONE_ROW = ["--n-items", "100", "--buckets", "10", "--chunk-cap", "12"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (ONE_ROW + ["--buckets", "-1"], "num_buckets >= 1"),
+        (ONE_ROW + ["--chunk-cap", "-3"], "chunk cap must be >= 1"),
+        (ONE_ROW + ["--window", "0"], "window >= 1"),
+        (ONE_ROW + ["--stash", "-5"], "stash_cap >= 0"),
+        (ONE_ROW + ["--budget", "10"], "exceeds private-memory budget 10"),
+        (["--reference", "--prior-art", "--record-len", "0"], "item_len >= 1"),
+        (["--reference", "--prior-art", "--budget", "10"], "budget below one record pair"),
+    ],
+)
+def test_cli_params_bad_value_is_a_usage_error(args, message):
+    res = CliRunner().invoke(cli_main, ["params", *args])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and message in res.output and "Traceback" not in res.output

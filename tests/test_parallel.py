@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from anonpipe import parallel
 from anonpipe.analyzer import decrypt_corpus
-from anonpipe.crypto import group as group_mod
 from anonpipe.crypto import modexp
 from anonpipe.crypto.group import (
     GROUPS,
@@ -356,7 +355,7 @@ def test_blinded_artifacts_match_their_golden_digests(tmp_path, cpus, forked, gr
 
 
 # ---------------------------------------------------------------------------
-# shuffler 2's key on the forked encode path
+# membership checks on the forked encode path
 
 SPY_WORDS = [item_word(1 + i % 30) for i in range(2 * MIN_PER_WORKER + 88)]
 
@@ -367,27 +366,22 @@ def spy_keys():
 
 
 @pytest.fixture
-def group_events(monkeypatch, tmp_path, forked):
-    """Membership checks in the parent and in every forked child, from no
-    fixed base: (event, pid, children forked so far, element).  Children
-    append to one file, so their events are seen too."""
-    log = tmp_path / "group-events"
+def membership_checks(monkeypatch, tmp_path):
+    """Membership checks in the parent and in every forked child, as
+    (pid, element).  Children append to one file, so their checks are seen
+    too."""
+    log = tmp_path / "membership-checks"
     log.touch()
     is_element = GroupParams.is_element
 
-    def record(event, e):
-        with open(log, "a") as f:
-            f.write(f"{event} {os.getpid()} {len(forked)} {e}\n")
-
     def spy_is_element(self, e):
-        record("check", e)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {e}\n")
         return is_element(self, e)
 
-    monkeypatch.setattr(group_mod, "_FIXED_BASES", {})
     monkeypatch.setattr(GroupParams, "is_element", spy_is_element)
     return lambda: [
-        (event, int(pid), int(n), int(e))
-        for event, pid, n, e in (line.split() for line in log.read_text().splitlines())
+        (int(pid), int(e)) for pid, e in (line.split() for line in log.read_text().splitlines())
     ]
 
 
@@ -400,8 +394,8 @@ def group_events(monkeypatch, tmp_path, forked):
         pytest.param(ScenarioConfig(seed=5, crowd_mode="blinded"), id="blinded"),
     ],
 )
-def test_shuffler2_key_is_checked_and_tabled_once_before_the_fork(
-    cpus, forked, group_events, spy_keys, config
+def test_forked_encode_checks_only_shuffler2s_key_once_per_report(
+    cpus, forked, membership_checks, spy_keys, config
 ):
     cpus(2)
     encode_words(
@@ -409,17 +403,14 @@ def test_shuffler2_key_is_checked_and_tabled_once_before_the_fork(
         spy_keys.shuffler.public_bytes, spy_keys.shuffler2, hash_key=spy_keys.crowd_hash,
     )
     assert forked
-    events = group_events()
+    checks = membership_checks()
     if not config.two_shufflers:
-        assert events == []
+        assert checks == []
         return
-    h = spy_keys.shuffler2.public
-    assert [(event, pid, n) for event, pid, n, e in events if e == h] == [
-        ("check", os.getpid(), 0),
-    ]
-    # one mu per report, in the parent and in the child
-    checks = [pid for event, pid, _, e in events if event == "check" and e != h]
-    assert len(checks) == len(SPY_WORDS) and set(checks) == {os.getpid(), *forked}
+    # h once per report, in the parent and in the child, and nothing else
+    assert {e for _, e in checks} == {spy_keys.shuffler2.public}
+    assert len(checks) == len(SPY_WORDS)
+    assert {pid for pid, _ in checks} == {os.getpid(), *forked}
 
 
 # ---------------------------------------------------------------------------
