@@ -1,6 +1,6 @@
 """map_records: results, when it forks, and that every child is reaped; the
 pipeline's artifacts and its counts of hostile records at any CPU count, the
-golden digests of a blinded run's artifacts, and group powers whose first
+golden digests of seeded runs' artifacts, and group powers whose first
 use is in a forked child."""
 
 import hashlib
@@ -314,44 +314,70 @@ def test_decrypt_corpus_counts_every_hostile_envelope_when_forked(honest, hostil
 
 
 # ---------------------------------------------------------------------------
-# golden blinded artifacts: the sha256 of each file pins the bytes of a
-# seeded blinded run, also where the encoder's arithmetic changes
+# golden artifacts: the sha256 of each file pins the bytes of a seeded run,
+# also where the encoder's arithmetic or the stage orchestration changes
 
-GOLDEN_BLINDED = {
-    "test-256": ScenarioConfig(
+GOLDEN_RUNS = {
+    "hashed": ScenarioConfig(
+        vocab_size=40, n_samples=600, seed=6, threshold_t=5, drop_mean=2, sigma=1
+    ),
+    "secret-share": ScenarioConfig(
+        vocab_size=60, n_samples=600, seed=4, crowd_mode="fixed", secret_share_t=20
+    ),
+    "blinded-test-256": ScenarioConfig(
         vocab_size=30, n_samples=600, seed=5, crowd_mode="blinded", threshold_t=5
     ),
-    "modp-2048": ScenarioConfig(
+    "blinded-modp-2048": ScenarioConfig(
         name="small", vocab_size=3, n_samples=12, seed=11, crowd_mode="blinded",
         threshold_t=2, group_id="modp-2048",
     ),
 }
+NO_DECODE_STATS = "b55cd2b521806b4f4c66d7619d4a6e25041b129ec9d323c528e5d40b33ab6f1b"
 GOLDEN_DIGESTS = {
-    "test-256": {
+    "hashed": {
+        "reports.bin": "b9424a21716aed36b302fbbf558c0d225a94910bc25d2b6c7c93913a50a7a7f8",
+        "shuffled.bin": "81dcb9e66b1bc2bf1801439f518d499b14fc9b5ebf6dd4228b967fc1a84a1e2b",
+        "selectivity.json": "d407fa27798e9683b52a9b96affd4b933966c7014f60d9f0053fdf272760cb60",
+        "histogram.csv": "838db251c69629b3674ece1c361c0a21ac7ae2c0a370a4719d23ba3bfebda870",
+        "analyzer_stats.json": NO_DECODE_STATS,
+    },
+    "secret-share": {
+        "reports.bin": "5223def4ff01cd2bddbf4ec5330d4a29a1b2ca87e8187eb392bddba6effdf09a",
+        "shuffled.bin": "1cdf0f92091f66d950a89759bba774a8ecae9cbe378cd043d0edb10067ca22d8",
+        "selectivity.json": "c5f11ee83db0a8dd0cc18cb485819599dbcaa561d59aa1e98adf885b666b680f",
+        "histogram.csv": "887197f19a34423b9283ab1d516e847e60ec7842c7241f66e4b74d7a03ffd41f",
+        "analyzer_stats.json": "04a2ad0eeb5717dcf49f58f597d7532762b74820f5d48145d4a36342ddbc677b",
+    },
+    "blinded-test-256": {
         "reports.bin": "70b29158e6a1629fa2de95e1a9d8ef1c9cd21e36683c383a3361004740f698c8",
         "shuffled.bin": "6f9f8938dbcede84a374f245b630fe65376a07c0163dc27e653d03b649d3ca9b",
+        "selectivity.json": "a614f202b93fe09795f42b93c1316b9417fa0165523c13bdeab39f6a85520560",
         "histogram.csv": "68f6831d97d52ba934aa5b8675b2382f0da2be0c3538187e0a7ffe3c23def7ba",
+        "analyzer_stats.json": NO_DECODE_STATS,
     },
-    "modp-2048": {
+    "blinded-modp-2048": {
         "reports.bin": "f9066d89c187cb817c6d539a8831af213230dda3beff52ebe68981c2f927d9bb",
         "shuffled.bin": "2c227cb4ae99180fe1ddf04b7ceac7949a01dc2414a4c4a40153bed8d67a0b72",
+        "selectivity.json": "f0739da9df5980e93729890443a7bcd02acb6bcfe19b019ef7cfe1182f4cc34c",
         "histogram.csv": "bf49a3821fbc8c0c94734d1ccaafaebd599919227f7db09be0e03f8d38e0aeaf",
+        "analyzer_stats.json": NO_DECODE_STATS,
     },
 }
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
-@pytest.mark.parametrize("group_id", list(GOLDEN_BLINDED))
-def test_blinded_artifacts_match_their_golden_digests(tmp_path, cpus, forked, group_id, n_cpus):
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_artifacts_match_their_golden_digests(tmp_path, cpus, forked, name, n_cpus):
     cpus(n_cpus)
-    run_scenario(GOLDEN_BLINDED[group_id], tmp_path)
-    # 600 records fork at 2 CPUs; the 12 of modp-2048 never do
-    assert bool(forked) == (n_cpus == 2 and group_id == "test-256")
+    config = GOLDEN_RUNS[name]
+    run_scenario(config, tmp_path)
+    # 600 reports fork at 2 CPUs; the 12 of modp-2048 never do
+    assert bool(forked) == (n_cpus == 2 and config.n_samples >= 2 * MIN_PER_WORKER)
     digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_DIGESTS[group_id]
+        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        for artifact in GOLDEN_DIGESTS[name]
     }
-    assert digests == GOLDEN_DIGESTS[group_id]
+    assert digests == GOLDEN_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
