@@ -3,18 +3,14 @@ batch files, whole-scenario runs, and the shuffle parameter calculator."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import click
 
-from anonpipe import analyzer as analyzer_mod
-from anonpipe import formats
 from anonpipe import harness
-from anonpipe import shuffler as shuffler_mod
 from anonpipe import stash_shuffle as ss
 from anonpipe.crypto.group import GROUPS
-from anonpipe.errors import BudgetExceeded, DecryptionError
+from anonpipe.errors import BadInput, BudgetExceeded
 from anonpipe.harness import PipelineKeys, RngTape, ScenarioConfig
 
 
@@ -25,26 +21,18 @@ def _load_config(path: str) -> ScenarioConfig:
         raise click.BadParameter(str(exc), param_hint="'--config'") from exc
 
 
-def _load_keys(path: str, config: ScenarioConfig) -> PipelineKeys:
+def _stage(fn, config: ScenarioConfig, keys_path: str, src: str, out: str, hint="'--in'"):
+    """Stage `fn` under the keys in `keys_path`; bad keys or `src` are usage errors."""
     try:
-        return PipelineKeys.from_json(Path(path).read_text(), GROUPS[config.group_id])
+        keys = PipelineKeys.from_json(Path(keys_path).read_text(), GROUPS[config.group_id])
     except (KeyError, TypeError, ValueError) as exc:
         raise click.BadParameter(
             f"not a keys file from `keygen` ({type(exc).__name__}: {exc})", param_hint="'--keys'"
         ) from exc
-
-
-def _read_batch(path: str) -> list[bytes]:
     try:
-        return formats.read_batch(path)
-    except DecryptionError as exc:
-        raise click.BadParameter(f"not a batch file ({exc})", param_hint="'--in'") from exc
-
-
-def _out_file(path: str | Path) -> Path:
-    """`path`, once its directory exists."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return Path(path)
+        return fn(config, keys, src, out)
+    except BadInput as exc:
+        raise click.BadParameter(str(exc), param_hint=hint) from exc
 
 
 @click.group()
@@ -65,7 +53,8 @@ def keygen(config_path, workspace, seed):
     """Generate key material in the config's group into keys.json."""
     # the config's seed never seeds keys: anyone who has the config knows it
     keys = harness.derive_keys(_load_config(config_path).group_id, RngTape(seed))
-    out = _out_file(Path(workspace) / "keys.json")
+    out = Path(workspace) / "keys.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(keys.to_json() + "\n")
     click.echo(f"wrote {out}")
 
@@ -76,7 +65,7 @@ def keygen(config_path, workspace, seed):
 def generate(config_path, out):
     """Generate the config's synthetic long-tail corpus file, as `run` does."""
     corpus = _load_config(config_path).corpus()
-    harness.save_corpus(_out_file(out), corpus)
+    harness.save_corpus(out, corpus)
     click.echo(f"wrote {len(corpus)} samples to {out}")
 
 
@@ -88,17 +77,8 @@ def generate(config_path, out):
 def encode(config_path, corpus_path, keys_path, out):
     """Encode a corpus into a batch file of wire reports."""
     config = _load_config(config_path)
-    keys = _load_keys(keys_path, config)
-    try:
-        corpus = harness.load_corpus(corpus_path, config.vocab_size)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--corpus'") from exc
-    blobs = harness.encode_corpus(
-        config, corpus, RngTape(keys.seed), keys.analyzer.public_bytes,
-        keys.shuffler.public_bytes, keys.shuffler2, hash_key=keys.crowd_hash,
-    )
-    formats.write_batch(_out_file(out), blobs)
-    click.echo(f"wrote {len(blobs)} reports to {out}")
+    count = _stage(harness.encode_file, config, keys_path, corpus_path, out, "'--corpus'")
+    click.echo(f"wrote {count} reports to {out}")
 
 
 @main.command()
@@ -107,23 +87,11 @@ def encode(config_path, corpus_path, keys_path, out):
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 def shuffle(config_path, keys_path, in_path, out):
-    """First shuffler stage.
-
-    Single-shuffler configs write the final inner-envelope batch; blinded
-    configs write the blinded intermediate batch for `shuffle2`.
-    """
+    """First shuffler stage: the final batch, with selectivity.json beside it,
+    or for blinded configs the intermediate batch for `shuffle2`."""
     config = _load_config(config_path)
-    keys = _load_keys(keys_path, config)
-    batch = harness.first_shuffler_stage(
-        config, _read_batch(in_path), RngTape(keys.seed), keys.shuffler,
-        keys.blinding,
-    )
-    if config.two_shufflers:
-        formats.write_batch(_out_file(out), [crowd + inner for crowd, inner in batch.records])
-        click.echo(f"wrote blinded intermediate batch ({len(batch.records)} records)")
-    else:
-        formats.write_batch(_out_file(out), [inner for _, inner in batch.records])
-        click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))
+    count = _stage(harness.shuffle_file, config, keys_path, in_path, out)
+    click.echo(f"wrote {count} records to {out}")
 
 
 @main.command()
@@ -139,17 +107,8 @@ def shuffle2(config_path, keys_path, in_path, out):
             f"crowd_mode is {config.crowd_mode}; only blinded configs have a second shuffler",
             param_hint="'--config'",
         )
-    keys = _load_keys(keys_path, config)
-    crowd_width = formats.crowd_id_width(formats.KIND_BLINDED, GROUPS[config.group_id])
-    records = [
-        (blob[:crowd_width], blob[crowd_width:]) for blob in _read_batch(in_path)
-    ]
-    batch = harness.second_shuffler_stage(
-        config, shuffler_mod.Batch(epoch_id="epoch-0", records=records),
-        RngTape(keys.seed), keys.shuffler2,
-    )
-    formats.write_batch(_out_file(out), [inner for _, inner in batch.records])
-    click.echo(json.dumps(shuffler_mod.selectivity_record(batch)))
+    count = _stage(harness.shuffle2_file, config, keys_path, in_path, out)
+    click.echo(f"wrote {count} records to {out}")
 
 
 @main.command()
@@ -158,15 +117,9 @@ def shuffle2(config_path, keys_path, in_path, out):
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)
 def analyze(config_path, keys_path, in_path, out_dir):
-    """Decrypt and decode an inner-envelope batch into a histogram."""
+    """Decrypt and decode an inner-envelope batch into histogram.csv and its stats."""
     config = _load_config(config_path)
-    keys = _load_keys(keys_path, config)
-    inner_blobs = _read_batch(in_path)
-    hist, stats = harness.analyze_stage(config, inner_blobs, keys.analyzer)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "histogram.csv").write_text(analyzer_mod.histogram_csv(hist))
-    (out_dir / "analyzer_stats.json").write_text(json.dumps(stats) + "\n")
+    hist, stats = _stage(harness.analyze_file, config, keys_path, in_path, out_dir)
     click.echo(f"unique values: {hist.unique_count} (stats: {stats})")
 
 
@@ -206,7 +159,11 @@ def params(n_items, buckets, chunk_cap, window, stash, record_len, budget, refer
         if reference:
             for n, b, c, w, s in ss.REFERENCE_SCENARIOS:
                 rows.append(ss.make_params(n, b, c, s, w, item_len=record_len))
-        if n_items and buckets and chunk_cap:
+        one_row = {"--n-items": n_items, "--buckets": buckets, "--chunk-cap": chunk_cap}
+        missing = [name for name, value in one_row.items() if value is None]
+        if 0 < len(missing) < len(one_row):
+            raise click.UsageError(f"one row needs {', '.join(missing)} too")
+        if not missing:
             rows.append(
                 ss.make_params(
                     n_items, buckets, chunk_cap, stash, window,

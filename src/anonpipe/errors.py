@@ -61,10 +61,5 @@ class NonCanonicalTuple(AnonPipeError):
     """Covariance four-tuple violates the i <= j convention."""
 
 
-class StageFailed(AnonPipeError):
-    """A pipeline stage failed; `stage` names it."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
+class BadInput(AnonPipeError, ValueError):
+    """A stage's input file is not one the stage reads."""

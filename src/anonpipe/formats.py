@@ -14,7 +14,8 @@ envelope, so only the shuffler, after opening it, learns a report's crowd.
 Batch file format:
     magic (8) || record_length (u32 LE) || count (u64 LE) || records
 
-On the blinded path, `shuffle` writes and `shuffle2` reads records
+On the blinded path, `harness.shuffle_file` joins and `harness.shuffle2_file`
+splits the intermediate batch's records
     crowd ID (El Gamal c1 || c2, 2 x element_len) || inner envelope
 
 All reports within one pipeline run serialize to the same length, so an

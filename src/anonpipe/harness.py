@@ -1,5 +1,5 @@
-"""End-to-end scenario runner: synthetic corpora, stage orchestration over
-batch files, utility measurement, and local-DP baselines."""
+"""End-to-end scenario runner: synthetic corpora, the stages over batch files
+that `run_scenario` and the CLI share, utility measurement, local-DP baselines."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from anonpipe.encoder import (
     make_crowd_id,
     secret_share_encode,
 )
-from anonpipe.errors import StageFailed
+from anonpipe.errors import BadInput, DecryptionError
 from anonpipe.parallel import map_records
 from anonpipe.shuffler import Batch, ThresholdPolicy
 
@@ -71,11 +71,11 @@ def generate_zipf_corpus(
 
 
 def save_corpus(path: str | Path, items: np.ndarray) -> None:
-    Path(path).write_text("\n".join(str(int(v)) for v in items) + "\n")
+    _out_file(path).write_text("\n".join(str(int(v)) for v in items) + "\n")
 
 
 def load_corpus(path: str | Path, vocab_size: int) -> np.ndarray:
-    """A corpus file's items, one per line; ValueError names the first line
+    """A corpus file's items, one per line; BadInput names the first line
     that is not an integer in [1, vocab_size]."""
     items = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -86,7 +86,7 @@ def load_corpus(path: str | Path, vocab_size: int) -> np.ndarray:
         except ValueError:
             item = 0  # never an item
         if not 1 <= item <= vocab_size:
-            raise ValueError(
+            raise BadInput(
                 f"line {lineno}: {line.strip()!r} is not an item in [1, {vocab_size}]"
             )
         items.append(item)
@@ -95,6 +95,12 @@ def load_corpus(path: str | Path, vocab_size: int) -> np.ndarray:
 
 def item_word(item: int) -> bytes:
     return b"w%d" % item
+
+
+def _out_file(path: str | Path) -> Path:
+    """`path`, once its directory exists."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return Path(path)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +122,29 @@ class ScenarioConfig:
     pad_to: int = 0  # 0: derived from the group and share parameters
     group_id: str = DEFAULT_GROUP
 
+    def __post_init__(self):
+        """Every rule a config meets, built from text or in code."""
+        for key, ok, rule in (
+            ("group_id", self.group_id in GROUPS, f"one of {', '.join(GROUPS)}"),
+            ("crowd_mode", self.crowd_mode in CROWD_KINDS, f"one of {', '.join(CROWD_KINDS)}"),
+            ("vocab_size", self.vocab_size >= 1, "at least 1"),
+            ("n_samples", self.n_samples >= 1, "at least 1"),
+            ("zipf_exponent", self.zipf_exponent > 0, "positive"),
+            ("secret_share_t", self.secret_share_t >= 0, "at least 0"),
+            ("pad_to", self.pad_to >= 0, "at least 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, not {getattr(self, key)!r}")
+        if self.pad_to:
+            # from the largest payload's needs to an outer plaintext one envelope holds
+            lo = derived_pad_to(replace(self, pad_to=0))
+            hi = MAX_PLAINTEXT - formats.outer_plaintext_length(
+                CROWD_KINDS[self.crowd_mode], 0, GROUPS[self.group_id]
+            )
+            if not lo <= self.pad_to <= hi:
+                raise ValueError(f"pad_to must be 0 or from {lo} to {hi}, not {self.pad_to!r}")
+        self.policy()
+
     @property
     def two_shufflers(self) -> bool:
         return self.crowd_mode == "blinded"
@@ -132,8 +161,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
-        cfg = cls()
         casts = {f.name: type(f.default) for f in fields(cls)}
+        kw = {}
         for line in text.splitlines():
             line = line.partition("#")[0].strip()
             if not line:
@@ -142,30 +171,8 @@ class ScenarioConfig:
             key, value = key.strip(), value.strip()
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, casts[key](value))
-        for key, allowed in (("group_id", GROUPS), ("crowd_mode", CROWD_KINDS)):
-            if getattr(cfg, key) not in allowed:
-                raise ValueError(
-                    f"{key} must be one of {', '.join(allowed)}, not {getattr(cfg, key)!r}"
-                )
-        for key, ok, rule in (
-            ("vocab_size", cfg.vocab_size >= 1, "at least 1"),
-            ("n_samples", cfg.n_samples >= 1, "at least 1"),
-            ("zipf_exponent", cfg.zipf_exponent > 0, "positive"),
-            ("secret_share_t", cfg.secret_share_t >= 0, "at least 0"),
-            ("pad_to", cfg.pad_to >= 0, "at least 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{key} must be {rule}, not {getattr(cfg, key)!r}")
-        # from the largest payload's needs to an outer plaintext one envelope holds
-        lo = derived_pad_to(replace(cfg, pad_to=0))
-        hi = MAX_PLAINTEXT - formats.outer_plaintext_length(
-            CROWD_KINDS[cfg.crowd_mode], 0, GROUPS[cfg.group_id]
-        )
-        if cfg.pad_to and not lo <= cfg.pad_to <= hi:
-            raise ValueError(f"pad_to must be 0 or from {lo} to {hi}, not {cfg.pad_to!r}")
-        cfg.policy()
-        return cfg
+            kw[key] = casts[key](value)
+        return cls(**kw)
 
 
 def derived_pad_to(config: ScenarioConfig) -> int:
@@ -313,7 +320,8 @@ def _blinding_secret(group: GroupParams, tape: RngTape) -> BlindingSecret:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (shared by run_scenario, the demos and the CLI)
+# Stages in memory, then over files for run_scenario and the CLI: each of those
+# reads its whole input file before it writes anything, and returns its counts
 
 
 def encode_corpus(
@@ -390,7 +398,7 @@ def first_shuffler_stage(
     group = GROUPS[config.group_id]
     kind = CROWD_KINDS[config.crowd_mode]
     batch = shuffler_mod.intake(
-        report_blobs, shuffler_keypair, "epoch-0", tape.stream("shuffle1/intake"), group,
+        report_blobs, shuffler_keypair, EPOCH, tape.stream("shuffle1/intake"), group,
         kind=kind, report_len=formats.report_length(kind, derived_pad_to(config), group),
     )
     if config.two_shufflers:
@@ -450,54 +458,92 @@ def analyze_stage(
     return analyzer_mod.histogram(values), stats
 
 
+def _read_batch(path: str | Path) -> list[bytes]:
+    try:
+        return formats.read_batch(path)
+    except DecryptionError as exc:
+        raise BadInput(f"not a batch file ({exc})") from exc
+
+
+def encode_file(config: ScenarioConfig, keys: PipelineKeys, src, out) -> int:
+    """A corpus file as a batch file of wire reports."""
+    blobs = encode_corpus(
+        config, load_corpus(src, config.vocab_size), RngTape(keys.seed),
+        keys.analyzer.public_bytes, keys.shuffler.public_bytes, keys.shuffler2,
+        hash_key=keys.crowd_hash,
+    )
+    formats.write_batch(_out_file(out), blobs)
+    return len(blobs)
+
+
+EPOCH = "epoch-0"  # the epoch of every batch a run makes
+
+
+def shuffle_file(config: ScenarioConfig, keys: PipelineKeys, src, out) -> int:
+    """A batch file of reports as a single shuffler's final batch, or as the
+    blinded intermediate batch: crowd ID || inner envelope per record."""
+    batch = first_shuffler_stage(
+        config, _read_batch(src), RngTape(keys.seed), keys.shuffler, keys.blinding
+    )
+    if not config.two_shufflers:
+        return _write_final_batch(out, batch)
+    formats.write_batch(_out_file(out), [crowd + inner for crowd, inner in batch.records])
+    return len(batch.records)
+
+
+def shuffle2_file(config: ScenarioConfig, keys: PipelineKeys, src, out) -> int:
+    """The blinded intermediate batch as the second shuffler's final batch."""
+    width = formats.crowd_id_width(formats.KIND_BLINDED, GROUPS[config.group_id])
+    records = [(blob[:width], blob[width:]) for blob in _read_batch(src)]
+    batch = second_shuffler_stage(
+        config, Batch(epoch_id=EPOCH, records=records), RngTape(keys.seed), keys.shuffler2
+    )
+    return _write_final_batch(out, batch)
+
+
+def _write_final_batch(out, batch: Batch) -> int:
+    """The inner envelopes, and the shuffler's one disclosed statistic beside them."""
+    formats.write_batch(_out_file(out), [inner for _, inner in batch.records])
+    selectivity = json.dumps(shuffler_mod.selectivity_record(batch))
+    Path(out).with_name("selectivity.json").write_text(selectivity + "\n")
+    return len(batch.records)
+
+
+def analyze_file(config: ScenarioConfig, keys: PipelineKeys, src, out_dir):
+    """A final batch file as `histogram.csv` and `analyzer_stats.json` in `out_dir`."""
+    hist, stats = analyze_stage(config, _read_batch(src), keys.analyzer)
+    _out_file(Path(out_dir) / "histogram.csv").write_text(analyzer_mod.histogram_csv(hist))
+    (Path(out_dir) / "analyzer_stats.json").write_text(json.dumps(stats) + "\n")
+    return hist, stats
+
+
 def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport:
-    """Encode -> shuffle -> analyze over batch files in `workspace`."""
+    """The stages over files in sequence in `workspace`, under the config seed's keys."""
     workspace = Path(workspace)
-    workspace.mkdir(parents=True, exist_ok=True)
-    tape = RngTape(config.seed)
     timings: dict[str, float] = {}
     counts: dict[str, int] = {}
 
-    def timed(stage: str, fn):
+    def timed(stage: str, fn, *args):
         start = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:  # noqa: BLE001 - wrapped with stage context
-            raise StageFailed(stage, exc) from exc
+        result = fn(*args)
         timings[stage] = time.perf_counter() - start
         return result
 
+    corpus_txt, reports, blinded, shuffled = (
+        workspace / name for name in ("corpus.txt", "reports.bin", "blinded.bin", "shuffled.bin")
+    )
     corpus = timed("generate", config.corpus)
-    save_corpus(workspace / "corpus.txt", corpus)
+    save_corpus(corpus_txt, corpus)
     counts["corpus"] = len(corpus)
 
-    keys = derive_keys(config.group_id, tape)
-    blobs = timed(
-        "encode",
-        lambda: encode_corpus(
-            config, corpus, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes,
-            keys.shuffler2, hash_key=keys.crowd_hash,
-        ),
-    )
-    formats.write_batch(workspace / "reports.bin", blobs)
-    counts["reports"] = len(blobs)
-
-    out_batch = timed(
-        "shuffle",
-        lambda: shuffle_stage(config, blobs, tape, keys.shuffler, keys.shuffler2),
-    )
-    inner_blobs = [inner for _, inner in out_batch.records]
-    formats.write_batch(workspace / "shuffled.bin", inner_blobs)
-    (workspace / "selectivity.json").write_text(
-        json.dumps(shuffler_mod.selectivity_record(out_batch)) + "\n"
-    )
-    counts["surviving"] = len(inner_blobs)
-
-    hist, stats = timed(
-        "analyze", lambda: analyze_stage(config, inner_blobs, keys.analyzer)
-    )
-    (workspace / "histogram.csv").write_text(analyzer_mod.histogram_csv(hist))
-    (workspace / "analyzer_stats.json").write_text(json.dumps(stats) + "\n")
+    keys = derive_keys(config.group_id, RngTape(config.seed))
+    counts["reports"] = timed("encode", encode_file, config, keys, corpus_txt, reports)
+    if config.two_shufflers:
+        timed("shuffle", shuffle_file, config, keys, reports, blinded)
+        counts["surviving"] = timed("shuffle2", shuffle2_file, config, keys, blinded, shuffled)
+    else:
+        counts["surviving"] = timed("shuffle", shuffle_file, config, keys, reports, shuffled)
+    hist, _ = timed("analyze", analyze_file, config, keys, shuffled, workspace)
     counts["recovered_records"] = hist.total
 
     report = UtilityReport(

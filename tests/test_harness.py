@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from anonpipe import formats
+from anonpipe import cli, formats
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
@@ -188,13 +189,14 @@ def test_blinded_mode_implies_two_shufflers():
 # scenarios
 
 
+SMALL = dict(
+    name="small", vocab_size=300, zipf_exponent=1.1, n_samples=2000,
+    seed=11, crowd_mode="hashed", threshold_t=10, group_id="test-256",
+)
+
+
 def _small_config(**kw):
-    base = dict(
-        name="small", vocab_size=300, zipf_exponent=1.1, n_samples=2000,
-        seed=11, crowd_mode="hashed", threshold_t=10, group_id="test-256",
-    )
-    base.update(kw)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(**{**SMALL, **kw})
 
 
 def test_encode_without_a_hash_key_draws_the_keys_crowd_hash():
@@ -309,12 +311,14 @@ def test_cli_shuffle_counts_report_of_another_inner_length(tmp_path):
     outputs = []
     for name, batch in (("honest", blobs), ("mixed", [hostile["relabelled"]] + blobs)):
         formats.write_batch(tmp_path / f"{name}.bin", batch)
-        res = _cli_ok(["shuffle", "--config", str(tmp_path / "scenario.cfg"),
-                       "--keys", str(tmp_path / "keys.json"), "--in", str(tmp_path / f"{name}.bin"),
-                       "--out", str(tmp_path / f"{name}-out.bin")])
-        outputs.append((res.output, (tmp_path / f"{name}-out.bin").read_bytes()))
+        _cli_ok(["shuffle", "--config", str(tmp_path / "scenario.cfg"),
+                 "--keys", str(tmp_path / "keys.json"), "--in", str(tmp_path / f"{name}.bin"),
+                 "--out", str(tmp_path / name / "out.bin")])
+        outputs.append(
+            {f: (tmp_path / name / f).read_bytes() for f in ("out.bin", "selectivity.json")}
+        )
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[1][0].splitlines()[-1])["input_count"] == len(blobs)
+    assert json.loads(outputs[1]["selectivity.json"])["input_count"] == len(blobs)
 
 
 def test_replayed_report_does_not_form_a_crowd():
@@ -430,9 +434,10 @@ def _cli_ok(args):
 
 
 def _write_config(tmp_path, **kw) -> str:
-    """`_small_config(**kw)` written to `scenario.cfg` in `tmp_path`; its path."""
+    """`_small_config(**kw)` as text in `scenario.cfg` in `tmp_path`, also
+    where a value is one no config accepts; its path."""
     path = tmp_path / "scenario.cfg"
-    path.write_text(_small_config(**kw).to_text())
+    path.write_text("".join(f"{key} = {value}\n" for key, value in {**SMALL, **kw}.items()))
     return str(path)
 
 
@@ -440,47 +445,65 @@ def _write_config(tmp_path, **kw) -> str:
     "extra",
     [
         pytest.param({}, id="hashed"),
-        pytest.param(
-            dict(crowd_mode="blinded", drop_mean=2, sigma=1),
-            id="blinded",
-        ),
+        pytest.param(dict(crowd_mode="fixed", secret_share_t=20), id="secret-share"),
+        pytest.param(dict(crowd_mode="blinded", drop_mean=2, sigma=1), id="blinded"),
     ],
 )
 def test_cli_stagewise_pipeline_matches_run(tmp_path, extra):
     cfg = _small_config(n_samples=800, vocab_size=120, threshold_t=5, **extra)
-    cfg_path, keys_path = str(tmp_path / "scenario.cfg"), str(tmp_path / "keys.json")
     (tmp_path / "scenario.cfg").write_text(cfg.to_text())
+    stages = tmp_path / "stages"
+    keys = ["--keys", stages / "keys.json"]
 
-    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path),
-             "--seed", str(cfg.seed)])
-    _cli_ok(["generate", "--config", cfg_path, "--out", str(tmp_path / "corpus.txt")])
-    _cli_ok(["encode", "--config", cfg_path, "--corpus", str(tmp_path / "corpus.txt"),
-             "--keys", keys_path, "--out", str(tmp_path / "reports.bin")])
+    def anonpipe(command, *args):
+        return _cli_ok([command, "--config", str(tmp_path / "scenario.cfg"), *map(str, args)])
+
+    anonpipe("keygen", "--workspace", stages, "--seed", cfg.seed)
+    anonpipe("generate", "--out", stages / "corpus.txt")
+    anonpipe("encode", *keys, "--corpus", stages / "corpus.txt", "--out", stages / "reports.bin")
     if cfg.two_shufflers:
-        _cli_ok(["shuffle", "--config", cfg_path, "--keys", keys_path,
-                 "--in", str(tmp_path / "reports.bin"), "--out", str(tmp_path / "blinded.bin")])
-        shuffle_res = _cli_ok(["shuffle2", "--config", cfg_path, "--keys", keys_path,
-                               "--in", str(tmp_path / "blinded.bin"),
-                               "--out", str(tmp_path / "shuffled.bin")])
+        anonpipe("shuffle", *keys, "--in", stages / "reports.bin", "--out", stages / "blinded.bin")
+        anonpipe("shuffle2", *keys, "--in", stages / "blinded.bin",
+                 "--out", stages / "shuffled.bin")
     else:
-        shuffle_res = _cli_ok(["shuffle", "--config", cfg_path, "--keys", keys_path,
-                               "--in", str(tmp_path / "reports.bin"),
-                               "--out", str(tmp_path / "shuffled.bin")])
-    selectivity = shuffle_res.output.strip().splitlines()[-1]
-    assert set(json.loads(selectivity)) == {"epoch_id", "input_count", "surviving_count"}
-    res = _cli_ok(["analyze", "--config", cfg_path, "--keys", keys_path,
-                   "--in", str(tmp_path / "shuffled.bin"), "--out-dir", str(tmp_path / "out")])
+        anonpipe("shuffle", *keys, "--in", stages / "reports.bin", "--out", stages / "shuffled.bin")
+    res = anonpipe("analyze", *keys, "--in", stages / "shuffled.bin", "--out-dir", stages)
     assert "unique values:" in res.output
+    assert "recovered unique" in anonpipe("run", "--workspace", tmp_path / "full").output
 
-    run_res = _cli_ok(["run", "--config", cfg_path, "--workspace", str(tmp_path / "full")])
-    assert "recovered unique" in run_res.output
-    # stage-wise CLI and one-shot run write the same artifacts
-    full = tmp_path / "full"
-    assert (tmp_path / "shuffled.bin").read_bytes() == (full / "shuffled.bin").read_bytes()
-    assert (tmp_path / "out" / "histogram.csv").read_bytes() == (
-        full / "histogram.csv"
-    ).read_bytes()
-    assert selectivity + "\n" == (full / "selectivity.json").read_text()
+    # the stage commands in one directory and `run` write the same files, byte
+    # for byte, but for the keys file and run's utility report
+    stagewise = {path.name: path.read_bytes() for path in stages.iterdir()}
+    full = {path.name: path.read_bytes() for path in (tmp_path / "full").iterdir()}
+    assert stagewise.pop("keys.json") and full.pop("utility.json")
+    assert sorted(stagewise) == sorted(full)
+    assert stagewise == full
+    assert ("blinded.bin" in full) == cfg.two_shufflers
+    selectivity = json.loads(full["selectivity.json"])
+    assert set(selectivity) == {"epoch_id", "input_count", "surviving_count"}
+    # only the secret-share path decodes, so only its stats count groups
+    stats = json.loads(full["analyzer_stats.json"])
+    assert ("undecoded_groups" in stats) == bool(cfg.secret_share_t)
+
+
+def test_cli_stage_commands_write_no_file_themselves():
+    # every artifact comes from the harness's stages over files, which `run`
+    # calls too; the commands and the cli helpers they call write nothing
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(name, seen):
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                yield callee
+                if callee in functions and callee not in seen:
+                    yield from called(callee, seen)
+
+    for command in ("encode", "shuffle", "shuffle2", "analyze"):
+        writes = {"write_batch", "write_text", "save_corpus", "mkdir"} & set(called(command, set()))
+        assert not writes, (command, writes)
 
 
 def test_cli_stage_commands_create_the_out_directory(tmp_path):
@@ -843,6 +866,9 @@ def test_cli_out_of_range_config_value_is_a_usage_error(tmp_path, command, key, 
     cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
     with pytest.raises(ValueError, match=f"{key} must be {rule}"):
         ScenarioConfig.from_text(cfg_path.read_text())
+    # a config built in code meets the same rules
+    with pytest.raises(ValueError, match=f"{key} must be {rule}"):
+        ScenarioConfig(**{**SMALL, "n_samples": 50, key: value})
     out = tmp_path / "out"
     args = {"generate": ["generate", "--config", str(cfg_path), "--out", str(out)],
             "run": ["run", "--config", str(cfg_path), "--workspace", str(out)]}[command]
@@ -904,6 +930,8 @@ ONE_ROW = ["--n-items", "100", "--buckets", "10", "--chunk-cap", "12"]
         (ONE_ROW + ["--budget", "10"], "exceeds private-memory budget 10"),
         (["--reference", "--prior-art", "--record-len", "0"], "item_len >= 1"),
         (["--reference", "--prior-art", "--budget", "10"], "budget below one record pair"),
+        (["--n-items", "0", "--buckets", "10", "--chunk-cap", "12"], "n_items >= 1"),
+        (["--n-items", "100", "--buckets", "10"], "--chunk-cap"),
     ],
 )
 def test_cli_params_bad_value_is_a_usage_error(args, message):

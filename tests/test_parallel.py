@@ -350,6 +350,7 @@ GOLDEN_DIGESTS = {
     },
     "blinded-test-256": {
         "reports.bin": "70b29158e6a1629fa2de95e1a9d8ef1c9cd21e36683c383a3361004740f698c8",
+        "blinded.bin": "304152fdf44901d0dae6253c7696a5f4225c651f72901cf7563d8c52479b1966",
         "shuffled.bin": "6f9f8938dbcede84a374f245b630fe65376a07c0163dc27e653d03b649d3ca9b",
         "selectivity.json": "a614f202b93fe09795f42b93c1316b9417fa0165523c13bdeab39f6a85520560",
         "histogram.csv": "68f6831d97d52ba934aa5b8675b2382f0da2be0c3538187e0a7ffe3c23def7ba",
@@ -357,6 +358,7 @@ GOLDEN_DIGESTS = {
     },
     "blinded-modp-2048": {
         "reports.bin": "f9066d89c187cb817c6d539a8831af213230dda3beff52ebe68981c2f927d9bb",
+        "blinded.bin": "1f16fc08855823dd78a44f57f25c2f0c6a8925a2b47e392ec0f979874d2a4d01",
         "shuffled.bin": "2c227cb4ae99180fe1ddf04b7ceac7949a01dc2414a4c4a40153bed8d67a0b72",
         "selectivity.json": "f0739da9df5980e93729890443a7bcd02acb6bcfe19b019ef7cfe1182f4cc34c",
         "histogram.csv": "bf49a3821fbc8c0c94734d1ccaafaebd599919227f7db09be0e03f8d38e0aeaf",
