@@ -10,13 +10,8 @@ from dataclasses import dataclass, field
 from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.shamir import PrimeField, shamir_reconstruct
 from anonpipe.encoder import SecretShareEncoding, open_inner, secret_share_open
-from anonpipe.errors import (
-    AuthenticationError,
-    DecryptionError,
-    IntegrityError,
-    NonCanonicalTuple,
-)
-from anonpipe.parallel import map_records
+from anonpipe.errors import DecryptionError, IntegrityError, NonCanonicalTuple
+from anonpipe.parallel import map_checked
 
 
 @dataclass
@@ -28,17 +23,9 @@ class DecodedCorpus:
 def decrypt_corpus(
     inner_blobs: list[bytes], analyzer_keypair: TransportKeyPair
 ) -> DecodedCorpus:
-    """Open every inner envelope; failures are counted, never fatal."""
-
-    def open_one(blob: bytes) -> bytes | None:
-        try:
-            return open_inner(blob, analyzer_keypair)
-        except (AuthenticationError, DecryptionError):
-            return None
-
-    opened = map_records(open_one, inner_blobs)
-    records = [rec for rec in opened if rec is not None]
-    return DecodedCorpus(records=records, failures=len(opened) - len(records))
+    """Open every inner envelope; failures and repeats are counted, never fatal."""
+    records, failures = map_checked(lambda blob: open_inner(blob, analyzer_keypair), inner_blobs)
+    return DecodedCorpus(records=records, failures=failures)
 
 
 @dataclass

@@ -13,6 +13,11 @@ from anonpipe.crypto.group import GROUPS
 from anonpipe.errors import BadInput, BudgetExceeded
 from anonpipe.harness import PipelineKeys, RngTape, ScenarioConfig
 
+# each path option's kind, so a path of the other kind is a usage error
+_FILE_IN = click.Path(exists=True, dir_okay=False)
+_FILE_OUT = click.Path(dir_okay=False)
+_DIRECTORY = click.Path(file_okay=False)
+
 
 def _load_config(path: str) -> ScenarioConfig:
     try:
@@ -41,8 +46,8 @@ def main():
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--workspace", type=click.Path(), default=".", show_default=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--workspace", type=_DIRECTORY, default=".", show_default=True)
 @click.option(
     "--seed", type=int, default=None,
     help="Evaluation only: derive every key, and every draw of the stage commands "
@@ -60,8 +65,8 @@ def keygen(config_path, workspace, seed):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--out", type=_FILE_OUT, required=True)
 def generate(config_path, out):
     """Generate the config's synthetic long-tail corpus file, as `run` does."""
     corpus = _load_config(config_path).corpus()
@@ -70,10 +75,10 @@ def generate(config_path, out):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
-@click.option("--keys", "keys_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--corpus", "corpus_path", type=_FILE_IN, required=True)
+@click.option("--keys", "keys_path", type=_FILE_IN, required=True)
+@click.option("--out", type=_FILE_OUT, required=True)
 def encode(config_path, corpus_path, keys_path, out):
     """Encode a corpus into a batch file of wire reports."""
     config = _load_config(config_path)
@@ -82,10 +87,10 @@ def encode(config_path, corpus_path, keys_path, out):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--keys", "keys_path", type=click.Path(exists=True), required=True)
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--keys", "keys_path", type=_FILE_IN, required=True)
+@click.option("--in", "in_path", type=_FILE_IN, required=True)
+@click.option("--out", type=_FILE_OUT, required=True)
 def shuffle(config_path, keys_path, in_path, out):
     """First shuffler stage: the final batch, with selectivity.json beside it,
     or for blinded configs the intermediate batch for `shuffle2`."""
@@ -95,10 +100,10 @@ def shuffle(config_path, keys_path, in_path, out):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--keys", "keys_path", type=click.Path(exists=True), required=True)
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--keys", "keys_path", type=_FILE_IN, required=True)
+@click.option("--in", "in_path", type=_FILE_IN, required=True)
+@click.option("--out", type=_FILE_OUT, required=True)
 def shuffle2(config_path, keys_path, in_path, out):
     """Second shuffler stage: unblind crowd pseudonyms and threshold."""
     config = _load_config(config_path)
@@ -112,10 +117,10 @@ def shuffle2(config_path, keys_path, in_path, out):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--keys", "keys_path", type=click.Path(exists=True), required=True)
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--out-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--keys", "keys_path", type=_FILE_IN, required=True)
+@click.option("--in", "in_path", type=_FILE_IN, required=True)
+@click.option("--out-dir", type=_DIRECTORY, default=".", show_default=True)
 def analyze(config_path, keys_path, in_path, out_dir):
     """Decrypt and decode an inner-envelope batch into histogram.csv and its stats."""
     config = _load_config(config_path)
@@ -124,8 +129,8 @@ def analyze(config_path, keys_path, in_path, out_dir):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--workspace", type=click.Path(), default="run", show_default=True)
+@click.option("--config", "config_path", type=_FILE_IN, required=True)
+@click.option("--workspace", type=_DIRECTORY, default="run", show_default=True)
 def run(config_path, workspace):
     """Run a whole scenario end to end and print the utility report."""
     report = harness.run_scenario(_load_config(config_path), workspace)

@@ -76,9 +76,13 @@ def save_corpus(path: str | Path, items: np.ndarray) -> None:
 
 def load_corpus(path: str | Path, vocab_size: int) -> np.ndarray:
     """A corpus file's items, one per line; BadInput names the first line
-    that is not an integer in [1, vocab_size]."""
+    that is not an integer in [1, vocab_size], or says the file is not text."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"not a text file ({exc})") from exc
     items = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -542,6 +546,7 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
         timed("shuffle", shuffle_file, config, keys, reports, blinded)
         counts["surviving"] = timed("shuffle2", shuffle2_file, config, keys, blinded, shuffled)
     else:
+        blinded.unlink(missing_ok=True)  # an earlier blinded run's, not this run's
         counts["surviving"] = timed("shuffle", shuffle_file, config, keys, reports, shuffled)
     hist, _ = timed("analyze", analyze_file, config, keys, shuffled, workspace)
     counts["recovered_records"] = hist.total

@@ -5,8 +5,10 @@ stage can split its records into chunks and compute them in forked children.
 Children inherit the function and the records, so closures are fine and
 nothing is pickled on the way in; each child pickles its chunk's results (or
 its exception) back over its own pipe and leaves through `os._exit`, which
-runs no exit handlers and flushes no inherited stdio buffers.
-"""
+runs no exit handlers and flushes no inherited stdio buffers.  A stage that
+reads another party's batch checks its records through `map_checked`, which
+drops exact repeats and counts them with the records that fail their check:
+copies of one record must not make a crowd."""
 
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import os
 import pickle
 import signal
 import threading
+
+from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
 
 MIN_PER_WORKER = 256
 
@@ -80,3 +84,18 @@ def map_records(fn, items) -> list:
                 except ProcessLookupError:
                     pass
             os.waitpid(pid, 0)
+
+
+def map_checked(fn, items) -> tuple[list, int]:
+    """`fn`'s results over the distinct `items`, in order of first appearance,
+    through `map_records`, less those on which it raised a malformed record's
+    error; and how many of `items` gave no result, repeats included."""
+
+    def checked(item):
+        try:
+            return (fn(item),)
+        except (AuthenticationError, DecryptionError, InvalidPoint):
+            return ()
+
+    results = [r for out in map_records(checked, list(dict.fromkeys(items))) for r in out]
+    return results, len(items) - len(results)

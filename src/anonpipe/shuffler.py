@@ -22,9 +22,9 @@ from anonpipe.crypto.group import (
     blind,
     unblind_decrypt,
 )
-from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
+from anonpipe.errors import DecryptionError
 from anonpipe.formats import parse_outer_plaintext, parse_report
-from anonpipe.parallel import map_records
+from anonpipe.parallel import map_checked
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -67,26 +67,19 @@ def intake(
     batch's `report_len`, a report of another length is counted corrupt
     before it is opened; given its crowd-ID `kind`, so is a report whose
     sealed kind differs.  With both, every record kept has the batch's
-    inner-envelope length.  A repeat of an earlier report counts as corrupt
-    too: honest reports never repeat, so copies could only make a crowd of
-    one client.
+    inner-envelope length.  Repeats count as corrupt (`map_checked`).
     """
 
-    def open_one(blob: bytes) -> tuple[bytes, bytes] | None:
-        try:
-            if report_len is not None and len(blob) != report_len:
-                raise DecryptionError("report length differs from the batch's")
-            outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(parse_report(blob)))
-            outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
-            if kind is not None and outer_kind != kind:
-                raise DecryptionError("crowd-ID kind differs from the batch's")
-            return crowd_id, inner
-        except (AuthenticationError, DecryptionError, InvalidPoint):
-            return None
+    def open_one(blob: bytes) -> tuple[bytes, bytes]:
+        if report_len is not None and len(blob) != report_len:
+            raise DecryptionError("report length differs from the batch's")
+        outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(parse_report(blob)))
+        outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
+        if kind is not None and outer_kind != kind:
+            raise DecryptionError("crowd-ID kind differs from the batch's")
+        return crowd_id, inner
 
-    opened = map_records(open_one, list(dict.fromkeys(report_blobs)))
-    records = [rec for rec in opened if rec is not None]
-    corrupt = len(report_blobs) - len(records)
+    records, corrupt = map_checked(open_one, report_blobs)
     rng.shuffle(records)
     return Batch(
         epoch_id=epoch_id,
@@ -175,19 +168,14 @@ def selectivity_record(batch: Batch) -> dict:
 
 def blind_stage1(batch: Batch, group: GroupParams, blinding: BlindingSecret) -> Batch:
     """Exponent-blind every El Gamal crowd ID; the caller reorders the result
-    with `shuffle_batch`."""
+    with `shuffle_batch`.  Repeats count as invalid."""
 
-    def blind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes] | None:
+    def blind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
         crowd_id, inner = record
-        try:
-            ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-        except InvalidPoint:
-            return None
+        ct = ElGamalCiphertext.from_bytes(group, crowd_id)
         return blind(group, ct, blinding).to_bytes(group), inner
 
-    blinded = map_records(blind_one, batch.records)
-    records = [rec for rec in blinded if rec is not None]
-    invalid = len(blinded) - len(records)
+    records, invalid = map_checked(blind_one, batch.records)
     return Batch(
         epoch_id=batch.epoch_id,
         records=records,
@@ -199,19 +187,14 @@ def blind_stage2_threshold(
     batch: Batch, group: GroupParams, shuffler2_keypair: KeyPair, policy: ThresholdPolicy, rng
 ) -> Batch:
     """Decrypt blinded IDs to equality-preserving pseudonyms and threshold on
-    them; neither party ever sees an unblinded crowd ID."""
+    them; neither party ever sees an unblinded crowd ID.  Repeats count as invalid."""
 
-    def unblind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes] | None:
+    def unblind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
         crowd_id, inner = record
-        try:
-            ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-        except InvalidPoint:
-            return None
+        ct = ElGamalCiphertext.from_bytes(group, crowd_id)
         return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
 
-    unblinded = map_records(unblind_one, batch.records)
-    records = [rec for rec in unblinded if rec is not None]
-    invalid = len(unblinded) - len(records)
+    records, invalid = map_checked(unblind_one, batch.records)
     staged = Batch(epoch_id=batch.epoch_id, records=records, stats={"invalid": invalid})
     out = apply_threshold(staged, count_crowds(staged), policy, rng)
     out.stats["invalid"] = invalid

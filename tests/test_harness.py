@@ -3,6 +3,7 @@ import dataclasses
 import json
 import random
 import shlex
+import shutil
 import struct
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from anonpipe import cli, formats
+from anonpipe import cli, formats, shuffler
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
@@ -25,7 +26,7 @@ from anonpipe.harness import (
     PipelineKeys,
     RngTape,
     ScenarioConfig,
-    analyze_stage,
+    analyze_file,
     client_rating_tuples,
     derive_keys,
     derived_pad_to,
@@ -39,6 +40,8 @@ from anonpipe.harness import (
     run_perms_demo,
     run_scenario,
     save_corpus,
+    shuffle2_file,
+    shuffle_file,
     shuffle_stage,
 )
 from anonpipe.shuffler import Batch, apply_threshold, count_crowds
@@ -256,6 +259,15 @@ def test_secret_share_scenario_hides_below_t(tmp_path):
     assert report.recovered_values == expected
 
 
+def test_run_into_a_blinded_runs_workspace_leaves_no_file_of_it(tmp_path):
+    hashed = _small_config(n_samples=200)
+    run_scenario(dataclasses.replace(hashed, crowd_mode="blinded"), tmp_path / "reused")
+    run_scenario(hashed, tmp_path / "reused")
+    run_scenario(hashed, tmp_path / "fresh")
+    names = [sorted(p.name for p in (tmp_path / d).iterdir()) for d in ("reused", "fresh")]
+    assert names[0] == names[1]
+
+
 def test_blinded_scenario_in_modp_2048_matches_test_group(tmp_path):
     cfg = _small_config(
         vocab_size=3, n_samples=12, threshold_t=2, crowd_mode="blinded", group_id="modp-2048"
@@ -321,25 +333,40 @@ def test_cli_shuffle_counts_report_of_another_inner_length(tmp_path):
     assert json.loads(outputs[1]["selectivity.json"])["input_count"] == len(blobs)
 
 
-def test_replayed_report_does_not_form_a_crowd():
-    # copies of one client's report, replayed by anyone who saw it, must not
-    # clear the threshold on their own
-    cfg = _small_config(n_samples=250, vocab_size=40, threshold_t=20, pad_to=32)
+@pytest.mark.parametrize(
+    "boundary, reject_key",
+    [("reports.bin", "corrupt"), ("blinded.bin", "invalid"), ("shuffled.bin", "decrypt_failures")],
+)
+def test_replayed_report_does_not_form_a_crowd(tmp_path, monkeypatch, boundary, reject_key):
+    # k copies of one record in a stage's input file, written by anyone who
+    # can write that file, count once: the stage counts k - 1 of them among
+    # its rejects, and every later artifact is the honest run's
+    k = 9
+    cfg = _small_config(n_samples=400, vocab_size=50, threshold_t=5, crowd_mode="blinded")
     keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
-    corpus = generate_zipf_corpus(cfg.vocab_size, cfg.zipf_exponent, cfg.n_samples, cfg.seed)
-    public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
-    blobs = encode_corpus(cfg, corpus, RngTape(cfg.seed), *public)
-    victim = encode_words(cfg, [b"victim"], RngTape(cfg.seed + 1), *public)[0]
+    honest, replayed = tmp_path / "honest", tmp_path / "replayed"
+    run_scenario(cfg, honest)
+    shutil.copytree(honest, replayed)
+    blobs = formats.read_batch(honest / boundary)
+    formats.write_batch(replayed / boundary, blobs + [blobs[0]] * (k - 1))
 
-    def shuffled(batch):
-        return shuffle_stage(cfg, batch, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
+    # the batches intake and the second shuffler's unblinding hand on carry their counts
+    stats = {}
+    for name in ("blind_stage1", "apply_threshold"):
+        def spy(batch, *args, real=getattr(shuffler, name)):
+            stats.update(batch.stats)
+            return real(batch, *args)
 
-    honest = shuffled(blobs + [victim])
-    replayed = shuffled(blobs + [victim] * 22)
-    assert replayed.records == honest.records
-    assert len(blobs) + 22 - replayed.stats["input_count"] == 21
-    hist, _ = analyze_stage(cfg, [inner for _, inner in replayed.records], keys.analyzer)
-    assert b"victim" not in hist.bins and hist.total == len(replayed.records)
+        monkeypatch.setattr(shuffler, name, spy)
+    order = ["reports.bin", "blinded.bin", "shuffled.bin"]
+    later = order[order.index(boundary) + 1 :]
+    for stage, src, out in zip((shuffle_file, shuffle2_file), order, order[1:]):
+        if out in later:
+            stage(cfg, keys, replayed / src, replayed / out)
+    stats.update(analyze_file(cfg, keys, replayed / "shuffled.bin", replayed)[1])
+    assert stats[reject_key] == k - 1
+    for name in later + ["selectivity.json", "histogram.csv"]:
+        assert (replayed / name).read_bytes() == (honest / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("crowd_mode, calls", [("hashed", 1), ("blinded", 2)])
@@ -804,6 +831,49 @@ def test_cli_encode_of_a_corpus_item_outside_the_vocabulary_is_a_usage_error(tmp
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and f"line 3: '{bad}'" in res.output
     assert isinstance(res.exception, SystemExit) and not (tmp_path / "reports.bin").exists()
+
+
+def test_cli_encode_of_a_corpus_that_is_not_text_is_a_usage_error(tmp_path):
+    cfg_path = _write_config(tmp_path, n_samples=5, vocab_size=40)
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
+    formats.write_batch(tmp_path / "reports.bin", [b"\xff" * 40])
+    res = CliRunner().invoke(cli_main, [
+        "encode", "--config", cfg_path, "--keys", str(tmp_path / "keys.json"),
+        "--corpus", str(tmp_path / "reports.bin"), "--out", str(tmp_path / "out.bin"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and "'--corpus'" in res.output
+    assert isinstance(res.exception, SystemExit) and not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, path",
+    [("shuffle", "--in", "."), ("encode", "--corpus", "."), ("encode", "--out", "."),
+     ("generate", "--out", "."), ("keygen", "--workspace", "keys.json"),
+     ("run", "--workspace", "scenario.cfg"), ("analyze", "--out-dir", "scenario.cfg")],
+)
+def test_cli_path_of_the_wrong_kind_is_a_usage_error(tmp_path, monkeypatch, command, option, path):
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, n_samples=5)
+    _cli_ok(["keygen", "--config", "scenario.cfg", "--seed", "1"])
+    (tmp_path / "corpus.txt").write_text("1\n")
+    formats.write_batch(tmp_path / "in.bin", [])
+    files = {"--config": "scenario.cfg", "--keys": "keys.json", "--corpus": "corpus.txt",
+             "--in": "in.bin", "--out": "out.bin", option: path}
+    needs = {"keygen": [], "generate": ["--out"], "run": [],
+             "encode": ["--keys", "--corpus", "--out"], "shuffle": ["--keys", "--in", "--out"],
+             "analyze": ["--keys", "--in"]}[command]
+    options = dict.fromkeys(["--config", *needs, option])
+    args = [command] + [arg for o in options for arg in (o, files[o])]
+
+    def tree():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    before = tree()
+    res = CliRunner().invoke(cli_main, args)
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and option in res.output and "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit) and tree() == before
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,21 @@
 """map_records: results, when it forks, and that every child is reaped; the
+gate map_checked, and that records reach map_records only through it; the
 pipeline's artifacts and its counts of hostile records at any CPU count, the
 golden digests of seeded runs' artifacts, and group powers whose first
 use is in a forked child."""
 
+import ast
 import hashlib
 import os
 import pickle
 import random
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anonpipe import parallel
@@ -38,7 +41,8 @@ from anonpipe.harness import (
     item_word,
     run_scenario,
 )
-from anonpipe.parallel import MIN_PER_WORKER, map_records
+from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
+from anonpipe.parallel import MIN_PER_WORKER, map_checked, map_records
 from anonpipe.shuffler import Batch, blind_stage1, intake
 
 
@@ -184,6 +188,75 @@ def test_a_child_that_exits_without_a_result_is_an_error(cpus, forked):
     with pytest.raises(RuntimeError, match="without a result"):
         map_records(fn, items)
     assert_reaped(forked)
+
+
+# ---------------------------------------------------------------------------
+# the gate for records from another party
+
+REJECTS = [AuthenticationError, DecryptionError, InvalidPoint]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.integers(0, 3 * MIN_PER_WORKER),
+    copies=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40),
+    bad=st.dictionaries(st.integers(0, 3 * MIN_PER_WORKER), st.sampled_from(REJECTS), max_size=40),
+)
+def test_map_checked_maps_distinct_items_and_counts_rejects(cpus, n_cpus, n, copies, bad):
+    cpus(n_cpus)
+    items = list(range(n))
+    for source, position in copies:
+        if items:
+            items.insert(position % (len(items) + 1), items[source % len(items)])
+
+    def fn(x):
+        if x in bad:
+            raise bad[x](x)
+        return square(x)
+
+    seen, expected = set(), []
+    for x in items:
+        if x not in seen and x not in bad:
+            expected.append(square(x))
+        seen.add(x)
+    results, rejected = map_checked(fn, items)
+    assert results == expected
+    assert rejected == len(items) - len(results)
+
+
+def test_map_checked_passes_any_other_error_on(cpus):
+    cpus(1)
+
+    def fn(x):
+        raise Boom(x)
+
+    with pytest.raises(Boom):
+        map_checked(fn, [1])
+
+
+def test_records_reach_map_records_only_through_the_gate():
+    # a stage's per-record check over another party's records goes through
+    # map_checked, which drops repeats; only the encoder maps its own input
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    callers = set()
+    for path in Path(parallel.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, functions))]:
+            todo = list(ast.iter_child_nodes(scope))  # scope's own nodes, not nested functions'
+            while todo:
+                node = todo.pop()
+                if isinstance(node, ast.alias) and node.name == "map_records":
+                    assert node.asname is None, path
+                if isinstance(node, ast.Call) and "map_records" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add((path.stem, getattr(scope, "name", "<module>")))
+                if not isinstance(node, functions):
+                    todo.extend(ast.iter_child_nodes(node))
+    assert callers == {("parallel", "map_checked"), ("harness", "encode_words")}
 
 
 # ---------------------------------------------------------------------------
