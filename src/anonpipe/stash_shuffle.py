@@ -11,8 +11,10 @@ slides a W-bucket window over the intermediate array, opens a bucket's
 B + 1 blobs, keeps each blob's slots before its first dummy, shuffles the
 items in private memory, and streams the result to the output.
 
-Every read and write against the untrusted arrays depends only on the
-parameters, never on data values, and is recorded in a trace for tests.
+Untrusted memory is one store, `Trace`, addressed by (region, slot offset,
+slot count).  Its log of reads and writes is the trace, and each address in
+it depends only on the parameters, never on data values.  Each blob is
+sealed under its address, so one handed back at another fails to open.
 Failures (stash overflow, undrainable stash, queue over/underflow) abort
 the attempt; retries use a fresh ephemeral key, so failed attempts reveal
 nothing about the final order.
@@ -57,20 +59,35 @@ class ShuffleParams:
         return (self.chunk_cap - ratio) / math.sqrt(ratio)
 
     @property
+    def bucket_stride(self) -> int:
+        """Intermediate slots per output bucket: B chunks of C, then K drain slots."""
+        return self.num_buckets * self.chunk_cap + self.drain_per_bucket
+
+    @property
     def mid_slots(self) -> int:
         """Total intermediate slots: B * (B*C + K) = B^2*C + S (up to rounding)."""
-        return self.num_buckets * (
-            self.num_buckets * self.chunk_cap + self.drain_per_bucket
-        )
+        return self.num_buckets * self.bucket_stride
+
+    @property
+    def queue_cap(self) -> int:
+        """W buckets' slots: occupancy varies around D, so W*D would overflow."""
+        return self.window * self.bucket_stride
+
+    def blob_address(self, bucket: int, source: int) -> tuple[int, int]:
+        """(slot offset, slot count) of output `bucket`'s chunk from input
+        bucket `source`, or of its drain region when `source` is B."""
+        slots = self.chunk_cap if source < self.num_buckets else self.drain_per_bucket
+        return bucket * self.bucket_stride + source * self.chunk_cap, slots
+
+    def private_bytes(self, stash: int, queue: int) -> int:
+        """Peak private bytes of either phase with `stash` items stashed and `queue` queued."""
+        b, c, d = self.num_buckets, self.chunk_cap, self.bucket_size
+        dist = (d + b * c + stash) * self.item_len + d * _POINTER_BYTES
+        return max(dist, (self.bucket_stride + queue) * self.item_len)
 
     def working_set_bytes(self) -> int:
-        """Peak private bytes across the two phases."""
-        b, c, d = self.num_buckets, self.chunk_cap, self.bucket_size
-        dist = (d + b * c + self.stash_cap) * self.item_len + d * _POINTER_BYTES
-        stride = b * c + self.drain_per_bucket
-        comp = (self.window + 1) * stride * self.item_len
-        return max(dist, comp)
-
+        """Peak private bytes with a full stash and a full queue."""
+        return self.private_bytes(self.stash_cap, self.queue_cap)
 
 def make_params(
     n_items: int,
@@ -179,24 +196,32 @@ class _AttemptFailed(Exception):
 
 
 class Trace:
-    """Accesses to untrusted arrays: (phase, region, offset, len, op)."""
+    """The attempt's untrusted memory: runs of slots keyed by their address,
+    (region, slot offset, slot count).  Each `read` and `write` logs one
+    (phase, region, offset, 1, op) entry per slot, and that log is the trace;
+    with `enabled` false the runs are kept and only the log is skipped."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.phase = ""
         self.entries: list[tuple[str, str, int, int, str]] = []
+        self.runs: dict[tuple[str, int, int], object] = {}
 
-    def log(self, region: str, offset: int, count: int, op: str) -> None:
-        """One entry per slot of the `count` consecutive slots at `offset`."""
+    def _log(self, region: str, offset: int, count: int, op: str) -> None:
+        self.entries.extend((self.phase, region, offset + i, 1, op) for i in range(count))
+
+    def write(self, region: str, offset: int, count: int, data) -> None:
         if self.enabled:
-            self.entries.extend(
-                (self.phase, region, offset + i, 1, op) for i in range(count)
-            )
+            self._log(region, offset, count, "write")
+        self.runs[region, offset, count] = data
+
+    def read(self, region: str, offset: int, count: int):
+        if self.enabled:
+            self._log(region, offset, count, "read")
+        return self.runs[region, offset, count]
 
     def dump(self) -> str:
-        return "\n".join(
-            f"{p},{r},{off},{ln},{op}" for p, r, off, ln, op in self.entries
-        )
+        return "\n".join(f"{p},{r},{off},{ln},{op}" for p, r, off, ln, op in self.entries)
 
 
 # Slot flags, at the head of a blob's plaintext.  Dummies only fill the tail
@@ -211,10 +236,12 @@ FLAG_PAD = 2
 
 class ItemCipher:
     """AEAD over a run of slots under an ephemeral per-attempt key; every
-    blob gets a fresh nonce.  A blob of n slots seals n flag bytes followed
-    by n items, 12 + n * (1 + item_len) + 16 bytes whatever it holds.  In
-    private memory an item is its record's bytes or `pad`, a zero-filled
-    sentinel told apart by identity; dummies exist only inside blobs."""
+    blob gets a fresh nonce and is bound to its address, the slot offset and
+    slot count it is written at, so a blob moved to another address fails to
+    open.  A blob of n slots seals n flag bytes followed by n items, 12 +
+    n * (1 + item_len) + 16 bytes whatever it holds.  In private memory an
+    item is its record's bytes or `pad`, a zero-filled sentinel told apart by
+    identity; dummies exist only inside blobs."""
 
     def __init__(self, rng, item_len: int):
         self._aead = AESGCM(rng.randbytes(16))
@@ -222,8 +249,8 @@ class ItemCipher:
         self._item_len = item_len
         self.pad = memoryview(bytes(item_len))
 
-    def encrypt(self, items: list, slots: int) -> bytes:
-        """Seal `items` followed by dummies up to `slots` slots."""
+    def encrypt(self, items: list, offset: int, slots: int) -> bytes:
+        """Seal `items` followed by dummies up to `slots` slots, for `offset`."""
         fill = slots - len(items)
         pad = self.pad
         plaintext = b"".join([
@@ -233,13 +260,13 @@ class ItemCipher:
             bytes(fill * self._item_len),
         ])
         nonce = self._rng.randbytes(12)
-        return nonce + self._aead.encrypt(nonce, plaintext, None)
+        return nonce + self._aead.encrypt(nonce, plaintext, _address(offset, slots))
 
-    def decrypt(self, blob: bytes) -> list:
-        """The items of a blob: its slots before the first dummy."""
-        pt = self._aead.decrypt(blob[:12], blob[12:], None)
+    def decrypt(self, blob: bytes, offset: int, slots: int) -> list:
+        """The items of the blob sealed for (`offset`, `slots`): its slots
+        before the first dummy.  Raises `InvalidTag` for any other blob."""
+        pt = self._aead.decrypt(blob[:12], blob[12:], _address(offset, slots))
         step = self._item_len
-        slots = len(pt) // (1 + step)
         count = pt.find(FLAG_DUMMY, 0, slots)
         if count < 0:
             count = slots
@@ -249,6 +276,10 @@ class ItemCipher:
             items[i] = self.pad
             i = pt.find(FLAG_PAD, i + 1, count)
         return items
+
+
+def _address(offset: int, slots: int) -> bytes:
+    return b"%d,%d" % (offset, slots)  # a blob's associated data
 
 
 def shuffle_to_buckets(num_buckets: int, bucket_size: int, rng) -> list[int]:
@@ -290,33 +321,23 @@ def stash_shuffle(
         cipher = ItemCipher(rng, params.item_len)
         try:
             out, peak = _attempt(records, params, cipher, rng, trace)
-            return ShuffleResult(
-                records=out,
-                attempts=attempt,
-                trace=trace,
-                peak_private_bytes=peak,
-                failed_phases=failed,
-            )
+            return ShuffleResult(out, attempt, trace, peak_private_bytes=peak, failed_phases=failed)
         except _AttemptFailed as exc:
             failed.append(exc.phase)
     raise ShuffleFailed(failed[-1], max_attempts)
 
 
 def _attempt(records, params, cipher, rng, trace):
-    """One attempt.  The intermediate array holds, per output bucket, one
-    sealed chunk of C slots from each input bucket and one sealed K-slot
-    drain region: B + 1 blobs of sizes fixed by the parameters."""
-    n = params.n_items
-    b_count = params.num_buckets
-    d = params.bucket_size
-    c = params.chunk_cap
-    s = params.stash_cap
-    k = params.drain_per_bucket
-    w = params.window
-    bucket_stride = b_count * c + k
-    item_len = params.item_len
-
-    mid: list[bytes | None] = [None] * (b_count * (b_count + 1))
+    """One attempt.  The host places the input in `trace` as D-slot runs and
+    takes the output runs at the end; every access in between goes through
+    `trace`.  Per output bucket, the intermediate region holds one sealed
+    C-slot chunk from each input bucket and one sealed K-slot drain region."""
+    b_count, d, c = params.num_buckets, params.bucket_size, params.chunk_cap
+    # a short last bucket is padded; pads ride through to the output so every
+    # bucket exports exactly D items
+    for b in range(b_count):
+        block = records[b * d : (b + 1) * d]
+        trace.runs["in", b * d, d] = block + [cipher.pad] * (d - len(block))
     stash: list[list] = [[] for _ in range(b_count)]
     max_stash = 0
 
@@ -327,71 +348,49 @@ def _attempt(records, params, cipher, rng, trace):
         chunks = [st[:c] for st in stash]
         for st in stash:
             del st[:c]
-        trace.log("in", b * d, d, "read")
-        # a short last bucket is padded; pads ride through to the output so
-        # every bucket exports exactly D items
-        block = records[b * d : (b + 1) * d]
-        block += [cipher.pad] * (d - len(block))
-        for item, j in zip(block, targets):
+        for item, j in zip(trace.read("in", b * d, d), targets):
             chunks[j].append(item)
         # past C, a target's items queue at the back of its stash, in order
         for st, chunk in zip(stash, chunks):
             st += chunk[c:]
             del chunk[c:]
         stash_total = sum(map(len, stash))
-        if stash_total > s:
+        if stash_total > params.stash_cap:
             raise _AttemptFailed("distribution")
         max_stash = max(max_stash, stash_total)
         for j, chunk in enumerate(chunks):
-            mid[j * (b_count + 1) + b] = cipher.encrypt(chunk, c)
-            trace.log("mid", j * bucket_stride + b * c, c, "write")
+            addr = params.blob_address(j, b)
+            trace.write("mid", *addr, cipher.encrypt(chunk, *addr))
 
     trace.phase = "drain"
     for j, st in enumerate(stash):
-        if len(st) > k:
+        if len(st) > params.drain_per_bucket:
             raise _AttemptFailed("drain")
-        mid[j * (b_count + 1) + b_count] = cipher.encrypt(st, k)
-        trace.log("mid", j * bucket_stride + b_count * c, k, "write")
+        addr = params.blob_address(j, b_count)
+        trace.write("mid", *addr, cipher.encrypt(st, *addr))
 
     trace.phase = "compression"
-    effective_window = min(w, b_count)
-    # The window buffers up to W fully imported buckets; bucket occupancy
-    # fluctuates around D, so sizing by W*D alone would overflow constantly.
-    queue_cap = w * bucket_stride
+    window = min(params.window, b_count)
     queue: list = []
     max_queue = 0
-    out: list = []
+    # step i exports bucket i - W, then imports bucket i
+    for i in range(b_count + window):
+        if i >= window:
+            if len(queue) < d:
+                raise _AttemptFailed("compression")
+            trace.write("out", (i - window) * d, d, queue[:d])
+            del queue[:d]
+        if i < b_count:
+            items = []
+            for source in range(b_count + 1):
+                addr = params.blob_address(i, source)
+                items += cipher.decrypt(trace.read("mid", *addr), *addr)
+            rng.shuffle(items)
+            if len(queue) + len(items) > params.queue_cap:
+                raise _AttemptFailed("compression")
+            queue += items
+            max_queue = max(max_queue, len(queue))
 
-    def import_bucket(bk: int) -> None:
-        nonlocal max_queue
-        trace.log("mid", bk * bucket_stride, bucket_stride, "read")
-        items = []
-        for blob in mid[bk * (b_count + 1) : (bk + 1) * (b_count + 1)]:
-            items += cipher.decrypt(blob)
-        rng.shuffle(items)
-        if len(queue) + len(items) > queue_cap:
-            raise _AttemptFailed("compression")
-        queue.extend(items)
-        max_queue = max(max_queue, len(queue))
-
-    def drain_queue() -> None:
-        if len(queue) < d:
-            raise _AttemptFailed("compression")
-        trace.log("out", len(out), d, "write")
-        out.extend(queue[:d])
-        del queue[:d]
-
-    for bk in range(effective_window):
-        import_bucket(bk)
-    for bk in range(effective_window, b_count):
-        drain_queue()
-        import_bucket(bk)
-    for _ in range(effective_window):
-        drain_queue()
-
-    assert len(out) == b_count * d
-    result = [item for item in out if item is not cipher.pad]
-    assert len(result) == n
-    dist_peak = (d + b_count * c + max_stash) * item_len + d * _POINTER_BYTES
-    comp_peak = (bucket_stride + max_queue) * item_len
-    return result, max(dist_peak, comp_peak)
+    result = [x for i in range(b_count) for x in trace.runs["out", i * d, d] if x is not cipher.pad]
+    assert len(result) == params.n_items
+    return result, params.private_bytes(max_stash, max_queue)

@@ -1,15 +1,20 @@
+import ast
 import hashlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from cryptography.exceptions import InvalidTag
 from scipy import stats
 
+from anonpipe import stash_shuffle as stash_shuffle_mod
 from anonpipe.errors import BudgetExceeded, ShuffleFailed
 from anonpipe.shuffler import Batch, shuffle_batch
 from anonpipe.stash_shuffle import (
     REFERENCE_SCENARIOS,
     ItemCipher,
+    Trace,
     analytic_overhead,
     chunk_cap_for_alpha,
     make_params,
@@ -203,9 +208,9 @@ def _blob_lengths(monkeypatch, n, seed):
         sealed.append(len(blob))
         return blob
 
-    def spy_decrypt(self, blob):
+    def spy_decrypt(self, blob, *args):
         opened.append(len(blob))
-        return decrypt(self, blob)
+        return decrypt(self, blob, *args)
 
     rng = random.Random(seed)
     batch = Batch("e", [(rng.randbytes(8), rng.randbytes(40)) for _ in range(n)])
@@ -230,6 +235,61 @@ def test_blob_lengths_depend_only_on_the_parameters(monkeypatch):
     padded = _blob_lengths(monkeypatch, 97, 2)
     assert padded[2].num_buckets * padded[2].bucket_size == 99
     assert padded[:2] == (sealed, opened)
+
+
+def test_a_blob_handed_back_at_another_address_fails_to_open(monkeypatch):
+    # untrusted memory answers the first read of the intermediate region with
+    # another chunk of the same size; its seal names its own address
+    read = Trace.read
+    swapped = []
+
+    def swap_once(self, region, offset, count):
+        if region != "mid" or swapped:
+            return read(self, region, offset, count)
+        other = next(
+            key for key in self.runs if key[0] == "mid" and key[2] == count and key[1] != offset
+        )
+        swapped.append(other)
+        return self.runs[other]
+
+    rng = random.Random(3)
+    p = make_params(48, 4, chunk_cap=12, stash_cap=0, window=4, item_len=16)
+    items = _items(48, rng)
+    monkeypatch.setattr(Trace, "read", swap_once)
+    with pytest.raises(InvalidTag):
+        stash_shuffle(items, p, rng)
+    assert swapped
+
+
+def test_untrusted_accesses_are_logged_only_by_the_store():
+    # the trace is the store's log of its own reads and writes, not a second
+    # model of them: only Trace touches `entries`, outside it only `read` and
+    # `write` reach the methods that extend it, and `_attempt` nests no helper
+    tree = ast.parse(Path(stash_shuffle_mod.__file__).read_text())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    store = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Trace")
+    inside = {id(n) for n in ast.walk(store)}
+    def appends(node):
+        if isinstance(node, ast.AugAssign):
+            return getattr(node.target, "attr", None) == "entries"
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "append", "extend", "insert"
+        ) and getattr(node.func.value, "attr", None) == "entries"
+
+    loggers = {
+        method.name
+        for method in store.body
+        if isinstance(method, ast.FunctionDef) and any(map(appends, ast.walk(method)))
+    }
+    assert loggers
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        assert getattr(node, "attr", None) != "entries", node.lineno
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in loggers:
+            assert node.func.attr in ("read", "write"), node.lineno
+    attempt = next(n for n in tree.body if getattr(n, "name", None) == "_attempt")
+    assert not [n for n in ast.walk(attempt) if isinstance(n, functions) and n is not attempt]
 
 
 # ---------------------------------------------------------------------------
