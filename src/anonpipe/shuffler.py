@@ -67,7 +67,8 @@ def intake(
     batch's `report_len`, a report of another length is counted corrupt
     before it is opened; given its crowd-ID `kind`, so is a report whose
     sealed kind differs.  With both, every record kept has the batch's
-    inner-envelope length.  Repeats count as corrupt (`map_checked`).
+    inner-envelope length.  Repeats count as corrupt: exact ones
+    (`map_checked`) and later reports of one inner envelope (`one_per_inner`).
     """
 
     def open_one(blob: bytes) -> tuple[bytes, bytes]:
@@ -80,12 +81,23 @@ def intake(
         return crowd_id, inner
 
     records, corrupt = map_checked(open_one, report_blobs)
+    records, repeats = one_per_inner(records)
     rng.shuffle(records)
     return Batch(
         epoch_id=epoch_id,
         records=records,
-        stats={"input_count": len(report_blobs), "corrupt": corrupt},
+        stats={"input_count": len(report_blobs), "corrupt": corrupt + repeats},
     )
+
+
+def one_per_inner(records: list[tuple[bytes, bytes]]) -> tuple[list, int]:
+    """The first record of each inner envelope, in order of first appearance,
+    and how many later records were dropped.  One client's inner envelope,
+    re-sealed or with a re-randomized crowd ID, is one member of its crowd."""
+    first: dict[bytes, tuple[bytes, bytes]] = {}
+    for record in records:
+        first.setdefault(record[1], record)
+    return list(first.values()), len(records) - len(first)
 
 
 def count_crowds(batch: Batch) -> dict[bytes, int]:
@@ -112,7 +124,7 @@ def apply_threshold(
     batch: Batch, counts: dict[bytes, int], policy: ThresholdPolicy, rng
 ) -> Batch:
     """Filter crowds below the (noisy) threshold; survivors keep inner
-    envelopes only."""
+    envelopes only, and the batch's other stats are kept."""
     groups: dict[bytes, list[bytes]] = defaultdict(list)
     for crowd, inner in batch.records:
         groups[crowd].append(inner)
@@ -132,7 +144,9 @@ def apply_threshold(
     return Batch(
         epoch_id=batch.epoch_id,
         records=survivors,
-        stats={"input_count": len(batch.records), "surviving_count": len(survivors)},
+        stats={
+            **batch.stats, "input_count": len(batch.records), "surviving_count": len(survivors)
+        },
     )
 
 
@@ -187,7 +201,8 @@ def blind_stage2_threshold(
     batch: Batch, group: GroupParams, shuffler2_keypair: KeyPair, policy: ThresholdPolicy, rng
 ) -> Batch:
     """Decrypt blinded IDs to equality-preserving pseudonyms and threshold on
-    them; neither party ever sees an unblinded crowd ID.  Repeats count as invalid."""
+    them; neither party ever sees an unblinded crowd ID.  Repeats count as
+    invalid: exact ones and later records of one inner envelope."""
 
     def unblind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
         crowd_id, inner = record
@@ -195,7 +210,6 @@ def blind_stage2_threshold(
         return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
 
     records, invalid = map_checked(unblind_one, batch.records)
-    staged = Batch(epoch_id=batch.epoch_id, records=records, stats={"invalid": invalid})
-    out = apply_threshold(staged, count_crowds(staged), policy, rng)
-    out.stats["invalid"] = invalid
-    return out
+    records, repeats = one_per_inner(records)
+    staged = Batch(epoch_id=batch.epoch_id, records=records, stats={"invalid": invalid + repeats})
+    return apply_threshold(staged, count_crowds(staged), policy, rng)

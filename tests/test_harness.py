@@ -16,8 +16,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from anonpipe import cli, formats, shuffler
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
-from anonpipe.crypto.envelope import AeadEnvelope, open_envelope
-from anonpipe.crypto.group import GROUPS, MODP_2048
+from anonpipe.crypto.envelope import AeadEnvelope, open_envelope, seal
+from anonpipe.crypto.group import GROUPS, MODP_2048, ElGamalCiphertext
 from anonpipe.encoder import SHARE_FIELD, secret_share_encode
 from anonpipe.errors import PayloadTooLarge
 from anonpipe.harness import (
@@ -38,8 +38,10 @@ from anonpipe.harness import (
     local_dp_baseline,
     partitioned_baseline,
     run_perms_demo,
+    analyze_stage,
     run_scenario,
     save_corpus,
+    second_shuffler_stage,
     shuffle2_file,
     shuffle_file,
     shuffle_stage,
@@ -367,6 +369,69 @@ def test_replayed_report_does_not_form_a_crowd(tmp_path, monkeypatch, boundary, 
     assert stats[reject_key] == k - 1
     for name in later + ["selectivity.json", "histogram.csv"]:
         assert (replayed / name).read_bytes() == (honest / name).read_bytes(), name
+
+
+def test_resealed_inner_envelope_is_one_crowd_member():
+    # whoever holds one client's inner envelope seals it under 9 fresh outer
+    # envelopes: the shuffler counts one member and 8 corrupt reports
+    cfg = _small_config(seed=3, threshold_t=5)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
+    report = encode_words(cfg, [item_word(7)], RngTape(cfg.seed), *public)[0]
+    outer = open_envelope(keys.shuffler, AeadEnvelope.from_bytes(formats.parse_report(report)))
+    rng = random.Random(3)
+    resealed = [
+        formats.build_report(seal(keys.shuffler.public_bytes, outer, rng).to_bytes())
+        for _ in range(9)
+    ]
+    out = shuffle_stage(cfg, resealed, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
+    assert (out.stats["corrupt"], out.stats["surviving_count"], out.records) == (8, 0, [])
+    hist, stats = analyze_stage(cfg, [inner for _, inner in out.records], keys.analyzer)
+    assert (hist.bins, stats["decrypt_failures"]) == ({}, 0)
+
+
+def test_rerandomized_blinded_record_is_one_crowd_member(tmp_path):
+    # 7 re-randomizations (c1 g^s, c2 h^s) of one blinded.bin record unblind
+    # to one pseudonym with one inner envelope: one member, 6 invalid
+    cfg = _small_config(n_samples=400, vocab_size=50, threshold_t=5, crowd_mode="blinded")
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    group = GROUPS[cfg.group_id]
+    run_scenario(cfg, tmp_path)
+    width = 2 * group.element_len
+    first = formats.read_batch(tmp_path / "blinded.bin")[0]
+    ct = ElGamalCiphertext.from_bytes(group, first[:width])
+    rng = random.Random(11)
+    copies = []
+    for _ in range(7):
+        s = group.random_scalar(rng)
+        c1 = group.mul(ct.c1, group.exp(group.generator, s))
+        c2 = group.mul(ct.c2, group.exp(keys.shuffler2.public, s))
+        copies.append(ElGamalCiphertext(c1, c2).to_bytes(group) + first[width:])
+    formats.write_batch(tmp_path / "copies.bin", copies)
+    shuffle2_file(cfg, keys, tmp_path / "copies.bin", tmp_path / "out" / "shuffled.bin")
+    selectivity = json.loads((tmp_path / "out" / "selectivity.json").read_text())
+    assert (selectivity["input_count"], selectivity["surviving_count"]) == (1, 0)
+    records = [(c[:width], c[width:]) for c in copies]
+    out = second_shuffler_stage(cfg, Batch("epoch-0", records), RngTape(cfg.seed), keys.shuffler2)
+    assert out.stats["invalid"] == 6
+    hist, stats = analyze_file(cfg, keys, tmp_path / "out" / "shuffled.bin", tmp_path / "out")
+    assert (hist.bins, stats["decrypt_failures"]) == ({}, 0)
+
+
+def test_shuffle_stage_reports_intake_corrupt_count():
+    # the threshold keeps the intake's count of corrupt reports
+    cfg = _small_config(n_samples=200, vocab_size=40, threshold_t=5)
+    keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
+    blobs = encode_corpus(
+        cfg, generate_zipf_corpus(40, 1.1, 200, cfg.seed), RngTape(cfg.seed),
+        keys.analyzer.public_bytes, keys.shuffler.public_bytes, keys.shuffler2,
+    )
+    garbled = bytearray(blobs[0])
+    garbled[-1] ^= 1
+    out = shuffle_stage(
+        cfg, [bytes(garbled)] + blobs[1:], RngTape(cfg.seed), keys.shuffler, keys.shuffler2
+    )
+    assert out.stats["corrupt"] == 1
 
 
 @pytest.mark.parametrize("crowd_mode, calls", [("hashed", 1), ("blinded", 2)])
