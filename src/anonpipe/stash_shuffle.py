@@ -23,6 +23,7 @@ nothing about the final order.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -73,11 +74,12 @@ class ShuffleParams:
         """W buckets' slots: occupancy varies around D, so W*D would overflow."""
         return self.window * self.bucket_stride
 
-    def blob_address(self, bucket: int, source: int) -> tuple[int, int]:
-        """(slot offset, slot count) of output `bucket`'s chunk from input
-        bucket `source`, or of its drain region when `source` is B."""
-        slots = self.chunk_cap if source < self.num_buckets else self.drain_per_bucket
-        return bucket * self.bucket_stride + source * self.chunk_cap, slots
+    def blob_addresses(self) -> list[list[tuple[int, int]]]:
+        """(slot offset, slot count) of every blob: row i < B holds input
+        bucket i's chunk for each output bucket, row B each drain region."""
+        b, c, k = self.num_buckets, self.chunk_cap, self.drain_per_bucket
+        stride = self.bucket_stride
+        return [[(j * stride + i * c, c if i < b else k) for j in range(b)] for i in range(b + 1)]
 
     def private_bytes(self, stash: int, queue: int) -> int:
         """Peak private bytes of either phase with `stash` items stashed and `queue` queued."""
@@ -88,6 +90,7 @@ class ShuffleParams:
     def working_set_bytes(self) -> int:
         """Peak private bytes with a full stash and a full queue."""
         return self.private_bytes(self.stash_cap, self.queue_cap)
+
 
 def make_params(
     n_items: int,
@@ -278,8 +281,7 @@ class ItemCipher:
         return items
 
 
-def _address(offset: int, slots: int) -> bytes:
-    return b"%d,%d" % (offset, slots)  # a blob's associated data
+_address = struct.Struct(">QQ").pack  # a blob's associated data: (slot offset, slot count)
 
 
 def shuffle_to_buckets(num_buckets: int, bucket_size: int, rng) -> list[int]:
@@ -333,6 +335,7 @@ def _attempt(records, params, cipher, rng, trace):
     `trace`.  Per output bucket, the intermediate region holds one sealed
     C-slot chunk from each input bucket and one sealed K-slot drain region."""
     b_count, d, c = params.num_buckets, params.bucket_size, params.chunk_cap
+    addresses = params.blob_addresses()
     # a short last bucket is padded; pads ride through to the output so every
     # bucket exports exactly D items
     for b in range(b_count):
@@ -358,16 +361,14 @@ def _attempt(records, params, cipher, rng, trace):
         if stash_total > params.stash_cap:
             raise _AttemptFailed("distribution")
         max_stash = max(max_stash, stash_total)
-        for j, chunk in enumerate(chunks):
-            addr = params.blob_address(j, b)
-            trace.write("mid", *addr, cipher.encrypt(chunk, *addr))
+        for chunk, (offset, slots) in zip(chunks, addresses[b]):
+            trace.write("mid", offset, slots, cipher.encrypt(chunk, offset, slots))
 
     trace.phase = "drain"
-    for j, st in enumerate(stash):
-        if len(st) > params.drain_per_bucket:
+    for st, (offset, slots) in zip(stash, addresses[b_count]):
+        if len(st) > slots:
             raise _AttemptFailed("drain")
-        addr = params.blob_address(j, b_count)
-        trace.write("mid", *addr, cipher.encrypt(st, *addr))
+        trace.write("mid", offset, slots, cipher.encrypt(st, offset, slots))
 
     trace.phase = "compression"
     window = min(params.window, b_count)
@@ -382,9 +383,9 @@ def _attempt(records, params, cipher, rng, trace):
             del queue[:d]
         if i < b_count:
             items = []
-            for source in range(b_count + 1):
-                addr = params.blob_address(i, source)
-                items += cipher.decrypt(trace.read("mid", *addr), *addr)
+            for row in addresses:
+                offset, slots = row[i]
+                items += cipher.decrypt(trace.read("mid", offset, slots), offset, slots)
             rng.shuffle(items)
             if len(queue) + len(items) > params.queue_cap:
                 raise _AttemptFailed("compression")
