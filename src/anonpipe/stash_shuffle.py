@@ -393,5 +393,6 @@ def _attempt(records, params, cipher, rng, trace):
             max_queue = max(max_queue, len(queue))
 
     result = [x for i in range(b_count) for x in trace.runs["out", i * d, d] if x is not cipher.pad]
+    trace.runs.clear()  # only the log outlives the attempt
     assert len(result) == params.n_items
     return result, params.private_bytes(max_stash, max_queue)
