@@ -27,6 +27,7 @@ from anonpipe.harness import (
     RngTape,
     ScenarioConfig,
     analyze_file,
+    analyze_stage,
     client_rating_tuples,
     derive_keys,
     derived_pad_to,
@@ -38,7 +39,6 @@ from anonpipe.harness import (
     local_dp_baseline,
     partitioned_baseline,
     run_perms_demo,
-    analyze_stage,
     run_scenario,
     save_corpus,
     second_shuffler_stage,

@@ -269,6 +269,7 @@ def test_untrusted_accesses_are_logged_only_by_the_store():
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     store = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Trace")
     inside = {id(n) for n in ast.walk(store)}
+
     def appends(node):
         if isinstance(node, ast.AugAssign):
             return getattr(node.target, "attr", None) == "entries"
