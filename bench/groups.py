@@ -1,0 +1,130 @@
+"""Per-call cost of the group layer's primitives: OpenSSL against the fallback.
+
+Run from the root of a checkout:
+
+    python3 bench/groups.py --runs 11 --calls 60 --out BENCH_groups.json
+
+For each group in `GROUPS` this times `GroupParams.is_element` and
+`GroupParams.exp` per call, once on the libcrypto path that
+`crypto/modexp.py` loads and once with that module's fallbacks (`pow` and
+`jacobi`) forced, as the tests force them.  A run times every (group,
+operation) on both paths back to back, and the path that goes first
+alternates from run to run, so the drift of a shared host falls on both
+sides alike.  The output records each side's median and quartiles over the
+runs in microseconds per call, and the median over the runs of the
+fallback's time over OpenSSL's.
+
+`is_element` gets uniform integers in [1, q), about half of them members;
+`exp` gets members raised to uniform scalars in [1, p), as the blinded
+shuffle raises them.  One process, one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import ssl
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+PATHS = ("openssl", "fallback")
+
+
+def per_call_us(fn, inputs) -> float:
+    fn(*inputs[0])  # a modulus's first use builds its Montgomery context
+    start = perf_counter()
+    for args in inputs:
+        fn(*args)
+    return (perf_counter() - start) / len(inputs) * 1e6
+
+
+def summary(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs_us": samples}
+
+
+def measure(runs: int, calls: int, seed: int) -> dict:
+    from anonpipe.crypto import modexp
+    from anonpipe.crypto.group import GROUPS
+
+    loaded = modexp._power, modexp._symbol
+    rng = random.Random(seed)
+    cases = {}  # (group id, operation) -> (bound method, argument tuples)
+    for group_id, g in sorted(GROUPS.items()):
+        members = [g.exp(g.generator, g.random_scalar(rng)) for _ in range(calls)]
+        cases[group_id, "is_element"] = (
+            g.is_element, [(rng.randrange(1, g.modulus),) for _ in range(calls)]
+        )
+        cases[group_id, "exp"] = (g.exp, [(e, g.random_scalar(rng)) for e in members])
+
+    modexp._load()
+    functions = {
+        "openssl": (modexp._power, modexp._symbol),
+        "fallback": (pow, modexp.jacobi),
+    }
+    samples = {(case, path): [] for case in cases for path in PATHS}
+    try:
+        for run in range(runs):
+            for case, (fn, inputs) in cases.items():
+                for path in PATHS if run % 2 == 0 else reversed(PATHS):
+                    modexp._power, modexp._symbol = functions[path]
+                    samples[case, path].append(per_call_us(fn, inputs))
+    finally:
+        modexp._power, modexp._symbol = loaded
+
+    groups: dict[str, dict] = {}
+    for (group_id, op) in cases:
+        runs = {path: samples[(group_id, op), path] for path in PATHS}
+        sides = {path: summary(runs[path]) for path in PATHS}
+        # per run, as each run times both paths back to back
+        sides["fallback_over_openssl"] = statistics.median(
+            f / o for f, o in zip(runs["fallback"], runs["openssl"])
+        )
+        groups.setdefault(group_id, {})[op] = sides
+    native = functions["openssl"][0] is not pow
+    return {"native": native, "groups": groups}
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=11, help="alternating runs (>= 2)")
+    parser.add_argument("--calls", type=int, default=60, help="inputs per timed pass (>= 1)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_groups.json")
+    args = parser.parse_args(argv)
+    if args.runs < 2 or args.calls < 1:
+        parser.error("--runs must be >= 2 and --calls >= 1")
+
+    sys.path.insert(0, str(ROOT / "src"))
+    result = {
+        "machine": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "openssl": ssl.OPENSSL_VERSION,
+        },
+        "runs": args.runs,
+        "calls": args.calls,
+        "seed": args.seed,
+        **measure(args.runs, args.calls, args.seed),
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    for group_id, ops in result["groups"].items():
+        for op, sides in ops.items():
+            o, f = sides["openssl"], sides["fallback"]
+            print(
+                f"{group_id:10} {op:10} openssl {o['median_us']:9.1f} us "
+                f"[{o['q1_us']:.1f}, {o['q3_us']:.1f}]  fallback {f['median_us']:9.1f} us "
+                f"[{f['q1_us']:.1f}, {f['q3_us']:.1f}]  x{sides['fallback_over_openssl']:.2f}"
+            )
+    return result
+
+
+if __name__ == "__main__":
+    main()

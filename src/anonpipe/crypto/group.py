@@ -12,26 +12,8 @@ import hashlib
 from dataclasses import dataclass
 
 from anonpipe.crypto import OS_RNG
-from anonpipe.crypto.modexp import mod_exp
+from anonpipe.crypto.modexp import jacobi_symbol, mod_exp
 from anonpipe.errors import InvalidPoint
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
-    a %= n
-    sign = 1
-    while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        # (2/n) = -1 iff n = 3, 5 mod 8
-        if twos & 1 and (n & 7) in (3, 5):
-            sign = -sign
-        # quadratic reciprocity: flip iff a = n = 3 mod 4
-        if a & n & 2:
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -55,7 +37,7 @@ class GroupParams:
         # For a safe prime q the order-p subgroup is exactly the quadratic
         # residues, so the Jacobi symbol decides membership without the
         # full modexp of Euler's criterion.
-        return 1 <= e < self.modulus and jacobi(e, self.modulus) == 1
+        return 1 <= e < self.modulus and jacobi_symbol(e, self.modulus) == 1
 
     def check_element(self, e: int) -> int:
         if not self.is_element(e):

@@ -1,3 +1,4 @@
+import ctypes
 import random
 import sys
 import threading
@@ -20,6 +21,7 @@ from anonpipe.crypto.group import (
     unblind_decrypt,
 )
 from anonpipe.errors import InvalidPoint
+from anonpipe.shuffler import Batch, blind_stage1
 
 G = TEST_GROUP_256
 
@@ -169,6 +171,51 @@ def test_jacobi_membership_agrees_with_euler(group, examples):
         assert not group.is_element(non_member) and not euler(non_member)
 
     check()
+
+
+def test_jacobi_membership_agrees_with_euler_with_the_fallback_forced(monkeypatch):
+    monkeypatch.setattr(modexp, "_symbol", modexp.jacobi)
+    for group, examples in ((TEST_GROUP_256, 300), (MODP_2048, 15)):
+        test_jacobi_membership_agrees_with_euler(group, examples)
+    assert modexp._symbol is modexp.jacobi
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP_256, MODP_2048], ids=lambda g: g.group_id)
+def test_native_and_python_symbols_agree_at_the_edges(group):
+    q, g = group.modulus, group.generator
+    native = modexp._OpenSSL()
+    for a in (1, 2, q - 2, q - 1, g, q - g):
+        assert native.symbol(a, q) == modexp.jacobi(a, q) == modexp.jacobi_symbol(a, q)
+
+
+def test_the_first_membership_check_loads_openssl(monkeypatch):
+    monkeypatch.setattr(modexp, "_symbol", None)
+    assert G.is_element(G.generator) and not G.is_element(G.modulus - 1)
+    assert isinstance(modexp._symbol.__self__, modexp._OpenSSL)
+    assert modexp._symbol.__self__ is modexp._power.__self__
+
+
+def test_a_failed_symbol_raises_and_is_not_a_non_member(monkeypatch):
+    native = modexp._OpenSSL()
+    prototype = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+
+    def stub_returning(result):
+        stub = prototype(lambda a, n, ctx: result)
+        stub.errcheck = native._kronecker.errcheck
+        return stub
+
+    for result in (-1, 0, 1):
+        monkeypatch.setattr(native, "_kronecker", stub_returning(result))
+        assert native.symbol(G.generator, G.modulus) == result
+    # BN_kronecker's failure value
+    monkeypatch.setattr(native, "_kronecker", stub_returning(-2))
+    monkeypatch.setattr(modexp, "_symbol", native.symbol)
+    with pytest.raises(RuntimeError, match="BN_kronecker"):
+        G.is_element(G.generator)
+    # nor counts an honest report as `invalid`
+    member = G.encode_element(G.generator)
+    with pytest.raises(RuntimeError, match="BN_kronecker"):
+        blind_stage1(Batch(epoch_id="e", records=[(member + member, b"inner")]), G, _FUZZ_ALPHA)
 
 
 def test_element_encoding_roundtrip():

@@ -1,8 +1,8 @@
 """map_records: results, when it forks, and that every child is reaped; the
 gate map_checked, and that records reach map_records only through it; the
 pipeline's artifacts and its counts of hostile records at any CPU count, the
-golden digests of seeded runs' artifacts, and group powers whose first
-use is in a forked child."""
+golden digests of seeded runs' artifacts, and group powers and symbols
+whose first use is in a forked child."""
 
 import ast
 import hashlib
@@ -515,10 +515,12 @@ def test_forked_encode_checks_only_shuffler2s_key_once_per_report(
 
 
 # ---------------------------------------------------------------------------
-# OpenSSL's powers, loaded first in a forked child
+# OpenSSL's powers and symbols, loaded first in a forked child
 
 
-def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpus, forked):
+def blind_with_loads_logged(monkeypatch, tmp_path, cpus, forked, unloaded):
+    """blind_stage1 at 2 CPUs with `modexp.<unloaded>` not yet loaded in the
+    parent: each process loads OpenSSL once and gets pow's records."""
     G, rng = GROUPS["test-256"], random.Random(13)
     kp, blinding = KeyPair.generate(G, rng), BlindingSecret.generate(G, rng)
     cts = [
@@ -533,7 +535,7 @@ def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpu
             f.write(f"{os.getpid()}\n")
         return load()
 
-    monkeypatch.setattr(modexp, "_power", None)
+    monkeypatch.setattr(modexp, unloaded, None)
     monkeypatch.setattr(modexp, "_load", spy_load)
     cpus(2)
     out = blind_stage1(Batch(epoch_id="e", records=records), G, blinding)
@@ -545,3 +547,11 @@ def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpu
         for ct, (_, inner) in zip(cts, records)
     ]
     assert out.stats == {"input_count": 600, "invalid": 0}
+
+
+def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpus, forked):
+    blind_with_loads_logged(monkeypatch, tmp_path, cpus, forked, "_power")
+
+
+def test_a_forked_child_loads_its_symbols_on_first_use(monkeypatch, tmp_path, cpus, forked):
+    blind_with_loads_logged(monkeypatch, tmp_path, cpus, forked, "_symbol")
