@@ -4,19 +4,23 @@ Run from the root of a checkout:
 
     python3 bench/groups.py --runs 11 --calls 60 --out BENCH_groups.json
 
-For each group in `GROUPS` this times `GroupParams.is_element` and
-`GroupParams.exp` per call, once on the libcrypto path that
-`crypto/modexp.py` loads and once with that module's fallbacks (`pow` and
-`jacobi`) forced, as the tests force them.  A run times every (group,
-operation) on both paths back to back, and the path that goes first
-alternates from run to run, so the drift of a shared host falls on both
-sides alike.  The output records each side's median and quartiles over the
-runs in microseconds per call, and the median over the runs of the
-fallback's time over OpenSSL's.
+For each group in `GROUPS` this times `GroupParams.is_element`,
+`GroupParams.exp`, `blind` and `unblind_decrypt` per call, once with the
+libcrypto powers that `crypto/modexp.py` loads and once with its fallback,
+the built-in `pow`, forced, as the tests force it.  `is_element` is a range
+check that computes no power, so its two sides time the same code.  A run
+times every (group, operation) on both paths back to back, and the path
+that goes first alternates from run to run, so the drift of a shared host
+falls on both sides alike.  The output records each side's median and
+quartiles over the runs in microseconds per call, and the median over the
+runs of the fallback's time over OpenSSL's.
 
 `is_element` gets uniform integers in [1, q), about half of them members;
 `exp` gets members raised to uniform scalars in [1, p), as the blinded
-shuffle raises them.  One process, one thread.
+shuffle raises them.  `blind` (two powers) gets El Gamal ciphertexts of
+hashed crowd IDs, as the first shuffler does, and `unblind_decrypt` (one
+power) those ciphertexts blinded, as the second does.  One process, one
+thread.
 """
 
 from __future__ import annotations
@@ -51,32 +55,40 @@ def summary(samples: list[float]) -> dict:
 
 def measure(runs: int, calls: int, seed: int) -> dict:
     from anonpipe.crypto import modexp
-    from anonpipe.crypto.group import GROUPS
+    from anonpipe.crypto.group import (
+        GROUPS, BlindingSecret, KeyPair, blind, elgamal_encrypt, hash_to_group, unblind_decrypt,
+    )
 
-    loaded = modexp._power, modexp._symbol
+    loaded = modexp._power
     rng = random.Random(seed)
-    cases = {}  # (group id, operation) -> (bound method, argument tuples)
+    cases = {}  # (group id, operation) -> (function, argument tuples)
     for group_id, g in sorted(GROUPS.items()):
         members = [g.exp(g.generator, g.random_scalar(rng)) for _ in range(calls)]
         cases[group_id, "is_element"] = (
             g.is_element, [(rng.randrange(1, g.modulus),) for _ in range(calls)]
         )
         cases[group_id, "exp"] = (g.exp, [(e, g.random_scalar(rng)) for e in members])
+        kp, blinding = KeyPair.generate(g, rng), BlindingSecret.generate(g, rng)
+        cts = [
+            elgamal_encrypt(g, kp.public, hash_to_group(g, b"crowd %d" % i), rng)
+            for i in range(calls)
+        ]
+        cases[group_id, "blind"] = (blind, [(g, ct, blinding) for ct in cts])
+        cases[group_id, "unblind_decrypt"] = (
+            unblind_decrypt, [(kp, blind(g, ct, blinding)) for ct in cts]
+        )
 
     modexp._load()
-    functions = {
-        "openssl": (modexp._power, modexp._symbol),
-        "fallback": (pow, modexp.jacobi),
-    }
+    functions = {"openssl": modexp._power, "fallback": pow}
     samples = {(case, path): [] for case in cases for path in PATHS}
     try:
         for run in range(runs):
             for case, (fn, inputs) in cases.items():
                 for path in PATHS if run % 2 == 0 else reversed(PATHS):
-                    modexp._power, modexp._symbol = functions[path]
+                    modexp._power = functions[path]
                     samples[case, path].append(per_call_us(fn, inputs))
     finally:
-        modexp._power, modexp._symbol = loaded
+        modexp._power = loaded
 
     groups: dict[str, dict] = {}
     for (group_id, op) in cases:
@@ -87,7 +99,7 @@ def measure(runs: int, calls: int, seed: int) -> dict:
             f / o for f, o in zip(runs["fallback"], runs["openssl"])
         )
         groups.setdefault(group_id, {})[op] = sides
-    native = functions["openssl"][0] is not pow
+    native = functions["openssl"] is not pow
     return {"native": native, "groups": groups}
 
 
@@ -119,7 +131,7 @@ def main(argv=None) -> dict:
         for op, sides in ops.items():
             o, f = sides["openssl"], sides["fallback"]
             print(
-                f"{group_id:10} {op:10} openssl {o['median_us']:9.1f} us "
+                f"{group_id:10} {op:16} openssl {o['median_us']:9.1f} us "
                 f"[{o['q1_us']:.1f}, {o['q3_us']:.1f}]  fallback {f['median_us']:9.1f} us "
                 f"[{f['q1_us']:.1f}, {f['q3_us']:.1f}]  x{sides['fallback_over_openssl']:.2f}"
             )

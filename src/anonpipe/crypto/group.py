@@ -1,7 +1,16 @@
 """Prime-order group arithmetic, El Gamal encryption, and exponent blinding.
 
-The groups here are quadratic-residue subgroups of Z_q* for a safe prime
-q = 2p + 1, so the subgroup has prime order p.  Multiplicative notation
+The groups here are Z_q* / {+1, -1} for a safe prime q = 2p + 1: each
+element is a class {x, q - x}, written as its member in [1, p], and the
+group has prime order p.  Since p is odd, q = 3 (mod 4) and -1 is a
+quadratic non-residue, so each class holds exactly one quadratic residue.
+Sending a residue to its class is therefore an isomorphism from the order-p
+subgroup of residues onto this group, and both it (min(x, q - x)) and its
+inverse (the member of the class that is a residue) are efficient, so DDH
+is as hard here as among the residues.  This is the prime-modulus case of
+Hofheinz and Kiltz, "The Group of Signed Quadratic Residues and
+Applications" (CRYPTO 2009).  What it buys: every integer in [1, p] is an
+element, so membership is a range check.  Multiplicative notation
 throughout.  Two groups are published: a 2048-bit group for realistic runs
 and a 256-bit group that keeps statistical tests fast.
 """
@@ -12,17 +21,18 @@ import hashlib
 from dataclasses import dataclass
 
 from anonpipe.crypto import OS_RNG
-from anonpipe.crypto.modexp import jacobi_symbol, mod_exp
+from anonpipe.crypto.modexp import mod_exp
 from anonpipe.errors import InvalidPoint
 
 
 @dataclass(frozen=True)
 class GroupParams:
-    """A prime-order multiplicative group: QRs mod a safe prime."""
+    """A prime-order multiplicative group: Z_q* / {+1, -1} for a safe prime q,
+    each element its class's member in [1, p]."""
 
     group_id: str
     modulus: int  # safe prime q = 2p + 1
-    order_p: int  # prime subgroup order p
+    order_p: int  # prime group order p
     generator: int
 
     @property
@@ -34,10 +44,7 @@ class GroupParams:
         return (self.order_p.bit_length() + 7) // 8
 
     def is_element(self, e: int) -> bool:
-        # For a safe prime q the order-p subgroup is exactly the quadratic
-        # residues, so the Jacobi symbol decides membership without the
-        # full modexp of Euler's criterion.
-        return 1 <= e < self.modulus and jacobi_symbol(e, self.modulus) == 1
+        return 1 <= e <= self.order_p
 
     def check_element(self, e: int) -> int:
         if not self.is_element(e):
@@ -45,10 +52,15 @@ class GroupParams:
         return e
 
     def exp(self, base: int, exponent: int) -> int:
-        return mod_exp(base, exponent, self.modulus)
+        return self._canonical(mod_exp(base, exponent, self.modulus))
 
     def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
+        return self._canonical(a * b % self.modulus)
+
+    def _canonical(self, r: int) -> int:
+        # r's class {r, q - r} as its member in [1, p], so equal elements
+        # are equal ints
+        return min(r, self.modulus - r)
 
     def random_scalar(self, rng=OS_RNG) -> int:
         """Uniform scalar in [1, p-1]."""
@@ -62,15 +74,15 @@ class GroupParams:
         return e.to_bytes(self.element_len, "big")
 
     def decode_element(self, data: bytes) -> int:
-        """The subgroup member `data` encodes: every element read from bytes
-        is checked here, before any secret exponent touches it."""
+        """The element `data` encodes: every element read from bytes is
+        checked here, before any secret exponent touches it."""
         if len(data) != self.element_len:
             raise InvalidPoint("bad element width")
         return self.check_element(int.from_bytes(data, "big"))
 
 
-# 2048-bit MODP safe prime (RFC 3526, group 14).  Generator 4 = 2^2 is a
-# quadratic residue and therefore generates the order-p subgroup.
+# 2048-bit MODP safe prime (RFC 3526, group 14).  Generator 4 is not the
+# class of 1 and therefore generates the group of prime order p.
 _MODP_2048_Q = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
@@ -120,9 +132,9 @@ class KeyPair:
 def hash_to_group(group: GroupParams, data: bytes) -> int:
     """Deterministically hash a byte string to a group element.
 
-    Squares a hash-derived residue, which lands in the QR subgroup with no
-    known discrete log relative to the generator.  Counter-increments past
-    degenerate residues.
+    Squares a hash-derived integer mod q; the square's class is an element
+    with no known discrete log relative to the generator.  Counter-increments
+    past the degenerate squares 0 and 1.
     """
     if not data:
         raise ValueError("hash_to_group requires nonempty input")
@@ -132,7 +144,7 @@ def hash_to_group(group: GroupParams, data: bytes) -> int:
             group.group_id.encode() + b"|h2g|" + counter.to_bytes(4, "big") + data
         ).digest()
         e = int.from_bytes(h, "big") % group.modulus
-        elem = (e * e) % group.modulus
+        elem = group.mul(e, e)
         if elem not in (0, 1):
             return elem
         counter += 1
@@ -194,7 +206,6 @@ def blind(
 def unblind_decrypt(kp: KeyPair, ct: ElGamalCiphertext) -> int:
     """Recover mu^alpha from a blinded ciphertext (mu itself if alpha = 1).
 
-    `from_bytes` checked that c1 has order p, so c1^(p - x) is c1^-x
-    without an inversion."""
+    The group has order p, so c1^(p - x) is c1^-x without an inversion."""
     g = kp.group
     return g.mul(ct.c2, g.exp(ct.c1, g.order_p - kp.secret))

@@ -1,24 +1,20 @@
-"""Modular powers and Jacobi symbols in OpenSSL.
+"""Modular powers in OpenSSL.
 
 Powers use `BN_mod_exp_mont_consttime`, OpenSSL's constant-time Montgomery
-exponentiation, and symbols use `BN_kronecker`.  Both are called through
-`ctypes` on the libcrypto that CPython's `_hashlib` links, so nothing is
-added to the dependencies, and both share one set of OpenSSL scratch
-numbers.  The library is loaded on a process's first power or symbol and
-kept for the process, so forked workers inherit it; where it or one of its
-symbols cannot be loaded, the built-in `pow` computes every power and the
-pure-Python `jacobi` every symbol.
+exponentiation, called through `ctypes` on the libcrypto that CPython's
+`_hashlib` links, so nothing is added to the dependencies.  The library is
+loaded on a process's first power and kept for the process, so forked
+workers inherit it; where it or one of its functions cannot be loaded, the
+built-in `pow` computes every power.
 """
 
 from __future__ import annotations
 
 import threading
 
-# The process's power and symbol functions, chosen together on the first
-# call of `mod_exp` or `jacobi_symbol`: OpenSSL's, or `pow` and `jacobi`
-# where libcrypto cannot be loaded.
+# The process's power function, chosen on the first call of `mod_exp`:
+# OpenSSL's, or `pow` where libcrypto cannot be loaded.
 _power = None
-_symbol = None
 
 
 def mod_exp(base: int, exponent: int, modulus: int) -> int:
@@ -31,48 +27,19 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     return _power(base, exponent, modulus)
 
 
-def jacobi_symbol(a: int, n: int) -> int:
-    """`jacobi(a, n)` for an odd n > 1."""
-    if _symbol is None:
-        _load()
-    if not 0 < a < n:
-        return jacobi(a, n)
-    return _symbol(a, n)
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0, by the binary algorithm (Cohen,
-    A Course in Computational Algebraic Number Theory, Alg. 1.4.10)."""
-    a %= n
-    sign = 1
-    while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        # (2/n) = -1 iff n = 3, 5 mod 8
-        if twos & 1 and (n & 7) in (3, 5):
-            sign = -sign
-        # quadratic reciprocity: flip iff a = n = 3 mod 4
-        if a & n & 2:
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
-
-
 def _load():
-    global _power, _symbol
+    global _power
     try:
-        native = _OpenSSL()
+        _power = _OpenSSL().power
     except (ImportError, OSError, AttributeError):  # no shared libcrypto, or no such symbol
-        _power, _symbol = pow, jacobi
-    else:
-        _power, _symbol = native.power, native.symbol
+        _power = pow
 
 
 class _OpenSSL:
     """Scratch BIGNUMs, a BN_CTX, and per modulus a Montgomery context and
     an output buffer.  PyDLL calls hold the GIL, so no two OpenSSL calls
-    overlap; the lock keeps one power's or symbol's calls from interleaving
-    with another thread's, which share the scratch."""
+    overlap; the lock keeps one power's calls from interleaving with another
+    thread's, which share the scratch."""
 
     def __init__(self):
         import _hashlib
@@ -81,16 +48,15 @@ class _OpenSSL:
         lib = ctypes.PyDLL(_hashlib.__file__)  # its libcrypto's symbols resolve through it
         ptr, c_int, c_bytes = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
 
-        def declare(name, restype, *argtypes, errcheck=_check):
+        def declare(name, restype, *argtypes):
             fn = getattr(lib, name)
-            fn.restype, fn.argtypes, fn.errcheck = restype, list(argtypes), errcheck
+            fn.restype, fn.argtypes, fn.errcheck = restype, list(argtypes), _check
             return fn
 
         self._from_bytes = declare("BN_bin2bn", ptr, c_bytes, c_int, ptr)
         self._to_bytes = declare("BN_bn2binpad", c_int, ptr, c_bytes, c_int)
         self._mont_set = declare("BN_MONT_CTX_set", c_int, ptr, ptr, ptr)
         self._exp = declare("BN_mod_exp_mont_consttime", c_int, ptr, ptr, ptr, ptr, ptr, ptr)
-        self._kronecker = declare("BN_kronecker", c_int, ptr, ptr, ptr, errcheck=_check_symbol)
         new, self._buffer = declare("BN_new", ptr), ctypes.create_string_buffer
         self._mont_new = declare("BN_MONT_CTX_new", ptr)
         self._ctx = declare("BN_CTX_new", ptr)()
@@ -124,20 +90,9 @@ class _OpenSSL:
             self._to_bytes(self._result, out, len(out))
             return int.from_bytes(out.raw, "big")
 
-    def symbol(self, a: int, n: int) -> int:
-        with self._lock:
-            return self._kronecker(self._bignum(a, self._base), self._montgomery(n)[0], self._ctx)
-
 
 def _check(result, fn, args):
     # each declared call returns 0 or NULL on failure (BN_bn2binpad: -1)
     if not result or result < 0:
         raise RuntimeError(f"OpenSSL {fn.__name__} failed")
-    return result
-
-
-def _check_symbol(result, fn, args):
-    # -1, 0 and 1 are symbols; a failure must not read as a non-member
-    if result == -2:
-        raise RuntimeError("OpenSSL BN_kronecker failed")
     return result

@@ -133,12 +133,12 @@ def report_length(kind: int, pad_to: int, group: GroupParams | None = None) -> i
 
 def write_batch(path: str | Path, records: list[bytes]) -> None:
     record_len = len(records[0]) if records else 0
+    # checked before the open, which would empty a file that is replaced
+    if any(len(rec) != record_len for rec in records):
+        raise ValueError("batch records must share one length")
     with open(path, "wb") as fh:
         fh.write(_BATCH_HEADER.pack(BATCH_MAGIC, record_len, len(records)))
-        for rec in records:
-            if len(rec) != record_len:
-                raise ValueError("batch records must share one length")
-            fh.write(rec)
+        fh.writelines(records)
 
 
 def read_batch(path: str | Path) -> list[bytes]:

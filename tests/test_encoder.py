@@ -227,6 +227,17 @@ def test_batch_file_roundtrip(tmp_path):
     assert formats.read_batch(path) == records
 
 
+def test_write_batch_of_unequal_records_leaves_the_old_file(tmp_path):
+    path = tmp_path / "batch.bin"
+    formats.write_batch(path, [b"a" * 10, b"b" * 10])
+    old = path.read_bytes()
+    for records in ([b"a" * 10, b"b" * 10, b"c" * 9], [b"a" * 9, b"b" * 10]):
+        with pytest.raises(ValueError, match="one length"):
+            formats.write_batch(path, records)
+        assert path.read_bytes() == old
+    assert formats.read_batch(path) == [b"a" * 10, b"b" * 10]
+
+
 @pytest.mark.parametrize("keep", [0, 5, 19])
 def test_read_batch_rejects_truncated_header(tmp_path, keep):
     path = tmp_path / "batch.bin"

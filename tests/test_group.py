@@ -1,4 +1,3 @@
-import ctypes
 import random
 import sys
 import threading
@@ -21,16 +20,27 @@ from anonpipe.crypto.group import (
     unblind_decrypt,
 )
 from anonpipe.errors import InvalidPoint
-from anonpipe.shuffler import Batch, blind_stage1
 
 G = TEST_GROUP_256
 
 
+def canonical(group: GroupParams, r: int) -> int:
+    """The class {r, q - r} as its member in [1, p], independent of group.py."""
+    return min(r, group.modulus - r)
+
+
 def test_group_constants_are_consistent():
+    rng = random.Random(9)
     for g in (TEST_GROUP_256, MODP_2048):
-        assert g.modulus == 2 * g.order_p + 1
+        q, p = g.modulus, g.order_p
+        assert q == 2 * p + 1
+        # -1 is a non-residue, so the classes {e, q - e} form a group of order p
+        assert q % 4 == 3
         assert g.is_element(g.generator)
-        assert pow(g.generator, g.order_p, g.modulus) == 1
+        assert pow(g.generator, p, q) == 1
+        # Euler's criterion: exactly one of e and q - e is a residue
+        for e in (1, 2, g.generator, p, p + 1, q - 1, *(rng.randrange(1, q) for _ in range(5))):
+            assert (pow(e, p, q) == 1) != (pow(q - e, p, q) == 1)
 
 
 def test_hash_to_group_deterministic():
@@ -96,7 +106,7 @@ def test_blinding_preserves_equality_relation():
 
 def test_invalid_point_rejected():
     kp = KeyPair.generate(G, random.Random(6))
-    # a quadratic non-residue is outside the prime-order subgroup
+    # q - 1, the other representative of 1, is outside [1, p]
     non_member = G.modulus - 1
     assert not G.is_element(non_member)
     member = G.encode_element(G.generator)
@@ -115,10 +125,11 @@ def test_blind_and_encrypt_reject_non_members():
     alpha = BlindingSecret.generate(G, rng)
     member = G.encode_element(G.generator)
     # nor `blind`
-    for data in (G.encode_element(G.modulus - 1) + member, member + G.encode_element(2)):
+    above_p = G.encode_element(G.order_p + 1)
+    for data in (G.encode_element(G.modulus - 1) + member, member + above_p):
         with pytest.raises(InvalidPoint):
             blind(G, ElGamalCiphertext.from_bytes(G, data), alpha)
-    for non_member in (0, 2, G.modulus - 1, G.modulus):
+    for non_member in (0, G.order_p + 1, G.modulus - 1, G.modulus):
         with pytest.raises(InvalidPoint):
             elgamal_encrypt(G, non_member, G.generator, rng)
 
@@ -131,7 +142,7 @@ def test_decode_checks_width_range_and_membership():
         q.to_bytes(w, "big"),
         b"\xff" * w,
         (q - 1).to_bytes(w, "big"),
-        (2).to_bytes(w, "big"),
+        (G.order_p + 1).to_bytes(w, "big"),
         bytes(w - 1),
         bytes(w + 1),
     ):
@@ -143,79 +154,40 @@ def test_decode_checks_width_range_and_membership():
 @settings(max_examples=100, deadline=None)
 @given(data=st.binary(min_size=1, max_size=64))
 def test_hash_to_group_returns_a_member(group, data):
-    # Euler's criterion, independent of GroupParams.is_element: nothing
-    # checks mu after hash_to_group, so this pins that it is a member
-    q, p = group.modulus, group.order_p
-    e = hash_to_group(group, data)
-    assert 1 < e < q and pow(e, p, q) == 1
+    # nothing checks mu after hash_to_group, so this pins that it is a
+    # member other than 1
+    assert 1 < hash_to_group(group, data) <= group.order_p
 
 
-# Each Euler reference costs a full modexp, ~30 ms in modp-2048.
 @pytest.mark.parametrize(
     "group, examples",
-    [pytest.param(TEST_GROUP_256, 300, id="test-256"), pytest.param(MODP_2048, 15, id="modp-2048")],
+    [
+        pytest.param(TEST_GROUP_256, 300, id="test-256"),
+        pytest.param(MODP_2048, 100, id="modp-2048"),
+    ],
 )
-def test_jacobi_membership_agrees_with_euler(group, examples):
-    q, p, g = group.modulus, group.order_p, group.generator
-
-    def euler(e: int) -> bool:
-        return 1 <= e < q and pow(e, p, q) == 1
+def test_decode_element_accepts_exactly_one_to_p(group, examples):
+    q, p, w = group.modulus, group.order_p, group.element_len
 
     @settings(max_examples=examples, deadline=None)
-    @given(e=st.integers(-2, q + 2), k=st.integers(0, p - 1))
-    def check(e, k):
-        member = pow(g, k, q)
-        non_member = (q - 1) * member % q
-        assert group.is_element(e) == euler(e)
-        assert group.is_element(member) and euler(member)
-        assert not group.is_element(non_member) and not euler(non_member)
+    @given(v=st.integers(0, 2 ** (8 * w) - 1))
+    @example(v=0)
+    @example(v=1)
+    @example(v=p)
+    @example(v=p + 1)
+    @example(v=q - 1)
+    @example(v=q)
+    @example(v=2 ** (8 * w) - 1)
+    def check(v):
+        member = 1 <= v <= p
+        assert group.is_element(v) == member
+        if member:
+            assert group.decode_element(v.to_bytes(w, "big")) == v
+        else:
+            with pytest.raises(InvalidPoint):
+                group.decode_element(v.to_bytes(w, "big"))
 
     check()
-
-
-def test_jacobi_membership_agrees_with_euler_with_the_fallback_forced(monkeypatch):
-    monkeypatch.setattr(modexp, "_symbol", modexp.jacobi)
-    for group, examples in ((TEST_GROUP_256, 300), (MODP_2048, 15)):
-        test_jacobi_membership_agrees_with_euler(group, examples)
-    assert modexp._symbol is modexp.jacobi
-
-
-@pytest.mark.parametrize("group", [TEST_GROUP_256, MODP_2048], ids=lambda g: g.group_id)
-def test_native_and_python_symbols_agree_at_the_edges(group):
-    q, g = group.modulus, group.generator
-    native = modexp._OpenSSL()
-    for a in (1, 2, q - 2, q - 1, g, q - g):
-        assert native.symbol(a, q) == modexp.jacobi(a, q) == modexp.jacobi_symbol(a, q)
-
-
-def test_the_first_membership_check_loads_openssl(monkeypatch):
-    monkeypatch.setattr(modexp, "_symbol", None)
-    assert G.is_element(G.generator) and not G.is_element(G.modulus - 1)
-    assert isinstance(modexp._symbol.__self__, modexp._OpenSSL)
-    assert modexp._symbol.__self__ is modexp._power.__self__
-
-
-def test_a_failed_symbol_raises_and_is_not_a_non_member(monkeypatch):
-    native = modexp._OpenSSL()
-    prototype = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-
-    def stub_returning(result):
-        stub = prototype(lambda a, n, ctx: result)
-        stub.errcheck = native._kronecker.errcheck
-        return stub
-
-    for result in (-1, 0, 1):
-        monkeypatch.setattr(native, "_kronecker", stub_returning(result))
-        assert native.symbol(G.generator, G.modulus) == result
-    # BN_kronecker's failure value
-    monkeypatch.setattr(native, "_kronecker", stub_returning(-2))
-    monkeypatch.setattr(modexp, "_symbol", native.symbol)
-    with pytest.raises(RuntimeError, match="BN_kronecker"):
-        G.is_element(G.generator)
-    # nor counts an honest report as `invalid`
-    member = G.encode_element(G.generator)
-    with pytest.raises(RuntimeError, match="BN_kronecker"):
-        blind_stage1(Batch(epoch_id="e", records=[(member + member, b"inner")]), G, _FUZZ_ALPHA)
 
 
 def test_element_encoding_roundtrip():
@@ -231,7 +203,37 @@ BOTH_GROUPS = [
 ]
 
 
-# Each pow reference costs ~30 ms in modp-2048.
+@pytest.mark.parametrize("group, examples", BOTH_GROUPS)
+def test_group_operations_return_members(group, examples):
+    q, p = group.modulus, group.order_p
+    kp = KeyPair.generate(group, random.Random(13))
+
+    @settings(max_examples=examples, deadline=None)
+    @given(
+        a=st.integers(1, q - 1),
+        b=st.integers(1, q - 1),
+        k=st.integers(0, 2 * p),
+        data=st.binary(min_size=1, max_size=16),
+        seed=st.integers(0, 2**32),
+    )
+    @example(a=q - 1, b=q - 1, k=1, data=b"x", seed=0)
+    @example(a=p, b=p + 1, k=p, data=b"x", seed=0)
+    def check(a, b, k, data, seed):
+        rng = random.Random(seed)
+        mu = hash_to_group(group, data)
+        ct = elgamal_encrypt(group, kp.public, mu, rng)
+        blinded = blind(group, ct, BlindingSecret.generate(group, rng))
+        for e in (
+            group.exp(a, k), group.mul(a, b), mu, ct.c1, ct.c2, blinded.c1, blinded.c2,
+            unblind_decrypt(kp, blinded),
+        ):
+            assert 1 <= e <= p
+
+    check()
+
+
+# Each pow reference costs ~30 ms in modp-2048.  The three tests below
+# compare `exp` with the class of `pow`'s answer.
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)
 def test_generator_exp_matches_pow(group, examples):
     q, p, g = group.modulus, group.order_p, group.generator
@@ -244,8 +246,8 @@ def test_generator_exp_matches_pow(group, examples):
     @example(e=p)
     @example(e=p + 1)
     def check(e):
-        assert group.exp(g, e) == pow(g, e, q)
-        assert group.exp(g, -e) == pow(g, -e % p, q)
+        assert group.exp(g, e) == canonical(group, pow(g, e, q))
+        assert group.exp(g, -e) == canonical(group, pow(g, -e % p, q))
 
     check()
 
@@ -262,8 +264,8 @@ def test_exp_of_another_base_matches_pow(group, examples):
     @example(base=member, e=-1)
     def check(base, e):
         if base != group.generator:
-            assert group.exp(base, e) == pow(base, e, q)
-        assert group.exp(member, e) == pow(member, e, q)
+            assert group.exp(base, e) == canonical(group, pow(base, e, q))
+        assert group.exp(member, e) == canonical(group, pow(member, e, q))
 
     check()
 
@@ -295,16 +297,16 @@ def test_unblind_decrypt_matches_inverting_c1_to_the_x(group, examples):
     @settings(max_examples=examples, deadline=None)
     @given(k1=st.integers(1, p - 1), k2=st.integers(1, p - 1), x=st.integers(1, p - 1))
     def check(k1, k2, x):
-        c1, c2 = pow(g, k1, q), pow(g, k2, q)
-        kp = KeyPair(group=group, secret=x, public=pow(g, x, q))
-        expected = c2 * pow(pow(c1, x, q), -1, q) % q
+        c1, c2 = canonical(group, pow(g, k1, q)), canonical(group, pow(g, k2, q))
+        kp = KeyPair(group=group, secret=x, public=canonical(group, pow(g, x, q)))
+        expected = canonical(group, c2 * pow(pow(c1, x, q), -1, q) % q)
         assert unblind_decrypt(kp, ElGamalCiphertext(c1=c1, c2=c2)) == expected
 
     check()
 
 
 # The three tests above compare `exp` with `pow` on OpenSSL's path, which is
-# the default here; these run them again on the built-in fallback.
+# the default here; these run them again with `pow` computing every power.
 @pytest.mark.parametrize(
     "compare",
     [
@@ -337,7 +339,7 @@ def test_exp_outside_the_native_range_keeps_pow_semantics(group):
                 with pytest.raises(ValueError):
                     group.exp(base, e)
             else:
-                assert group.exp(base, e) == expected
+                assert group.exp(base, e) == canonical(group, expected)
 
 
 def test_a_failed_openssl_call_raises():
@@ -353,7 +355,7 @@ def test_threads_sharing_the_scratch_numbers_get_pows_answers():
     results = [None] * len(jobs)
 
     def work(i):
-        results[i] = [G.exp(base, e) for base, e in jobs[i]]
+        results[i] = [modexp.mod_exp(base, e, q) for base, e in jobs[i]]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()

@@ -739,10 +739,11 @@ def test_keys_json_with_mismatched_transport_halves_is_rejected(tmp_path):
         PipelineKeys.from_json(json.dumps(keys), group)
 
 
-@pytest.mark.parametrize("value", ["4", "zz", "g^(x2+1)", "q-1"])
+@pytest.mark.parametrize("value", ["4", "zz", "g^(x2+1)", "q-1", "q-h"])
 def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, value):
     # clients encrypt crowd IDs to the h that keys.json names, so it must be
-    # hex, a group member (q-1 is not) and g^x2
+    # hex, a group member (q-1 is not) and g^x2 as written in [1, p] (q-h,
+    # the other representative of g^x2, is not)
     cfg_path = _write_config(tmp_path, n_samples=5, crowd_mode="blinded")
     _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
     keys = json.loads((tmp_path / "keys.json").read_text())
@@ -751,6 +752,7 @@ def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, 
     keys["shuffler2_public"] = {
         "g^(x2+1)": f"{group.exp(group.generator, x2 + 1):x}",
         "q-1": f"{group.modulus - 1:x}",
+        "q-h": f"{group.modulus - int(keys['shuffler2_public'], 16):x}",
     }.get(value, value)
     with pytest.raises(ValueError):
         PipelineKeys.from_json(json.dumps(keys), group)

@@ -9,9 +9,11 @@ from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.group import (
     TEST_GROUP_256,
     BlindingSecret,
+    ElGamalCiphertext,
     KeyPair,
     elgamal_encrypt,
     hash_to_group,
+    unblind_decrypt,
 )
 from anonpipe.encoder import CrowdId, encode_report, make_crowd_id
 from anonpipe.errors import DecryptionError
@@ -302,16 +304,47 @@ def test_blinded_pipeline_matches_plaintext_pipeline():
         )
 
 
-def _is_member(e: int) -> bool:
-    # Euler's criterion, independent of GroupParams.is_element
-    return 1 <= e < G.modulus and pow(e, G.order_p, G.modulus) == 1
-
-
 def _valid_crowd_id(data: bytes) -> bool:
+    # each half one element, written as its class's member in [1, p]
     w = G.element_len
     return len(data) == 2 * w and all(
-        _is_member(int.from_bytes(half, "big")) for half in (data[:w], data[w:])
+        1 <= int.from_bytes(half, "big") <= G.order_p for half in (data[:w], data[w:])
     )
+
+
+def _other_representatives(records, tag):
+    """Each crowd ID twice more: with q - c1 for c1, then q - c2 for c2."""
+    w, q = G.element_len, G.modulus
+    out = []
+    for i, (cid, _) in enumerate(records):
+        c1, c2 = cid[:w], cid[w:]
+        other = [(q - int.from_bytes(c, "big")).to_bytes(w, "big") for c in (c1, c2)]
+        out += [(other[0] + c2, b"%s%d-c1" % (tag, i)), (c1 + other[1], b"%s%d-c2" % (tag, i))]
+    return out
+
+
+def test_blinded_stages_count_the_other_representative_as_invalid():
+    # q - x is the same class as x, but not its encoding: accepted, it would
+    # give one honest element a second byte string
+    rng = random.Random(21)
+    kp2, alpha = KeyPair.generate(G, rng), BlindingSecret.generate(G, rng)
+    keys = [b"a"] * 3 + [b"b"] * 2
+    honest = _blinded_batch(keys, kp2, rng).records
+    n_bad = 2 * len(honest)
+
+    stage1 = blind_stage1(Batch("e", honest + _other_representatives(honest, b"s1-")), G, alpha)
+    assert stage1.stats["invalid"] == n_bad
+    assert stage1.records == blind_stage1(Batch("e", honest), G, alpha).records
+    pseudonyms = [
+        unblind_decrypt(kp2, ElGamalCiphertext.from_bytes(G, cid)) for cid, _ in stage1.records
+    ]
+    assert pseudonyms == [G.exp(hash_to_group(G, k), alpha.alpha) for k in keys]
+
+    stage2_in = Batch("e", stage1.records + _other_representatives(stage1.records, b"s2-"))
+    stage2 = blind_stage2_threshold(stage2_in, G, kp2, ThresholdPolicy(2), random.Random(1))
+    assert stage2.stats["invalid"] == n_bad
+    # only crowd a, of 3 > T = 2 members, survives
+    assert sorted(i for _, i in stage2.records) == sorted(i for _, i in honest[:3])
 
 
 _W = G.element_len
