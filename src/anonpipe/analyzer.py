@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.shamir import PrimeField, shamir_reconstruct
@@ -24,7 +25,8 @@ def decrypt_corpus(
     inner_blobs: list[bytes], analyzer_keypair: TransportKeyPair
 ) -> DecodedCorpus:
     """Open every inner envelope; failures and repeats are counted, never fatal."""
-    records, failures = map_checked(lambda blob: open_inner(blob, analyzer_keypair), inner_blobs)
+    open_one = partial(open_inner, analyzer_keypair=analyzer_keypair)
+    records, failures = map_checked(open_one, inner_blobs)
     return DecodedCorpus(records=records, failures=failures)
 
 

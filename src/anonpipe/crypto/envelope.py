@@ -45,6 +45,10 @@ class TransportKeyPair:
             raise ValueError("transport public key does not match its secret key")
         object.__setattr__(self, "_private_key", sk)
 
+    def __reduce__(self):
+        # the two halves, never the loaded key: loading checks them again
+        return type(self), (self.secret_bytes, self.public_bytes)
+
     @classmethod
     def generate(cls, rng=OS_RNG) -> "TransportKeyPair":
         sk_bytes = rng.randbytes(32)

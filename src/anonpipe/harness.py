@@ -11,6 +11,7 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -362,31 +363,44 @@ def encode_words(
     output does not depend on the CPU count.  Without `hash_key` (the
     keys' `crowd_hash`), the crowd-hash key is drawn from `tape` as
     `derive_keys` draws it."""
-    group = GROUPS[config.group_id]
-    pad_to = derived_pad_to(config)
     if hash_key is None:
         hash_key = _crowd_hash_key(tape)
     s2_public = shuffler2_keypair.public if shuffler2_keypair else None
+    encode_one = partial(
+        _encode_one, config, tape, analyzer_public, shuffler_public, s2_public, hash_key,
+        derived_pad_to(config),
+    )
+    return map_records(encode_one, list(enumerate(words)))
 
-    def encode_one(i: int) -> bytes:
-        word, rng = words[i], tape.stream(f"encode/{i}")
-        if config.secret_share_t:
-            payload = secret_share_encode(
-                word, config.secret_share_t, SHARE_FIELD, rng
-            ).to_payload(SHARE_FIELD)
-        else:
-            payload = word
-        crowd = make_crowd_id(
-            word,
-            config.crowd_mode,
-            hash_key=hash_key,
-            group=group,
-            shuffler2_public=s2_public,
-            rng=tape.stream(f"encode/crowd/{i}") if config.two_shufflers else None,
-        )
-        return encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng)
 
-    return map_records(encode_one, range(len(words)))
+def _encode_one(
+    config: ScenarioConfig,
+    tape: RngTape,
+    analyzer_public: bytes,
+    shuffler_public: bytes,
+    s2_public: int | None,
+    hash_key: bytes,
+    pad_to: int,
+    item: tuple[int, bytes],
+) -> bytes:
+    """Report `i` of `encode_words`, for `item` = (i, word)."""
+    i, word = item
+    rng = tape.stream(f"encode/{i}")
+    if config.secret_share_t:
+        payload = secret_share_encode(
+            word, config.secret_share_t, SHARE_FIELD, rng
+        ).to_payload(SHARE_FIELD)
+    else:
+        payload = word
+    crowd = make_crowd_id(
+        word,
+        config.crowd_mode,
+        hash_key=hash_key,
+        group=GROUPS[config.group_id],
+        shuffler2_public=s2_public,
+        rng=tape.stream(f"encode/crowd/{i}") if config.two_shufflers else None,
+    )
+    return encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng)
 
 
 def first_shuffler_stage(

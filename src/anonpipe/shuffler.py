@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from anonpipe import stash_shuffle
 from anonpipe.crypto.envelope import AeadEnvelope, TransportKeyPair, open_envelope
@@ -70,16 +71,7 @@ def intake(
     inner-envelope length.  Repeats count as corrupt: exact ones
     (`map_checked`) and later reports of one inner envelope (`one_per_inner`).
     """
-
-    def open_one(blob: bytes) -> tuple[bytes, bytes]:
-        if report_len is not None and len(blob) != report_len:
-            raise DecryptionError("report length differs from the batch's")
-        outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(parse_report(blob)))
-        outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
-        if kind is not None and outer_kind != kind:
-            raise DecryptionError("crowd-ID kind differs from the batch's")
-        return crowd_id, inner
-
+    open_one = partial(_open_report, shuffler_keypair, group, kind, report_len)
     records, corrupt = map_checked(open_one, report_blobs)
     records, repeats = one_per_inner(records)
     rng.shuffle(records)
@@ -88,6 +80,22 @@ def intake(
         records=records,
         stats={"input_count": len(report_blobs), "corrupt": corrupt + repeats},
     )
+
+
+def _open_report(
+    shuffler_keypair: TransportKeyPair,
+    group: GroupParams | None,
+    kind: int | None,
+    report_len: int | None,
+    blob: bytes,
+) -> tuple[bytes, bytes]:
+    if report_len is not None and len(blob) != report_len:
+        raise DecryptionError("report length differs from the batch's")
+    outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(parse_report(blob)))
+    outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
+    if kind is not None and outer_kind != kind:
+        raise DecryptionError("crowd-ID kind differs from the batch's")
+    return crowd_id, inner
 
 
 def one_per_inner(records: list[tuple[bytes, bytes]]) -> tuple[list, int]:
@@ -183,18 +191,20 @@ def selectivity_record(batch: Batch) -> dict:
 def blind_stage1(batch: Batch, group: GroupParams, blinding: BlindingSecret) -> Batch:
     """Exponent-blind every El Gamal crowd ID; the caller reorders the result
     with `shuffle_batch`.  Repeats count as invalid."""
-
-    def blind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
-        crowd_id, inner = record
-        ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-        return blind(group, ct, blinding).to_bytes(group), inner
-
-    records, invalid = map_checked(blind_one, batch.records)
+    records, invalid = map_checked(partial(_blind_record, group, blinding), batch.records)
     return Batch(
         epoch_id=batch.epoch_id,
         records=records,
         stats={"input_count": len(batch.records), "invalid": invalid},
     )
+
+
+def _blind_record(
+    group: GroupParams, blinding: BlindingSecret, record: tuple[bytes, bytes]
+) -> tuple[bytes, bytes]:
+    crowd_id, inner = record
+    ct = ElGamalCiphertext.from_bytes(group, crowd_id)
+    return blind(group, ct, blinding).to_bytes(group), inner
 
 
 def blind_stage2_threshold(
@@ -203,13 +213,16 @@ def blind_stage2_threshold(
     """Decrypt blinded IDs to equality-preserving pseudonyms and threshold on
     them; neither party ever sees an unblinded crowd ID.  Repeats count as
     invalid: exact ones and later records of one inner envelope."""
-
-    def unblind_one(record: tuple[bytes, bytes]) -> tuple[bytes, bytes]:
-        crowd_id, inner = record
-        ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-        return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
-
+    unblind_one = partial(_unblind_record, group, shuffler2_keypair)
     records, invalid = map_checked(unblind_one, batch.records)
     records, repeats = one_per_inner(records)
     staged = Batch(epoch_id=batch.epoch_id, records=records, stats={"invalid": invalid + repeats})
     return apply_threshold(staged, count_crowds(staged), policy, rng)
+
+
+def _unblind_record(
+    group: GroupParams, shuffler2_keypair: KeyPair, record: tuple[bytes, bytes]
+) -> tuple[bytes, bytes]:
+    crowd_id, inner = record
+    ct = ElGamalCiphertext.from_bytes(group, crowd_id)
+    return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from anonpipe import parallel
+
 _ACCEPTANCE_LINES: list[str] = []
 
 
@@ -22,8 +24,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def no_leftover_child_process():
-    """Fail a test that leaves a child process behind, running or unreaped."""
+    """Fail a test that leaves a child process behind, running or unreaped.
+
+    The map workers live as long as their pool, so each test starts without
+    one and the pool's own shutdown must have reaped its workers by the end."""
+    parallel.shutdown()
     yield
+    parallel.shutdown()
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

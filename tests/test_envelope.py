@@ -1,3 +1,4 @@
+import pickle
 import random
 from dataclasses import fields
 
@@ -33,6 +34,23 @@ def test_key_pair_halves_must_match():
         TransportKeyPair(secret_bytes=a.secret_bytes, public_bytes=b.public_bytes)
     with pytest.raises(ValueError):
         TransportKeyPair(secret_bytes=bytes(31), public_bytes=a.public_bytes)
+
+
+def test_a_key_pair_pickles_as_its_two_halves():
+    a, rng = _keys(10)
+    b = TransportKeyPair.generate(rng)
+    cls, args = a.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    assert (cls, args) == (TransportKeyPair, (a.secret_bytes, a.public_bytes))
+    data = pickle.dumps(a, pickle.HIGHEST_PROTOCOL)
+    assert b"_private_key" not in data
+    loaded = pickle.loads(data)
+    assert loaded == a
+    assert open_envelope(loaded, seal(a.public_bytes, b"m", rng)) == b"m"
+    # the halves check runs again on load
+    swapped = data.replace(a.public_bytes, b.public_bytes)
+    assert swapped != data
+    with pytest.raises(ValueError, match="does not match"):
+        pickle.loads(swapped)
 
 
 def test_loaded_key_is_not_part_of_the_value():

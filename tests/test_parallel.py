@@ -1,16 +1,23 @@
-"""map_records: results, when it forks, and that every child is reaped; the
-gate map_checked, and that records reach map_records only through it; the
-pipeline's artifacts and its counts of hostile records at any CPU count, the
-golden digests of seeded runs' artifacts, and group powers and symbols
-whose first use is in a forked child."""
+"""map_records: results, when it forks, that its workers serve every later
+map, and that every worker is reaped, also when its process exits, is killed
+or forks; the gate map_checked, and that records reach map_records only
+through it, by functions that pickle; the pipeline's artifacts and its
+counts of hostile records at any CPU count, the golden digests of seeded
+runs' artifacts, and group powers and symbols whose first use is in a
+forked child."""
 
 import ast
 import hashlib
+import importlib.util
 import os
 import pickle
 import random
+import subprocess
+import sys
 import threading
 import time
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -46,12 +53,59 @@ from anonpipe.parallel import MIN_PER_WORKER, map_checked, map_records
 from anonpipe.shuffler import Batch, blind_stage1, intake
 
 
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
 class Boom(Exception):
     pass
 
 
+# Functions the workers run travel pickled, so they live at module level.
+
+
 def square(x):
     return x * x
+
+
+def add(offset, x):
+    return x + offset
+
+
+def pid_of(_):
+    return os.getpid()
+
+
+def fail_at(bad, x):
+    if x == bad:
+        raise Boom(x)
+    return x
+
+
+def interrupt_at(bad, x):
+    if x == bad:
+        raise KeyboardInterrupt
+    return x
+
+
+def fail_at_first_sleep_at_last(first, last, x):
+    if x == first:
+        raise Boom(x)
+    time.sleep(60 if x == last else 0)  # the worker's chunk never ends in time
+    return x
+
+
+def exit_at(bad, x):
+    if x == bad:
+        os._exit(3)
+    return x
+
+
+def closure_of(x):
+    return lambda: x
+
+
+def pids_of_a_nested_map(_):
+    return set(map_records(pid_of, list(range(2 * MIN_PER_WORKER))))
 
 
 @pytest.fixture
@@ -64,7 +118,9 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def forked(monkeypatch):
-    """The pids of the children forked during the test."""
+    """The pids of the workers forked during the test: it starts without a
+    pool, and the pool's shutdown at its end must reap every one of them."""
+    parallel.shutdown()
     real_fork = os.fork
     pids = []
 
@@ -75,7 +131,9 @@ def forked(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    return pids
+    yield pids
+    parallel.shutdown()
+    assert_reaped(pids)
 
 
 def no_fork():
@@ -83,6 +141,12 @@ def no_fork():
 
 
 def assert_reaped(pids):
+    """Each of `pids` is reaped once the pool is shut down."""
+    parallel.shutdown()
+    assert_already_reaped(pids)
+
+
+def assert_already_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -94,23 +158,89 @@ def assert_reaped(pids):
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 @pytest.mark.parametrize(
-    "n_items", [0, 1, 2 * MIN_PER_WORKER - 1, 2 * MIN_PER_WORKER, 3 * MIN_PER_WORKER + 7]
+    "n_items",
+    # around the split, and around it at the MIN_PER_WORKER of 256 that
+    # forking on every call needed
+    [0, 1, 2 * MIN_PER_WORKER - 1, 2 * MIN_PER_WORKER, 3 * MIN_PER_WORKER + 7, 511, 512, 775],
 )
 def test_map_records_equals_the_comprehension(cpus, forked, n_cpus, n_items):
     cpus(n_cpus)
     items = list(range(n_items))
     assert map_records(square, items) == [square(x) for x in items]
-    workers = min(n_cpus, n_items // MIN_PER_WORKER)
-    assert len(forked) == (workers - 1 if workers >= 2 else 0)
-    assert_reaped(forked)
+    splits = min(n_cpus, n_items // MIN_PER_WORKER) >= 2
+    assert len(forked) == (n_cpus - 1 if splits else 0)
 
 
-def test_closures_reach_the_children(cpus, forked):
+def test_the_workers_serve_every_later_map(cpus, forked):
+    cpus(3)
+    items = list(range(3 * MIN_PER_WORKER))
+    first = map_records(pid_of, items)
+    assert set(first) == {os.getpid(), *forked} and len(forked) == 2
+    for offset in range(3):
+        assert map_records(partial(add, offset), items) == [x + offset for x in items]
+    # a batch of two chunks uses the first worker only
+    assert set(map_records(pid_of, items[: 2 * MIN_PER_WORKER])) == {os.getpid(), forked[0]}
+    assert map_records(pid_of, items) == first
+    assert len(forked) == 2
+
+
+def test_a_changed_cpu_count_replaces_the_pool(cpus, forked):
+    items = list(range(3 * MIN_PER_WORKER))
+    cpus(2)
+    assert set(map_records(pid_of, items)) == {os.getpid(), forked[0]}
+    cpus(3)
+    assert set(map_records(pid_of, items)) == {os.getpid(), *forked[1:]}
+    assert len(forked) == 3
+    assert_already_reaped(forked[:1])
+
+
+def test_bound_arguments_travel_and_closures_do_not(cpus, forked):
     cpus(2)
     offset = 7
     items = list(range(2 * MIN_PER_WORKER))
-    assert map_records(lambda x: x + offset, items) == [x + offset for x in items]
+    assert map_records(partial(add, offset), items) == [x + offset for x in items]
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        map_records(lambda x: x + offset, items)
+    assert_already_reaped(forked)
+    # below the split a closure runs in-process, as before
+    assert map_records(lambda x: x + offset, items[:1]) == [offset]
+
+
+def test_a_map_inside_a_map_runs_in_process(cpus, forked):
+    cpus(2)
+    items = list(range(2 * MIN_PER_WORKER))
+    nested = map_records(pids_of_a_nested_map, items)
     assert len(forked) == 1
+    half = len(items) // 2
+    assert nested[:half] == [{os.getpid()}] * half  # in the owner's chunk too
+    assert nested[half:] == [{forked[0]}] * (len(items) - half)
+
+
+def pool_pipes_held(pool_pipes, _):
+    """Which of the pool's pipes (by inode) this process holds an end of."""
+    held = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with suppress(FileNotFoundError):  # listdir's own, closed since
+            held.add(os.readlink(f"/proc/self/fd/{fd}"))
+    return held & pool_pipes
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+def test_each_worker_holds_only_its_own_pipes(cpus, forked):
+    cpus(3)
+    items = list(range(3 * MIN_PER_WORKER))
+    map_records(square, items)
+    pipes = [
+        {os.readlink(f"/proc/self/fd/{f.fileno()}") for f in (requests, replies)}
+        for _, requests, replies in parallel._pool.workers
+    ]
+    every = set.union(*pipes)
+    assert len(forked) == 2 and len(every) == 4
+    held = map_records(partial(pool_pipes_held, every), items)
+    bounds = [0, len(items) // 3, 2 * len(items) // 3, len(items)]
+    assert held[: bounds[1]] == [every] * bounds[1]  # the owner
+    for i, own in enumerate(pipes, 1):
+        assert held[bounds[i] : bounds[i + 1]] == [own] * (bounds[i + 1] - bounds[i])
 
 
 def test_small_inputs_stay_in_process(cpus, monkeypatch):
@@ -139,61 +269,163 @@ def test_no_fork_while_another_thread_is_alive(cpus, monkeypatch):
 def test_an_exception_reaches_the_caller_and_every_child_is_reaped(cpus, forked, where):
     cpus(3)
     items = list(range(3 * MIN_PER_WORKER))
-    bad = items[0] if where == "first" else items[-1]  # the parent's or a child's chunk
-
-    def fn(x):
-        if x == bad:
-            raise Boom(x)
-        return x
-
+    bad = items[0] if where == "first" else items[-1]  # the owner's or a worker's chunk
     with pytest.raises(Boom):
-        map_records(fn, items)
+        map_records(partial(fail_at, bad), items)
     assert len(forked) == 2
-    assert_reaped(forked)
+    assert_already_reaped(forked)
+    assert map_records(square, items) == [square(x) for x in items]  # a new pool
+    assert len(forked) == 4
 
 
 def test_an_error_in_the_parents_chunk_stops_the_children(cpus, forked):
     cpus(2)
     items = list(range(2 * MIN_PER_WORKER))
-
-    def fn(x):
-        if x == items[0]:
-            raise Boom(x)
-        time.sleep(60 if x == items[-1] else 0)  # the child's chunk never ends in time
-        return x
-
     start = time.monotonic()
     with pytest.raises(Boom):
-        map_records(fn, items)
+        map_records(partial(fail_at_first_sleep_at_last, items[0], items[-1]), items)
     assert time.monotonic() - start < 30
-    assert_reaped(forked)
+    assert_already_reaped(forked)
+
+
+def test_an_interrupt_during_a_map_reaps_the_workers(cpus, forked):
+    cpus(3)
+    items = list(range(3 * MIN_PER_WORKER))
+    with pytest.raises(KeyboardInterrupt):
+        map_records(partial(interrupt_at, items[0]), items)
+    assert len(forked) == 2
+    assert_already_reaped(forked)
 
 
 def test_a_result_that_cannot_be_pickled_is_an_error(cpus, forked):
     cpus(2)
     with pytest.raises((AttributeError, pickle.PicklingError)):
-        map_records(lambda x: (lambda: x), list(range(2 * MIN_PER_WORKER)))
-    assert_reaped(forked)
+        map_records(closure_of, list(range(2 * MIN_PER_WORKER)))
+    assert_already_reaped(forked)
 
 
 def test_a_child_that_exits_without_a_result_is_an_error(cpus, forked):
     cpus(2)
     items = list(range(2 * MIN_PER_WORKER))
-
-    def fn(x):
-        if x == items[-1]:  # in the child's chunk, never the parent's
-            os._exit(3)
-        return x
-
     with pytest.raises(RuntimeError, match="without a result"):
-        map_records(fn, items)
-    assert_reaped(forked)
+        map_records(partial(exit_at, items[-1]), items)  # in the worker's chunk
+    assert_already_reaped(forked)
+
+
+# ---------------------------------------------------------------------------
+# the workers of a process that exits, is killed or forks: each case runs in
+# a process of its own, which prints its workers' pids
+
+OWNER = """
+import atexit, os, sys
+
+
+def reaped():  # registered first, so it runs after the pool's own exit handler
+    for pid in workers:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        print("left", pid, flush=True)
+        return
+    print("reaped", flush=True)
+
+
+atexit.register(reaped)
+from anonpipe import parallel
+
+parallel.usable_cpus = lambda: 3
+
+
+def pid_of(_):
+    return os.getpid()
+
+
+items = list(range(3 * parallel.MIN_PER_WORKER))
+pids = parallel.map_records(pid_of, items)
+workers = set(pids) - {os.getpid()}
+print(*sorted(workers), flush=True)
+"""
+
+
+def run_owner(tail, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(Path(parallel.__file__).parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-c", OWNER + tail], env=env, stdout=subprocess.PIPE, text=True,
+        **kwargs,
+    )
+
+
+def alive(pid):
+    """Running, not a zombie left for another process to reap."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_until_gone(pids, timeout=10):
+    deadline = time.monotonic() + timeout
+    while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if alive(pid)]
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+
+
+@needs_proc
+def test_an_owner_that_exits_leaves_no_worker():
+    owner = run_owner("")
+    out, _ = owner.communicate(timeout=60)
+    lines = out.splitlines()
+    workers = [int(pid) for pid in lines[0].split()]
+    assert owner.returncode == 0 and len(workers) == 2
+    assert lines[1:] == ["reaped"]  # by the owner, at its exit
+    assert [pid for pid in workers if alive(pid)] == []
+
+
+@needs_proc
+def test_the_workers_of_a_killed_idle_owner_leave():
+    owner = run_owner("sys.stdin.read()\n", stdin=subprocess.PIPE)
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) == 2 and all(alive(pid) for pid in workers)
+    finally:
+        owner.kill()
+        owner.communicate(timeout=60)
+    assert wait_until_gone(workers) == []
+
+
+def test_a_forked_child_leaves_the_owners_workers_alone():
+    owner = run_owner(
+        "child = os.fork()\n"
+        "if child == 0:\n"
+        "    mine = set(parallel.map_records(pid_of, items))\n"
+        "    parallel.shutdown()\n"
+        "    os._exit(3 if mine & workers else 0 if len(mine) == 3 else 4)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]), flush=True)\n"
+        "print(int(parallel.map_records(pid_of, items) == pids), flush=True)\n"
+        "print(parallel.map_records(str, items) == list(map(str, items)), flush=True)\n"
+    )
+    out, _ = owner.communicate(timeout=60)
+    lines = out.splitlines()
+    assert owner.returncode == 0 and len(lines) == 5, out
+    # the child mapped on workers of its own; the owner's pool is unchanged
+    assert lines[1:] == ["0", "1", "True", "reaped"]
 
 
 # ---------------------------------------------------------------------------
 # the gate for records from another party
 
 REJECTS = [AuthenticationError, DecryptionError, InvalidPoint]
+
+
+def square_unless_rejected(rejects, x):
+    if x in rejects:
+        raise rejects[x](x)
+    return square(x)
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -212,51 +444,72 @@ def test_map_checked_maps_distinct_items_and_counts_rejects(cpus, n_cpus, n, cop
         if items:
             items.insert(position % (len(items) + 1), items[source % len(items)])
 
-    def fn(x):
-        if x in bad:
-            raise bad[x](x)
-        return square(x)
-
     seen, expected = set(), []
     for x in items:
         if x not in seen and x not in bad:
             expected.append(square(x))
         seen.add(x)
-    results, rejected = map_checked(fn, items)
+    results, rejected = map_checked(partial(square_unless_rejected, bad), items)
     assert results == expected
     assert rejected == len(items) - len(results)
 
 
 def test_map_checked_passes_any_other_error_on(cpus):
     cpus(1)
-
-    def fn(x):
-        raise Boom(x)
-
     with pytest.raises(Boom):
-        map_checked(fn, [1])
+        map_checked(partial(fail_at, 1), [1])
 
 
 def test_records_reach_map_records_only_through_the_gate():
     # a stage's per-record check over another party's records goes through
-    # map_checked, which drops repeats; only the encoder maps its own input
+    # map_checked, which drops repeats; only the encoder maps its own input.
+    # Every function handed to either map is sent to the workers by name: a
+    # module-level function or a partial of one, never a lambda or a nested
+    # def, and never a name the per-layer tracer replaces (perfbench/spans.py)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {(path, attr) for _, path, attr, _ in spans.TARGETS}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    callers = set()
+    callers, sent = set(), set()
     for path in Path(parallel.__file__).parent.rglob("*.py"):
         tree = ast.parse(path.read_text())
+        module_functions = {n.name: path.stem for n in tree.body if isinstance(n, functions)}
+        module_functions.update(
+            (alias.asname or alias.name, node.module.rsplit(".", 1)[-1])
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
         for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, functions))]:
+            bound = {}  # this scope's `name = partial(...)` assignments
+            calls = []
             todo = list(ast.iter_child_nodes(scope))  # scope's own nodes, not nested functions'
             while todo:
                 node = todo.pop()
-                if isinstance(node, ast.alias) and node.name == "map_records":
+                if isinstance(node, ast.alias) and node.name in ("map_records", "map_checked"):
                     assert node.asname is None, path
-                if isinstance(node, ast.Call) and "map_records" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
-                ):
-                    callers.add((path.stem, getattr(scope, "name", "<module>")))
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    bound[node.targets[0].id] = node.value
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name == "map_records":
+                        callers.add((path.stem, getattr(scope, "name", "<module>")))
+                    if name in ("map_records", "map_checked"):
+                        calls.append(node)
                 if not isinstance(node, functions):
                     todo.extend(ast.iter_child_nodes(node))
+            for call in calls:
+                fn = bound.get(getattr(call.args[0], "id", None), call.args[0])
+                if isinstance(fn, ast.Call) and getattr(fn.func, "id", None) == "partial":
+                    fn = fn.args[0]
+                where = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+                assert isinstance(fn, ast.Name), where
+                if fn.id == "fn" and where == "parallel.map_checked":
+                    continue  # the caller's function, checked at the caller
+                assert fn.id in module_functions, f"{where} sends {fn.id}"
+                sent.add((module_functions[fn.id], fn.id))
     assert callers == {("parallel", "map_checked"), ("harness", "encode_words")}
+    assert sent and not sent & traced, sent & traced
 
 
 # ---------------------------------------------------------------------------
