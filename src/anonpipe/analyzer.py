@@ -1,5 +1,5 @@
 """Final stage: inner decryption, secret-share reconstruction, histograms,
-differentially-private release, and covariance assembly."""
+and covariance assembly."""
 
 from __future__ import annotations
 
@@ -96,16 +96,6 @@ def laplace_noise(rng, scale: float) -> float:
     return -scale * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 
-def dp_release(
-    hist: Histogram, epsilon: float, sensitivity: int, rng
-) -> dict[bytes, float]:
-    """Per-bin Laplace(sensitivity / epsilon) noise; raw bins untouched."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    scale = sensitivity / min(epsilon, 1e6)
-    return {k: v + laplace_noise(rng, scale) for k, v in sorted(hist.bins.items())}
-
-
 # ---------------------------------------------------------------------------
 # Covariance assembly
 
@@ -123,16 +113,6 @@ class CovarianceAccumulators:
         key = (i, j)
         self.s_matrix[key] = self.s_matrix.get(key, 0) + 1
         self.a_matrix[key] = self.a_matrix.get(key, 0.0) + r_ui * r_uj
-
-    def merge(self, other: "CovarianceAccumulators") -> "CovarianceAccumulators":
-        merged = CovarianceAccumulators(
-            s_matrix=dict(self.s_matrix), a_matrix=dict(self.a_matrix)
-        )
-        for key, v in other.s_matrix.items():
-            merged.s_matrix[key] = merged.s_matrix.get(key, 0) + v
-        for key, v in other.a_matrix.items():
-            merged.a_matrix[key] = merged.a_matrix.get(key, 0.0) + v
-        return merged
 
 
 def accumulate_covariance(four_tuples) -> CovarianceAccumulators:
@@ -153,14 +133,4 @@ def histogram_csv(hist: Histogram) -> str:
     lines = ["key,count"]
     for key in sorted(hist.bins):
         lines.append(f"{key.hex()},{hist.bins[key]}")
-    return "\n".join(lines) + "\n"
-
-
-def covariance_csv(acc: CovarianceAccumulators) -> str:
-    est = covariance_estimate(acc)
-    lines = ["i,j,s,a,estimate"]
-    for (i, j) in sorted(acc.s_matrix):
-        lines.append(
-            f"{i},{j},{acc.s_matrix[(i, j)]},{acc.a_matrix[(i, j)]},{est[(i, j)]}"
-        )
     return "\n".join(lines) + "\n"

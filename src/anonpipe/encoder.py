@@ -26,20 +26,6 @@ from anonpipe.formats import KIND_BLINDED, KIND_FIXED, KIND_HASHED, KIND_PLAIN
 # Local randomization
 
 
-def flip_bits(bitmap: bytes, nbits: int, flip_prob: float, rng) -> bytes:
-    """Independently flip each of the first nbits with probability flip_prob."""
-    if not 0.0 <= flip_prob <= 1.0:
-        raise ValueError("flip_prob must be in [0, 1]")
-    if nbits > len(bitmap) * 8:
-        raise ValueError("nbits exceeds bitmap width")
-    value = int.from_bytes(bitmap, "big")
-    width = len(bitmap) * 8
-    for bit in range(nbits):
-        if rng.random() < flip_prob:
-            value ^= 1 << (width - 1 - bit)
-    return value.to_bytes(len(bitmap), "big")
-
-
 def k_ary_randomized_response(true_value: int, k: int, epsilon: float, rng) -> int:
     """Report the true value with probability e^eps / (e^eps + k - 1),
     otherwise a uniformly random other value."""

@@ -1,5 +1,5 @@
 """End-to-end scenario runner: synthetic corpora, the stages over batch files
-that `run_scenario` and the CLI share, utility measurement, local-DP baselines."""
+that `run_scenario` and the CLI share, utility measurement, the local-DP baseline."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import hashlib
 import json
 import math
 import random
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -27,7 +26,6 @@ from anonpipe.encoder import (
     SHARE_FIELD,
     SecretShareEncoding,
     encode_report,
-    flip_bits,
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
@@ -287,6 +285,12 @@ class PipelineKeys:
                 raise ValueError(f"{name} is outside [1, p-1] for {group.group_id}")
             return v
 
+        seed = keys["seed"]
+        if seed is not None and type(seed) is not int:  # nor a bool
+            raise ValueError(f"seed must be null or an integer, not {seed!r}")
+        crowd_hash = bytes.fromhex(keys["crowd_hash"])
+        if len(crowd_hash) != CROWD_HASH_BYTES:
+            raise ValueError(f"crowd_hash is {len(crowd_hash)} bytes, not {CROWD_HASH_BYTES}")
         x2 = scalar("shuffler2_secret")
         # g^x2 is a group member, so this also rejects every non-member
         h = int(keys["shuffler2_public"], 16)
@@ -297,8 +301,8 @@ class PipelineKeys:
             shuffler=transport("shuffler1"),
             shuffler2=KeyPair(group=group, secret=x2, public=h),
             blinding=BlindingSecret(alpha=scalar("blinding_alpha")),
-            crowd_hash=bytes.fromhex(keys["crowd_hash"]),
-            seed=keys["seed"],
+            crowd_hash=crowd_hash,
+            seed=seed,
         )
 
 
@@ -316,8 +320,11 @@ def derive_keys(group_id: str, tape: RngTape) -> PipelineKeys:
     )
 
 
+CROWD_HASH_BYTES = 16  # the clients' crowd-hash key: no shuffler can enumerate it
+
+
 def _crowd_hash_key(tape: RngTape) -> bytes:
-    return tape.stream("keys/crowd-hash").randbytes(16)
+    return tape.stream("keys/crowd-hash").randbytes(CROWD_HASH_BYTES)
 
 
 def _blinding_secret(group: GroupParams, tape: RngTape) -> BlindingSecret:
@@ -577,7 +584,9 @@ def run_scenario(config: ScenarioConfig, workspace: str | Path) -> UtilityReport
 
 
 # ---------------------------------------------------------------------------
-# Local-DP baselines
+# Local-DP baseline
+
+BASELINE_ALPHA = 0.05  # the decoder's significance level over the whole vocabulary
 
 
 @dataclass
@@ -609,15 +618,13 @@ def local_dp_baseline(
     vocab_size: int,
     epsilon: float,
     rng,
-    alpha: float = 0.05,
-    name: str = "krr-baseline",
 ) -> BaselineReport:
     """k-ary randomized response with a frequency-estimation decoder.
 
     An item counts as recovered when its observed count clears a Poisson
-    tail test on the all-noise null, with the significance level alpha
-    spread over the whole vocabulary (so false positives are rare even
-    for very large domains).
+    tail test on the all-noise null, with the significance level
+    BASELINE_ALPHA spread over the whole vocabulary (so false positives are
+    rare even for very large domains).
     """
     n = len(corpus)
     observed = Counter(
@@ -626,119 +633,6 @@ def local_dp_baseline(
     )
     p = krr_true_prob(vocab_size, epsilon)
     q = (1.0 - p) / (vocab_size - 1) if vocab_size > 1 else 0.0
-    cutoff = _poisson_detection_count(n * q, vocab_size, alpha)
+    cutoff = _poisson_detection_count(n * q, vocab_size, BASELINE_ALPHA)
     recovered = {value + 1 for value, obs in observed.items() if obs >= cutoff}
-    return BaselineReport(name=name, epsilon=epsilon, recovered_values=recovered)
-
-
-def _partition_of(item: int, num_partitions: int) -> int:
-    digest = hashlib.blake2b(item_word(item), digest_size=8).digest()
-    return int.from_bytes(digest, "big") & (num_partitions - 1)
-
-
-def partitioned_baseline(
-    corpus: np.ndarray,
-    vocab_size: int,
-    num_partitions: int,
-    epsilon: float,
-    rng,
-    alpha: float = 0.05,
-) -> BaselineReport:
-    """Partition reports by a few item-hash bits, run the local-DP baseline
-    per partition over the partition's candidate set, and merge."""
-    if num_partitions < 1 or num_partitions & (num_partitions - 1):
-        raise ValueError("num_partitions must be a power of 2")
-    part_vocab: dict[int, list[int]] = {p: [] for p in range(num_partitions)}
-    for item in range(1, vocab_size + 1):
-        part_vocab[_partition_of(item, num_partitions)].append(item)
-    part_samples: dict[int, list[int]] = {p: [] for p in range(num_partitions)}
-    for item in corpus:
-        part_samples[_partition_of(int(item), num_partitions)].append(int(item))
-
-    recovered: set[int] = set()
-    for p in range(num_partitions):
-        vocab = part_vocab[p]
-        samples = part_samples[p]
-        if len(vocab) < 2 or not samples:
-            recovered.update(samples)
-            continue
-        index = {item: i for i, item in enumerate(vocab)}
-        local = np.array([index[s] + 1 for s in samples], dtype=np.int64)
-        sub = local_dp_baseline(local, len(vocab), epsilon, rng, alpha / num_partitions)
-        recovered.update(vocab[v - 1] for v in sub.recovered_values)
-    return BaselineReport(
-        name=f"krr-partitioned-{num_partitions}",
-        epsilon=epsilon,
-        recovered_values=recovered,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Tuple-corpus demos: permission actions and rating covariance
-
-
-def run_perms_demo(
-    n_samples: int = 20_000,
-    num_pages: int = 2_000,
-    seed: int = 0,
-    flip_prob: float = 1e-4,
-    threshold_t: int = 100,
-    sigma: float = 4.0,
-    group_id: str = DEFAULT_GROUP,
-) -> UtilityReport:
-    """Page/feature/action-bitmap tuples with client-side bit flipping and a
-    high randomized threshold."""
-    tape = RngTape(seed)
-    page_dist = generate_zipf_corpus(num_pages, 1.2, n_samples, seed)
-    rng = tape.stream("perms/generate")
-    flip_rng = tape.stream("perms/flip")
-    tuples = []
-    for page in page_dist:
-        feature = rng.randrange(3)
-        bitmap = bytes([rng.randrange(16)])
-        bitmap = flip_bits(bitmap, 4, flip_prob, flip_rng)
-        tuples.append(struct.pack("<IB", int(page), feature) + bitmap)
-
-    config = ScenarioConfig(
-        name="perms-demo", seed=seed, crowd_mode="hashed", threshold_t=threshold_t,
-        sigma=sigma, pad_to=16, group_id=group_id,
-    )
-    keys = derive_keys(group_id, tape)
-    blobs = encode_words(
-        config, tuples, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes,
-        hash_key=keys.crowd_hash,
-    )
-    out = shuffle_stage(config, blobs, tape, keys.shuffler, keys.shuffler2)
-    hist, _ = analyze_stage(config, [i for _, i in out.records], keys.analyzer)
-    return UtilityReport(
-        name=config.name,
-        ground_truth_unique=len(set(tuples)),
-        stage_counts={"reports": len(blobs), "surviving": len(out.records)},
-        recovered_values=set(hist.bins),
-    )
-
-
-def client_rating_tuples(
-    ratings: dict[int, int], rng, cap: int | None = None, replace_frac: float = 0.0,
-    num_items: int | None = None,
-) -> list[tuple[int, int, int, int]]:
-    """A user's covariance contribution: canonical (i, r_ui, j, r_uj) tuples,
-    optionally capped and with a fraction of item ids replaced at random."""
-    items = sorted(ratings)
-    if replace_frac > 0.0:
-        if num_items is None:
-            raise ValueError("replacement needs the item-domain size")
-        replaced = {}
-        for it in items:
-            if rng.random() < replace_frac:
-                replaced[it] = rng.randrange(1, num_items + 1)
-        items = sorted({replaced.get(it, it) for it in items})
-        ratings = {replaced.get(it, it): r for it, r in ratings.items()}
-    tuples = [
-        (i, ratings[i], j, ratings[j])
-        for a, i in enumerate(items)
-        for j in items[a:]
-    ]
-    if cap is not None and len(tuples) > cap:
-        tuples = rng.sample(tuples, cap)
-    return tuples
+    return BaselineReport(name="krr-baseline", epsilon=epsilon, recovered_values=recovered)

@@ -9,6 +9,7 @@ their crowd-ID representations differ.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,8 +39,13 @@ class ThresholdPolicy:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.threshold_t < 1 or self.sigma < 0 or self.drop_mean < 0:
-            raise ValueError("threshold_t must be at least 1, sigma and drop_mean at least 0")
+        # NaN passes a `< 0` check; neither NaN nor inf rounds to a drop, and as noise
+        # either hides every crowd
+        spreads = (self.sigma, self.drop_mean)
+        if self.threshold_t < 1 or not all(math.isfinite(v) and v >= 0 for v in spreads):
+            raise ValueError(
+                "threshold_t must be at least 1, sigma and drop_mean finite and at least 0"
+            )
 
 
 @dataclass

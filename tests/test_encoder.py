@@ -1,7 +1,6 @@
 import math
 import random
 import struct
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,6 @@ from anonpipe.crypto.group import ElGamalCiphertext
 from anonpipe.crypto.shamir import GF251, PrimeField, shamir_reconstruct
 from anonpipe.encoder import (
     encode_report,
-    flip_bits,
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
@@ -29,25 +27,6 @@ from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
 
 # ---------------------------------------------------------------------------
 # local randomization
-
-
-def test_flip_bits_zero_prob_is_identity():
-    rng = random.Random(1)
-    assert flip_bits(b"\xa5", 8, 0.0, rng) == b"\xa5"
-
-
-def test_flip_bits_one_prob_inverts():
-    rng = random.Random(2)
-    assert flip_bits(b"\xa5", 8, 1.0, rng) == bytes([0xA5 ^ 0xFF])
-
-
-def test_flip_bits_rate_close_to_p():
-    rng = random.Random(3)
-    n, p = 40_000, 0.25
-    flipped = flip_bits(bytes(n // 8), n, p, rng)
-    ones = sum(bin(b).count("1") for b in flipped)
-    sigma = math.sqrt(n * p * (1 - p))
-    assert abs(ones - n * p) < 4 * sigma
 
 
 def test_krr_true_prob_formula():

@@ -28,7 +28,6 @@ from anonpipe.harness import (
     ScenarioConfig,
     analyze_file,
     analyze_stage,
-    client_rating_tuples,
     derive_keys,
     derived_pad_to,
     encode_corpus,
@@ -37,8 +36,6 @@ from anonpipe.harness import (
     item_word,
     load_corpus,
     local_dp_baseline,
-    partitioned_baseline,
-    run_perms_demo,
     run_scenario,
     save_corpus,
     second_shuffler_stage,
@@ -456,7 +453,7 @@ def test_every_shuffler_reorders_with_the_stash_shuffle(monkeypatch, crowd_mode,
 
 
 # ---------------------------------------------------------------------------
-# baselines and demos
+# the local-DP baseline
 
 
 def test_local_dp_baseline_finds_heavy_hitters_only():
@@ -476,43 +473,6 @@ def test_local_dp_baseline_is_weak_at_moderate_epsilon():
     corpus = generate_zipf_corpus(2000, 1.1, 20_000, seed=3)
     report = local_dp_baseline(corpus, 2000, epsilon=2.0, rng=rng)
     assert report.recovered_unique <= 3  # the noise floor hides almost everything
-
-
-def test_partitioned_baseline_beats_flat_baseline():
-    corpus = generate_zipf_corpus(2000, 1.1, 20_000, seed=4)
-    flat = local_dp_baseline(corpus, 2000, epsilon=2.0, rng=random.Random(5))
-    parts = partitioned_baseline(corpus, 2000, 16, epsilon=2.0, rng=random.Random(5))
-    assert parts.recovered_unique > flat.recovered_unique
-
-
-def test_partitioned_baseline_requires_power_of_two():
-    with pytest.raises(ValueError):
-        partitioned_baseline(np.array([1, 2]), 10, 3, 2.0, random.Random(0))
-
-
-def test_perms_demo_recovers_common_tuples():
-    report = run_perms_demo(n_samples=6000, num_pages=50, threshold_t=15, seed=2)
-    assert report.recovered_unique > 0
-    assert report.recovery_ratio < 1.0
-    assert report.stage_counts["surviving"] <= report.stage_counts["reports"]
-
-
-def test_client_rating_tuples_canonical():
-    rng = random.Random(5)
-    tuples = client_rating_tuples({3: 4, 1: 5, 7: 2}, rng)
-    assert len(tuples) == 6  # C(3,2) pairs + 3 self pairs
-    assert all(i <= j for i, _, j, _ in tuples)
-    assert (1, 5, 3, 4) in tuples and (1, 5, 1, 5) in tuples
-
-
-def test_client_rating_tuples_cap_and_replacement():
-    rng = random.Random(6)
-    tuples = client_rating_tuples({1: 5, 2: 4, 3: 3, 4: 2}, rng, cap=4)
-    assert len(tuples) == 4
-    replaced = client_rating_tuples(
-        {1: 5, 2: 4}, random.Random(7), replace_frac=1.0, num_items=1000
-    )
-    assert all(i <= j for i, _, j, _ in replaced)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +727,17 @@ def test_cli_keys_json_with_another_shuffler2_public_is_a_usage_error(tmp_path, 
     assert "not a keys file" in res.output and not (tmp_path / "reports.bin").exists()
 
 
-@pytest.mark.parametrize("damage", ["crowd_hash", "seed", "not json"])
+# values keygen never writes: a seed that is not an int seeds every stage
+# draw; a crowd-hash key shorter than derive_keys draws is one a shuffler
+# can enumerate ("": none at all)
+BAD_KEY_VALUES = {
+    "seed-abc": ("seed", "abc"), "seed-true": ("seed", True), "seed-1.5": ("seed", 1.5),
+    "seed-list": ("seed", [1]), "crowd_hash-empty": ("crowd_hash", ""),
+    "crowd_hash-1-byte": ("crowd_hash", "ab"), "crowd_hash-17-bytes": ("crowd_hash", "ab" * 17),
+}
+
+
+@pytest.mark.parametrize("damage", ["crowd_hash", "seed", "not json", *BAD_KEY_VALUES])
 def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
     cfg_path = _write_config(tmp_path, n_samples=5)
     _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "1"])
@@ -775,7 +745,11 @@ def test_cli_unusable_keys_file_is_a_usage_error(tmp_path, damage):
     if damage == "not json":
         text = "{"
     else:
-        del keys[damage]
+        if damage in BAD_KEY_VALUES:
+            name, value = BAD_KEY_VALUES[damage]
+            keys[name] = value
+        else:
+            del keys[damage]
         text = json.dumps(keys)
     (tmp_path / "keys.json").write_text(text)
     save_corpus(tmp_path / "corpus.txt", generate_zipf_corpus(10, 1.1, 5, 1))
@@ -969,7 +943,12 @@ def test_cli_config_naming_policy_mode_is_a_usage_error(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key, value", [("threshold_t", 0), ("sigma", -1), ("drop_mean", -0.5)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("threshold_t", 0), ("sigma", -1), ("drop_mean", -0.5),
+     # once a traceback in draw_drop (drop_mean), or a run that released nothing (sigma)
+     ("drop_mean", "nan"), ("drop_mean", "inf"), ("sigma", "nan"), ("sigma", "inf")],
+)
 @pytest.mark.parametrize("command", ["run", "shuffle"])
 def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, value):
     cfg_path = tmp_path / "scenario.cfg"
@@ -1075,3 +1054,50 @@ def test_cli_params_bad_value_is_a_usage_error(args, message):
     res = CliRunner().invoke(cli_main, ["params", *args])
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and message in res.output and "Traceback" not in res.output
+
+
+# ---------------------------------------------------------------------------
+# code that the pipeline, the CLI or a benchmark reaches
+
+# helpers that only the acceptance criteria call (shamir_share: the tests'
+# reference dealer); every other public definition has a caller outside tests
+CRITERIA_ONLY = {
+    "local_dp_baseline", "accumulate_covariance", "covariance_estimate", "laplace_noise",
+    "shamir_share",
+}
+
+
+def _names_in(node):
+    """Every name `node` refers to, as a variable, an attribute or an import."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+
+
+def test_every_public_definition_is_reached_outside_the_tests():
+    # each public top-level function and class of anonpipe is referred to
+    # from src/, perfbench/ or bench/ outside its own definition, or is a
+    # CLI command, which its decorator registers. Names are matched, not
+    # resolved, so a namesake can hide dead code but never report live code
+    root = Path(__file__).resolve().parents[1]
+    defined, referrers = {}, {}
+    for path in sorted(p for d in ("src", "perfbench", "bench") for p in (root / d).rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scope = (path, getattr(top, "name", None))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and "anonpipe" in path.parts:
+                if not top.name.startswith("_"):
+                    defined[top.name] = scope
+                if any(getattr(d, "func", None) and getattr(d.func, "attr", None) == "command"
+                       for d in top.decorator_list):
+                    referrers.setdefault(top.name, set()).add("the CLI")
+            for name in _names_in(top):
+                referrers.setdefault(name, set()).add(scope)
+    unreached = {name for name, own in defined.items() if not referrers.get(name, set()) - {own}}
+    assert unreached == CRITERIA_ONLY, (
+        f"reached only from tests: {sorted(unreached - CRITERIA_ONLY)}; "
+        f"reached after all, or gone: {sorted(CRITERIA_ONLY - unreached)}"
+    )
