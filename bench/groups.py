@@ -4,8 +4,8 @@ Run from the root of a checkout:
 
     python3 bench/groups.py --runs 11 --calls 60 --out BENCH_groups.json
 
-For each group in `GROUPS` this times `GroupParams.is_element`,
-`GroupParams.exp`, `blind` and `unblind_decrypt` per call, once with the
+For each group in `GROUPS` this times the `GroupParams` methods
+`is_element`, `exp`, `blind` and `unblind_decrypt` per call, once with the
 libcrypto powers that `crypto/modexp.py` loads and once with its fallback,
 the built-in `pow`, forced, as the tests force it.  `is_element` is a range
 check that computes no power, so its two sides time the same code.  A run
@@ -17,10 +17,11 @@ runs of the fallback's time over OpenSSL's.
 
 `is_element` gets uniform integers in [1, q), about half of them members;
 `exp` gets members raised to uniform scalars in [1, p), as the blinded
-shuffle raises them.  `blind` (two powers) gets El Gamal ciphertexts of
-hashed crowd IDs, as the first shuffler does, and `unblind_decrypt` (one
-power) those ciphertexts blinded, as the second does.  One process, one
-thread.
+shuffle raises them.  `blind` (two powers) gets the bytes c1 || c2 of El
+Gamal ciphertexts of hashed crowd IDs, as the first shuffler does, and
+`unblind_decrypt` (one power) those ciphertexts blinded, as the second
+does; both times include decoding the two halves and encoding the result.
+One process, one thread.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ def summary(samples: list[float]) -> dict:
 
 def measure(runs: int, calls: int, seed: int) -> dict:
     from anonpipe.crypto import modexp
-    from anonpipe.crypto.group import (
-        GROUPS, BlindingSecret, KeyPair, blind, elgamal_encrypt, hash_to_group, unblind_decrypt,
-    )
+    from anonpipe.crypto.group import GROUPS, KeyPair
 
     loaded = modexp._power
     rng = random.Random(seed)
@@ -68,14 +67,14 @@ def measure(runs: int, calls: int, seed: int) -> dict:
             g.is_element, [(rng.randrange(1, g.modulus),) for _ in range(calls)]
         )
         cases[group_id, "exp"] = (g.exp, [(e, g.random_scalar(rng)) for e in members])
-        kp, blinding = KeyPair.generate(g, rng), BlindingSecret.generate(g, rng)
+        kp, alpha = KeyPair.generate(g, rng), g.random_scalar(rng)
         cts = [
-            elgamal_encrypt(g, kp.public, hash_to_group(g, b"crowd %d" % i), rng)
+            g.elgamal_encrypt(kp.public, g.hash_to_group(b"crowd %d" % i), rng)
             for i in range(calls)
         ]
-        cases[group_id, "blind"] = (blind, [(g, ct, blinding) for ct in cts])
+        cases[group_id, "blind"] = (g.blind, [(ct, alpha) for ct in cts])
         cases[group_id, "unblind_decrypt"] = (
-            unblind_decrypt, [(kp, blind(g, ct, blinding)) for ct in cts]
+            g.unblind_decrypt, [(g.blind(ct, alpha), kp.secret) for ct in cts]
         )
 
     modexp._load()

@@ -80,6 +80,59 @@ class GroupParams:
             raise InvalidPoint("bad element width")
         return self.check_element(int.from_bytes(data, "big"))
 
+    # El Gamal ciphertexts (c1, c2) = (g^r, h^r * mu) travel as the bytes
+    # c1 || c2, ciphertext_len long; only the methods below read or write them.
+
+    @property
+    def ciphertext_len(self) -> int:
+        return 2 * self.element_len
+
+    def _encode_pair(self, c1: int, c2: int) -> bytes:
+        return self.encode_element(c1) + self.encode_element(c2)
+
+    def _decode_pair(self, ciphertext: bytes) -> tuple[int, int]:
+        # input of any other length than 2w leaves one half the wrong width
+        w = self.element_len
+        return self.decode_element(ciphertext[:w]), self.decode_element(ciphertext[w:])
+
+    def hash_to_group(self, data: bytes) -> int:
+        """Deterministically hash a byte string to a group element.
+
+        Squares a hash-derived integer mod q; the square's class is an element
+        with no known discrete log relative to the generator.  Counter-increments
+        past the degenerate squares 0 and 1.
+        """
+        if not data:
+            raise ValueError("hash_to_group requires nonempty input")
+        counter = 0
+        while True:
+            h = hashlib.sha512(
+                self.group_id.encode() + b"|h2g|" + counter.to_bytes(4, "big") + data
+            ).digest()
+            e = int.from_bytes(h, "big") % self.modulus
+            elem = self.mul(e, e)
+            if elem not in (0, 1):
+                return elem
+            counter += 1
+
+    def elgamal_encrypt(self, public: int, mu: int, rng=OS_RNG) -> bytes:
+        """Encrypt `mu`, a member as `hash_to_group` returns, to the checked key."""
+        self.check_element(public)
+        r = self.random_scalar(rng)
+        return self._encode_pair(self.exp(self.generator, r), self.mul(self.exp(public, r), mu))
+
+    def blind(self, ciphertext: bytes, alpha: int) -> bytes:
+        """Raise both halves of `ciphertext` to alpha."""
+        c1, c2 = self._decode_pair(ciphertext)
+        return self._encode_pair(self.exp(c1, alpha), self.exp(c2, alpha))
+
+    def unblind_decrypt(self, ciphertext: bytes, secret: int) -> bytes:
+        """The encoded mu^alpha of a blinded ciphertext (mu itself if alpha = 1).
+
+        The group has order p, so c1^(p - x) is c1^-x without an inversion."""
+        c1, c2 = self._decode_pair(ciphertext)
+        return self.encode_element(self.mul(c2, self.exp(c1, self.order_p - secret)))
+
 
 # 2048-bit MODP safe prime (RFC 3526, group 14).  Generator 4 is not the
 # class of 1 and therefore generates the group of prime order p.
@@ -127,85 +180,3 @@ class KeyPair:
     def generate(cls, group: GroupParams, rng=OS_RNG) -> "KeyPair":
         x = group.random_scalar(rng)
         return cls(group=group, secret=x, public=group.exp(group.generator, x))
-
-
-def hash_to_group(group: GroupParams, data: bytes) -> int:
-    """Deterministically hash a byte string to a group element.
-
-    Squares a hash-derived integer mod q; the square's class is an element
-    with no known discrete log relative to the generator.  Counter-increments
-    past the degenerate squares 0 and 1.
-    """
-    if not data:
-        raise ValueError("hash_to_group requires nonempty input")
-    counter = 0
-    while True:
-        h = hashlib.sha512(
-            group.group_id.encode() + b"|h2g|" + counter.to_bytes(4, "big") + data
-        ).digest()
-        e = int.from_bytes(h, "big") % group.modulus
-        elem = group.mul(e, e)
-        if elem not in (0, 1):
-            return elem
-        counter += 1
-
-
-@dataclass(frozen=True)
-class ElGamalCiphertext:
-    """El Gamal pair (c1, c2) = (g^r, h^r * mu)."""
-
-    c1: int
-    c2: int
-
-    def to_bytes(self, group: GroupParams) -> bytes:
-        return group.encode_element(self.c1) + group.encode_element(self.c2)
-
-    @classmethod
-    def from_bytes(cls, group: GroupParams, data: bytes) -> "ElGamalCiphertext":
-        # data of any other length than 2w leaves one half the wrong width
-        w = group.element_len
-        return cls(
-            c1=group.decode_element(data[:w]),
-            c2=group.decode_element(data[w:]),
-        )
-
-
-@dataclass(frozen=True)
-class BlindingSecret:
-    """Nonzero exponent used to blind ciphertexts component-wise."""
-
-    alpha: int
-
-    @classmethod
-    def generate(cls, group: GroupParams, rng=OS_RNG) -> "BlindingSecret":
-        return cls(alpha=group.random_scalar(rng))
-
-
-def elgamal_encrypt(
-    group: GroupParams, public: int, mu: int, rng=OS_RNG
-) -> ElGamalCiphertext:
-    """Encrypt `mu`, a member as `hash_to_group` returns, to the checked key."""
-    group.check_element(public)
-    r = group.random_scalar(rng)
-    return ElGamalCiphertext(
-        c1=group.exp(group.generator, r),
-        c2=group.mul(group.exp(public, r), mu),
-    )
-
-
-def blind(
-    group: GroupParams, ct: ElGamalCiphertext, blinding: BlindingSecret
-) -> ElGamalCiphertext:
-    """Raise both halves of `ct` to alpha; they are members, as `from_bytes` returns."""
-    return ElGamalCiphertext(
-        c1=group.exp(ct.c1, blinding.alpha),
-        c2=group.exp(ct.c2, blinding.alpha),
-    )
-
-
-def unblind_decrypt(kp: KeyPair, ct: ElGamalCiphertext) -> int:
-    """Recover mu^alpha from a blinded ciphertext (mu itself if alpha = 1).
-
-    The group has order p, so c1^(p - x) is c1^-x without an inversion."""
-    g = kp.group
-    return g.mul(ct.c2, g.exp(ct.c1, g.order_p - kp.secret))

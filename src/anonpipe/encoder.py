@@ -16,7 +16,7 @@ from anonpipe.crypto.deterministic import (
     deterministic_encrypt,
 )
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope, seal
-from anonpipe.crypto.group import GroupParams, elgamal_encrypt, hash_to_group
+from anonpipe.crypto.group import GroupParams
 from anonpipe.crypto.shamir import PrimeField, ShamirShare, eval_poly
 from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
 from anonpipe.formats import KIND_BLINDED, KIND_FIXED, KIND_HASHED, KIND_PLAIN
@@ -174,8 +174,7 @@ def make_crowd_id(
     elif mode == "blinded":
         if group is None or shuffler2_public is None:
             raise MissingKey("blinded crowd IDs need the second shuffler's public key")
-        mu = hash_to_group(group, crowd_key)
-        data = elgamal_encrypt(group, shuffler2_public, mu, rng).to_bytes(group)
+        data = group.elgamal_encrypt(shuffler2_public, group.hash_to_group(crowd_key), rng)
     else:
         raise ValueError(f"unknown crowd-ID mode {mode!r}")
     return CrowdId(CROWD_KINDS[mode], data)

@@ -16,7 +16,9 @@ Batch file format:
 
 On the blinded path, `harness.shuffle_file` joins and `harness.shuffle2_file`
 splits the intermediate batch's records
-    crowd ID (El Gamal c1 || c2, 2 x element_len) || inner envelope
+    crowd ID (group.ciphertext_len) || inner envelope
+where the crowd ID is an El Gamal ciphertext c1 || c2 that only the
+`GroupParams` methods read or write.
 
 All reports within one pipeline run serialize to the same length, so an
 observer learns nothing from record sizes.
@@ -59,7 +61,7 @@ def crowd_id_width(kind: int, group: GroupParams | None = None) -> int:
         if group is None:
             # a party without group parameters cannot parse this kind
             raise DecryptionError("blinded crowd IDs need group parameters")
-        return 2 * group.element_len
+        return group.ciphertext_len
     raise DecryptionError(f"unknown crowd-ID kind {kind}")
 
 

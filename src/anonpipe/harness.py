@@ -20,7 +20,7 @@ from anonpipe import formats
 from anonpipe import shuffler as shuffler_mod
 from anonpipe.crypto import OS_RNG
 from anonpipe.crypto.envelope import MAX_PLAINTEXT, TransportKeyPair
-from anonpipe.crypto.group import GROUPS, BlindingSecret, GroupParams, KeyPair
+from anonpipe.crypto.group import GROUPS, GroupParams, KeyPair
 from anonpipe.encoder import (
     CROWD_KINDS,
     SHARE_FIELD,
@@ -247,7 +247,7 @@ class PipelineKeys:
     analyzer: TransportKeyPair
     shuffler: TransportKeyPair
     shuffler2: KeyPair
-    blinding: BlindingSecret
+    blinding: int
     crowd_hash: bytes
     seed: int | None
 
@@ -260,7 +260,7 @@ class PipelineKeys:
                 "shuffler1_public": self.shuffler.public_bytes.hex(),
                 "shuffler2_secret": f"{self.shuffler2.secret:x}",
                 "shuffler2_public": f"{self.shuffler2.public:x}",
-                "blinding_alpha": f"{self.blinding.alpha:x}",
+                "blinding_alpha": f"{self.blinding:x}",
                 "crowd_hash": self.crowd_hash.hex(),
                 "seed": self.seed,
             },
@@ -300,7 +300,7 @@ class PipelineKeys:
             analyzer=transport("analyzer"),
             shuffler=transport("shuffler1"),
             shuffler2=KeyPair(group=group, secret=x2, public=h),
-            blinding=BlindingSecret(alpha=scalar("blinding_alpha")),
+            blinding=scalar("blinding_alpha"),
             crowd_hash=crowd_hash,
             seed=seed,
         )
@@ -327,8 +327,8 @@ def _crowd_hash_key(tape: RngTape) -> bytes:
     return tape.stream("keys/crowd-hash").randbytes(CROWD_HASH_BYTES)
 
 
-def _blinding_secret(group: GroupParams, tape: RngTape) -> BlindingSecret:
-    return BlindingSecret.generate(group, tape.stream("shuffle1/blind"))
+def _blinding_secret(group: GroupParams, tape: RngTape) -> int:
+    return group.random_scalar(tape.stream("shuffle1/blind"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +346,8 @@ def encode_corpus(
     *,
     hash_key: bytes | None = None,
 ) -> list[bytes]:
-    words = [item_word(int(item)) for item in corpus]
-    return encode_words(
-        config, words, tape, analyzer_public, shuffler_public, shuffler2_keypair,
-        hash_key=hash_key,
-    )
-
-
-def encode_words(
-    config: ScenarioConfig,
-    words: list[bytes],
-    tape: RngTape,
-    analyzer_public: bytes,
-    shuffler_public: bytes,
-    shuffler2_keypair: KeyPair | None = None,
-    *,
-    hash_key: bytes | None = None,
-) -> list[bytes]:
-    """One wire report per word; the word is both the value and its crowd key.
+    """One wire report per corpus item, whose word (`item_word`) is both the
+    value and its crowd key.
 
     Report i draws its share and seal randomness from the stream
     `encode/{i}` and a blinded crowd ID's from `encode/crowd/{i}`, so the
@@ -377,7 +361,7 @@ def encode_words(
         _encode_one, config, tape, analyzer_public, shuffler_public, s2_public, hash_key,
         derived_pad_to(config),
     )
-    return map_records(encode_one, list(enumerate(words)))
+    return map_records(encode_one, [(i, item_word(int(item))) for i, item in enumerate(corpus)])
 
 
 def _encode_one(
@@ -390,7 +374,7 @@ def _encode_one(
     pad_to: int,
     item: tuple[int, bytes],
 ) -> bytes:
-    """Report `i` of `encode_words`, for `item` = (i, word)."""
+    """Report `i` of `encode_corpus`, for `item` = (i, word)."""
     i, word = item
     rng = tape.stream(f"encode/{i}")
     if config.secret_share_t:
@@ -415,7 +399,7 @@ def first_shuffler_stage(
     report_blobs: list[bytes],
     tape: RngTape,
     shuffler_keypair: TransportKeyPair,
-    blinding: BlindingSecret | None,
+    blinding: int | None,
 ) -> Batch:
     """Intake, then either blind the crowd IDs for the second shuffler or
     threshold into the final inner-envelope batch; either way the output is
@@ -591,9 +575,7 @@ BASELINE_ALPHA = 0.05  # the decoder's significance level over the whole vocabul
 
 @dataclass
 class BaselineReport:
-    name: str
-    epsilon: float
-    recovered_values: set = field(default_factory=set, repr=False)
+    recovered_values: set
 
     @property
     def recovered_unique(self) -> int:
@@ -635,4 +617,4 @@ def local_dp_baseline(
     q = (1.0 - p) / (vocab_size - 1) if vocab_size > 1 else 0.0
     cutoff = _poisson_detection_count(n * q, vocab_size, BASELINE_ALPHA)
     recovered = {value + 1 for value, obs in observed.items() if obs >= cutoff}
-    return BaselineReport(name="krr-baseline", epsilon=epsilon, recovered_values=recovered)
+    return BaselineReport(recovered_values=recovered)

@@ -16,14 +16,7 @@ from functools import partial
 
 from anonpipe import stash_shuffle
 from anonpipe.crypto.envelope import AeadEnvelope, TransportKeyPair, open_envelope
-from anonpipe.crypto.group import (
-    BlindingSecret,
-    ElGamalCiphertext,
-    GroupParams,
-    KeyPair,
-    blind,
-    unblind_decrypt,
-)
+from anonpipe.crypto.group import GroupParams, KeyPair
 from anonpipe.errors import DecryptionError
 from anonpipe.formats import parse_outer_plaintext, parse_report
 from anonpipe.parallel import map_checked
@@ -194,10 +187,10 @@ def selectivity_record(batch: Batch) -> dict:
 # Two-shuffler blinded crowd IDs
 
 
-def blind_stage1(batch: Batch, group: GroupParams, blinding: BlindingSecret) -> Batch:
-    """Exponent-blind every El Gamal crowd ID; the caller reorders the result
-    with `shuffle_batch`.  Repeats count as invalid."""
-    records, invalid = map_checked(partial(_blind_record, group, blinding), batch.records)
+def blind_stage1(batch: Batch, group: GroupParams, alpha: int) -> Batch:
+    """Exponent-blind every El Gamal crowd ID by `alpha`; the caller reorders
+    the result with `shuffle_batch`.  Repeats count as invalid."""
+    records, invalid = map_checked(partial(_blind_record, group, alpha), batch.records)
     return Batch(
         epoch_id=batch.epoch_id,
         records=records,
@@ -206,11 +199,10 @@ def blind_stage1(batch: Batch, group: GroupParams, blinding: BlindingSecret) -> 
 
 
 def _blind_record(
-    group: GroupParams, blinding: BlindingSecret, record: tuple[bytes, bytes]
+    group: GroupParams, alpha: int, record: tuple[bytes, bytes]
 ) -> tuple[bytes, bytes]:
     crowd_id, inner = record
-    ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-    return blind(group, ct, blinding).to_bytes(group), inner
+    return group.blind(crowd_id, alpha), inner
 
 
 def blind_stage2_threshold(
@@ -230,5 +222,4 @@ def _unblind_record(
     group: GroupParams, shuffler2_keypair: KeyPair, record: tuple[bytes, bytes]
 ) -> tuple[bytes, bytes]:
     crowd_id, inner = record
-    ct = ElGamalCiphertext.from_bytes(group, crowd_id)
-    return group.encode_element(unblind_decrypt(shuffler2_keypair, ct)), inner
+    return group.unblind_decrypt(crowd_id, shuffler2_keypair.secret), inner

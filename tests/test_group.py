@@ -1,24 +1,16 @@
+import ast
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anonpipe
 from anonpipe.crypto import modexp
-from anonpipe.crypto.group import (
-    MODP_2048,
-    TEST_GROUP_256,
-    BlindingSecret,
-    ElGamalCiphertext,
-    GroupParams,
-    KeyPair,
-    blind,
-    elgamal_encrypt,
-    hash_to_group,
-    unblind_decrypt,
-)
+from anonpipe.crypto.group import MODP_2048, TEST_GROUP_256, GroupParams, KeyPair
 from anonpipe.errors import InvalidPoint
 
 G = TEST_GROUP_256
@@ -27,6 +19,12 @@ G = TEST_GROUP_256
 def canonical(group: GroupParams, r: int) -> int:
     """The class {r, q - r} as its member in [1, p], independent of group.py."""
     return min(r, group.modulus - r)
+
+
+def halves(group: GroupParams, ct: bytes) -> tuple[int, int]:
+    """c1 and c2 of the ciphertext bytes c1 || c2, unchecked."""
+    w = group.element_len
+    return int.from_bytes(ct[:w], "big"), int.from_bytes(ct[w:], "big")
 
 
 def test_group_constants_are_consistent():
@@ -44,51 +42,56 @@ def test_group_constants_are_consistent():
 
 
 def test_hash_to_group_deterministic():
-    assert hash_to_group(G, b"movie:42") == hash_to_group(G, b"movie:42")
+    assert G.hash_to_group(b"movie:42") == G.hash_to_group(b"movie:42")
 
 
 def test_hash_to_group_distinct_inputs():
-    assert hash_to_group(G, b"a") != hash_to_group(G, b"b")
+    assert G.hash_to_group(b"a") != G.hash_to_group(b"b")
 
 
 def test_hash_to_group_closure_under_exponentiation():
     rng = random.Random(1)
-    e = hash_to_group(G, b"value")
+    e = G.hash_to_group(b"value")
     for _ in range(10):
         assert G.is_element(G.exp(e, G.random_scalar(rng)))
 
 
 def test_hash_to_group_rejects_empty():
     with pytest.raises(ValueError):
-        hash_to_group(G, b"")
+        G.hash_to_group(b"")
 
 
 def test_elgamal_roundtrip_without_blinding():
     rng = random.Random(2)
     kp = KeyPair.generate(G, rng)
-    mu = hash_to_group(G, b"crowd")
-    assert unblind_decrypt(kp, elgamal_encrypt(G, kp.public, mu, rng)) == mu
+    mu = G.hash_to_group(b"crowd")
+    ct = G.elgamal_encrypt(kp.public, mu, rng)
+    assert G.unblind_decrypt(ct, kp.secret) == G.encode_element(mu)
 
 
 def test_blinding_same_alpha_same_plaintext_decrypt_equal():
     rng = random.Random(3)
     kp = KeyPair.generate(G, rng)
-    mu = hash_to_group(G, b"crowd")
-    alpha = BlindingSecret.generate(G, rng)
-    ct1 = blind(G, elgamal_encrypt(G, kp.public, mu, rng), alpha)
-    ct2 = blind(G, elgamal_encrypt(G, kp.public, mu, rng), alpha)
+    mu = G.hash_to_group(b"crowd")
+    alpha = G.random_scalar(rng)
+    ct1 = G.blind(G.elgamal_encrypt(kp.public, mu, rng), alpha)
+    ct2 = G.blind(G.elgamal_encrypt(kp.public, mu, rng), alpha)
     assert ct1 != ct2  # fresh r
-    assert unblind_decrypt(kp, ct1) == unblind_decrypt(kp, ct2) == G.exp(mu, alpha.alpha)
+    assert (
+        G.unblind_decrypt(ct1, kp.secret)
+        == G.unblind_decrypt(ct2, kp.secret)
+        == G.encode_element(G.exp(mu, alpha))
+    )
 
 
 def test_blinding_distinct_plaintexts_stay_distinct():
     rng = random.Random(4)
     kp = KeyPair.generate(G, rng)
-    alpha = BlindingSecret.generate(G, rng)
+    alpha = G.random_scalar(rng)
     out = set()
     for word in (b"a", b"b", b"c"):
-        ct = blind(G, elgamal_encrypt(G, kp.public, hash_to_group(G, word), rng), alpha)
-        out.add(unblind_decrypt(kp, ct))
+        ct = G.blind(G.elgamal_encrypt(kp.public, G.hash_to_group(word), rng), alpha)
+        out.add(G.unblind_decrypt(ct, kp.secret))
     assert len(out) == 3
 
 
@@ -98,9 +101,9 @@ def test_blinding_preserves_equality_relation():
     for _ in range(50):
         a = rng.randbytes(8)
         b = rng.randbytes(8)
-        alpha = BlindingSecret.generate(G, rng)
-        pa = G.exp(hash_to_group(G, a), alpha.alpha)
-        pb = G.exp(hash_to_group(G, b), alpha.alpha)
+        alpha = G.random_scalar(rng)
+        pa = G.exp(G.hash_to_group(a), alpha)
+        pb = G.exp(G.hash_to_group(b), alpha)
         assert (pa == pb) == (a == b)
 
 
@@ -117,21 +120,21 @@ def test_invalid_point_rejected():
         bytes(2 * G.element_len),
     ):
         with pytest.raises(InvalidPoint):
-            unblind_decrypt(kp, ElGamalCiphertext.from_bytes(G, data))
+            G.unblind_decrypt(data, kp.secret)
 
 
 def test_blind_and_encrypt_reject_non_members():
     rng = random.Random(8)
-    alpha = BlindingSecret.generate(G, rng)
+    alpha = G.random_scalar(rng)
     member = G.encode_element(G.generator)
     # nor `blind`
     above_p = G.encode_element(G.order_p + 1)
     for data in (G.encode_element(G.modulus - 1) + member, member + above_p):
         with pytest.raises(InvalidPoint):
-            blind(G, ElGamalCiphertext.from_bytes(G, data), alpha)
+            G.blind(data, alpha)
     for non_member in (0, G.order_p + 1, G.modulus - 1, G.modulus):
         with pytest.raises(InvalidPoint):
-            elgamal_encrypt(G, non_member, G.generator, rng)
+            G.elgamal_encrypt(non_member, G.generator, rng)
 
 
 def test_decode_checks_width_range_and_membership():
@@ -156,7 +159,7 @@ def test_decode_checks_width_range_and_membership():
 def test_hash_to_group_returns_a_member(group, data):
     # nothing checks mu after hash_to_group, so this pins that it is a
     # member other than 1
-    assert 1 < hash_to_group(group, data) <= group.order_p
+    assert 1 < group.hash_to_group(data) <= group.order_p
 
 
 @pytest.mark.parametrize(
@@ -192,7 +195,7 @@ def test_decode_element_accepts_exactly_one_to_p(group, examples):
 
 def test_element_encoding_roundtrip():
     rng = random.Random(7)
-    e = hash_to_group(G, b"x")
+    e = G.hash_to_group(b"x")
     assert G.decode_element(G.encode_element(e)) == e
     assert len(G.encode_element(e)) == G.element_len
 
@@ -220,12 +223,12 @@ def test_group_operations_return_members(group, examples):
     @example(a=p, b=p + 1, k=p, data=b"x", seed=0)
     def check(a, b, k, data, seed):
         rng = random.Random(seed)
-        mu = hash_to_group(group, data)
-        ct = elgamal_encrypt(group, kp.public, mu, rng)
-        blinded = blind(group, ct, BlindingSecret.generate(group, rng))
+        mu = group.hash_to_group(data)
+        ct = group.elgamal_encrypt(kp.public, mu, rng)
+        blinded = group.blind(ct, group.random_scalar(rng))
         for e in (
-            group.exp(a, k), group.mul(a, b), mu, ct.c1, ct.c2, blinded.c1, blinded.c2,
-            unblind_decrypt(kp, blinded),
+            group.exp(a, k), group.mul(a, b), mu, *halves(group, ct), *halves(group, blinded),
+            int.from_bytes(group.unblind_decrypt(blinded, kp.secret), "big"),
         ):
             assert 1 <= e <= p
 
@@ -255,7 +258,7 @@ def test_generator_exp_matches_pow(group, examples):
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)
 def test_exp_of_another_base_matches_pow(group, examples):
     q, p = group.modulus, group.order_p
-    member = hash_to_group(group, b"another base")
+    member = group.hash_to_group(b"another base")
 
     @settings(max_examples=examples, deadline=None)
     @given(base=st.integers(1, q - 1), e=st.integers(-4 * p, 4 * p))
@@ -284,10 +287,10 @@ def checked(monkeypatch):
 def test_encrypting_checks_only_the_key(checked):
     rng = random.Random(11)
     kp = KeyPair.generate(G, rng)
-    mu = hash_to_group(G, b"crowd")
-    ct = elgamal_encrypt(G, kp.public, mu, rng)
+    mu = G.hash_to_group(b"crowd")
+    ct = G.elgamal_encrypt(kp.public, mu, rng)
     assert checked == [kp.public]
-    assert unblind_decrypt(kp, ct) == mu
+    assert G.unblind_decrypt(ct, kp.secret) == G.encode_element(mu)
 
 
 @pytest.mark.parametrize("group, examples", BOTH_GROUPS)
@@ -300,7 +303,8 @@ def test_unblind_decrypt_matches_inverting_c1_to_the_x(group, examples):
         c1, c2 = canonical(group, pow(g, k1, q)), canonical(group, pow(g, k2, q))
         kp = KeyPair(group=group, secret=x, public=canonical(group, pow(g, x, q)))
         expected = canonical(group, c2 * pow(pow(c1, x, q), -1, q) % q)
-        assert unblind_decrypt(kp, ElGamalCiphertext(c1=c1, c2=c2)) == expected
+        ct = group.encode_element(c1) + group.encode_element(c2)
+        assert group.unblind_decrypt(ct, kp.secret) == group.encode_element(expected)
 
     check()
 
@@ -372,7 +376,7 @@ def test_threads_sharing_the_scratch_numbers_get_pows_answers():
 
 
 _FUZZ_KEYS = KeyPair.generate(G, random.Random(10))
-_FUZZ_ALPHA = BlindingSecret.generate(G, random.Random(11))
+_FUZZ_ALPHA = G.random_scalar(random.Random(11))
 
 
 @settings(max_examples=300, deadline=None)
@@ -384,12 +388,39 @@ _FUZZ_ALPHA = BlindingSecret.generate(G, random.Random(11))
 )
 def test_hostile_ciphertext_bytes_raise_only_invalid_point(data):
     # the blinded stages count InvalidPoint as `invalid`; nothing else may escape
-    try:
-        ct = ElGamalCiphertext.from_bytes(G, data)
-    except InvalidPoint:
-        return
-    for apply in (lambda: blind(G, ct, _FUZZ_ALPHA), lambda: unblind_decrypt(_FUZZ_KEYS, ct)):
+    for apply in (
+        lambda: G.blind(data, _FUZZ_ALPHA),
+        lambda: G.unblind_decrypt(data, _FUZZ_KEYS.secret),
+    ):
         try:
             apply()
         except InvalidPoint:
             pass
+
+
+# What the rest of anonpipe may see of this module: group parameters and key
+# pairs.  Elements travel as ciphertext bytes through GroupParams' El Gamal
+# methods, so the element encoding can change without touching any caller.
+GROUP_EXPORTS = {"GROUPS", "GroupParams", "KeyPair"}
+ELEMENT_LAYOUT = {"mul", "encode_element", "decode_element", "check_element", "element_len"}
+
+
+def test_group_elements_stay_inside_the_group_module():
+    package = Path(anonpipe.__file__).parent
+    crossings = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "crypto" / "group.py":
+            continue
+        where = str(path.relative_to(package))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "anonpipe.crypto.group":
+                crossings += [(where, a.name) for a in node.names if a.name not in GROUP_EXPORTS]
+            elif isinstance(node, ast.ImportFrom) and node.module == "anonpipe.crypto":
+                crossings += [(where, a.name) for a in node.names if a.name == "group"]
+            elif isinstance(node, ast.Import):
+                crossings += [
+                    (where, a.name) for a in node.names if a.name == "anonpipe.crypto.group"
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr in ELEMENT_LAYOUT:
+                crossings.append((where, node.attr))
+    assert crossings == []

@@ -17,7 +17,7 @@ from anonpipe import cli, formats, shuffler
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
 from anonpipe.crypto.envelope import AeadEnvelope, open_envelope, seal
-from anonpipe.crypto.group import GROUPS, MODP_2048, ElGamalCiphertext
+from anonpipe.crypto.group import GROUPS, MODP_2048
 from anonpipe.encoder import SHARE_FIELD, secret_share_encode
 from anonpipe.errors import PayloadTooLarge
 from anonpipe.harness import (
@@ -31,7 +31,6 @@ from anonpipe.harness import (
     derive_keys,
     derived_pad_to,
     encode_corpus,
-    encode_words,
     generate_zipf_corpus,
     item_word,
     load_corpus,
@@ -161,9 +160,9 @@ def test_secret_share_reports_are_as_long_in_every_group():
     keys = derive_keys(DEFAULT_GROUP, RngTape(1))
     public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
     lengths = {
-        len(encode_words(
+        len(encode_corpus(
             _small_config(vocab_size=3000, crowd_mode="fixed", secret_share_t=20, group_id=g),
-            [item_word(3000)], RngTape(1), *public,
+            np.array([3000]), RngTape(1), *public,
         )[0])
         for g in GROUPS
     }
@@ -205,9 +204,9 @@ def test_encode_without_a_hash_key_draws_the_keys_crowd_hash():
     cfg = _small_config(n_samples=20)
     keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
     public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
-    words = [item_word(i % 4) for i in range(20)]
-    assert encode_words(cfg, words, RngTape(cfg.seed), *public) == encode_words(
-        cfg, words, RngTape(cfg.seed), *public, hash_key=keys.crowd_hash
+    items = np.arange(20) % 4
+    assert encode_corpus(cfg, items, RngTape(cfg.seed), *public) == encode_corpus(
+        cfg, items, RngTape(cfg.seed), *public, hash_key=keys.crowd_hash
     )
 
 
@@ -288,8 +287,8 @@ def _hostile_reports(cfg, keys):
     blobs = encode_corpus(cfg, corpus, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes)
 
     def one(pad_to, crowd_mode="hashed"):
-        return encode_words(
-            dataclasses.replace(cfg, pad_to=pad_to, crowd_mode=crowd_mode), [item_word(1)], tape,
+        return encode_corpus(
+            dataclasses.replace(cfg, pad_to=pad_to, crowd_mode=crowd_mode), np.array([1]), tape,
             keys.analyzer.public_bytes, keys.shuffler.public_bytes,
         )[0]
 
@@ -374,7 +373,7 @@ def test_resealed_inner_envelope_is_one_crowd_member():
     cfg = _small_config(seed=3, threshold_t=5)
     keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
     public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
-    report = encode_words(cfg, [item_word(7)], RngTape(cfg.seed), *public)[0]
+    report = encode_corpus(cfg, np.array([7]), RngTape(cfg.seed), *public)[0]
     outer = open_envelope(keys.shuffler, AeadEnvelope.from_bytes(formats.parse_report(report)))
     rng = random.Random(3)
     resealed = [
@@ -394,16 +393,16 @@ def test_rerandomized_blinded_record_is_one_crowd_member(tmp_path):
     keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
     group = GROUPS[cfg.group_id]
     run_scenario(cfg, tmp_path)
-    width = 2 * group.element_len
+    width, w = group.ciphertext_len, group.element_len
     first = formats.read_batch(tmp_path / "blinded.bin")[0]
-    ct = ElGamalCiphertext.from_bytes(group, first[:width])
+    ct1, ct2 = group.decode_element(first[:w]), group.decode_element(first[w:width])
     rng = random.Random(11)
     copies = []
     for _ in range(7):
         s = group.random_scalar(rng)
-        c1 = group.mul(ct.c1, group.exp(group.generator, s))
-        c2 = group.mul(ct.c2, group.exp(keys.shuffler2.public, s))
-        copies.append(ElGamalCiphertext(c1, c2).to_bytes(group) + first[width:])
+        c1 = group.mul(ct1, group.exp(group.generator, s))
+        c2 = group.mul(ct2, group.exp(keys.shuffler2.public, s))
+        copies.append(group.encode_element(c1) + group.encode_element(c2) + first[width:])
     formats.write_batch(tmp_path / "copies.bin", copies)
     shuffle2_file(cfg, keys, tmp_path / "copies.bin", tmp_path / "out" / "shuffled.bin")
     selectivity = json.loads((tmp_path / "out" / "selectivity.json").read_text())

@@ -21,6 +21,7 @@ from functools import partial
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,15 +29,7 @@ from hypothesis import strategies as st
 from anonpipe import parallel
 from anonpipe.analyzer import decrypt_corpus
 from anonpipe.crypto import modexp
-from anonpipe.crypto.group import (
-    GROUPS,
-    BlindingSecret,
-    ElGamalCiphertext,
-    GroupParams,
-    KeyPair,
-    elgamal_encrypt,
-    hash_to_group,
-)
+from anonpipe.crypto.group import GROUPS, GroupParams, KeyPair
 from anonpipe.encoder import CROWD_KINDS
 from anonpipe.formats import inner_envelope_length, report_length
 from anonpipe.harness import (
@@ -44,8 +37,7 @@ from anonpipe.harness import (
     ScenarioConfig,
     derive_keys,
     derived_pad_to,
-    encode_words,
-    item_word,
+    encode_corpus,
     run_scenario,
 )
 from anonpipe.errors import AuthenticationError, DecryptionError, InvalidPoint
@@ -508,7 +500,7 @@ def test_records_reach_map_records_only_through_the_gate():
                     continue  # the caller's function, checked at the caller
                 assert fn.id in module_functions, f"{where} sends {fn.id}"
                 sent.add((module_functions[fn.id], fn.id))
-    assert callers == {("parallel", "map_checked"), ("harness", "encode_words")}
+    assert callers == {("parallel", "map_checked"), ("harness", "encode_corpus")}
     assert sent and not sent & traced, sent & traced
 
 
@@ -566,10 +558,10 @@ def honest():
     """Reports, their intake batch and the analyzer's records, on 1 CPU."""
     tape = RngTape(FUZZ_CONFIG.seed)
     keys = derive_keys(FUZZ_CONFIG.group_id, tape)
-    words = [item_word(1 + i % FUZZ_CONFIG.vocab_size) for i in range(FUZZ_CONFIG.n_samples)]
+    items = 1 + np.arange(FUZZ_CONFIG.n_samples) % FUZZ_CONFIG.vocab_size
     with mock.patch.object(parallel, "usable_cpus", lambda: 1):
-        reports = encode_words(
-            FUZZ_CONFIG, words, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes
+        reports = encode_corpus(
+            FUZZ_CONFIG, items, tape, keys.analyzer.public_bytes, keys.shuffler.public_bytes
         )
         batch = fuzz_intake(reports, keys)
         inner = [i for _, i in batch.records]
@@ -711,7 +703,7 @@ def test_artifacts_match_their_golden_digests(tmp_path, cpus, forked, name, n_cp
 # ---------------------------------------------------------------------------
 # membership checks on the forked encode path
 
-SPY_WORDS = [item_word(1 + i % 30) for i in range(2 * MIN_PER_WORKER + 88)]
+SPY_ITEMS = 1 + np.arange(2 * MIN_PER_WORKER + 88) % 30
 
 
 @pytest.fixture(scope="module")
@@ -752,8 +744,8 @@ def test_forked_encode_checks_only_shuffler2s_key_once_per_report(
     cpus, forked, membership_checks, spy_keys, config
 ):
     cpus(2)
-    encode_words(
-        config, SPY_WORDS, RngTape(config.seed), spy_keys.analyzer.public_bytes,
+    encode_corpus(
+        config, SPY_ITEMS, RngTape(config.seed), spy_keys.analyzer.public_bytes,
         spy_keys.shuffler.public_bytes, spy_keys.shuffler2, hash_key=spy_keys.crowd_hash,
     )
     assert forked
@@ -763,7 +755,7 @@ def test_forked_encode_checks_only_shuffler2s_key_once_per_report(
         return
     # h once per report, in the parent and in the child, and nothing else
     assert {e for _, e in checks} == {spy_keys.shuffler2.public}
-    assert len(checks) == len(SPY_WORDS)
+    assert len(checks) == len(SPY_ITEMS)
     assert {pid for pid, _ in checks} == {os.getpid(), *forked}
 
 
@@ -775,12 +767,12 @@ def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpu
     """blind_stage1 at 2 CPUs with `modexp._power` not yet loaded in the
     parent: each process loads OpenSSL once and gets pow's records."""
     G, rng = GROUPS["test-256"], random.Random(13)
-    kp, blinding = KeyPair.generate(G, rng), BlindingSecret.generate(G, rng)
+    kp, alpha = KeyPair.generate(G, rng), G.random_scalar(rng)
     cts = [
-        elgamal_encrypt(G, kp.public, hash_to_group(G, b"crowd %d" % (i % 40)), rng)
+        G.elgamal_encrypt(kp.public, G.hash_to_group(b"crowd %d" % (i % 40)), rng)
         for i in range(600)
     ]
-    records = [(ct.to_bytes(G), b"inner %d" % i) for i, ct in enumerate(cts)]
+    records = [(ct, b"inner %d" % i) for i, ct in enumerate(cts)]
     log, load = tmp_path / "loads", modexp._load
 
     def spy_load():
@@ -791,17 +783,16 @@ def test_a_forked_child_loads_its_powers_on_first_use(monkeypatch, tmp_path, cpu
     monkeypatch.setattr(modexp, "_power", None)
     monkeypatch.setattr(modexp, "_load", spy_load)
     cpus(2)
-    out = blind_stage1(Batch(epoch_id="e", records=records), G, blinding)
+    out = blind_stage1(Batch(epoch_id="e", records=records), G, alpha)
     assert len(forked) == 1
     assert sorted(map(int, log.read_text().split())) == sorted([os.getpid(), *forked])
-    q, alpha = G.modulus, blinding.alpha
+    q, w = G.modulus, G.element_len
 
-    def power(c):  # pow's answer, as its class's member in [1, p]
-        r = pow(c, alpha, q)
-        return min(r, q - r)
+    def power(c):  # pow's answer for one half, as its class's member in [1, p]
+        r = pow(int.from_bytes(c, "big"), alpha, q)
+        return G.encode_element(min(r, q - r))
 
     assert out.records == [
-        (ElGamalCiphertext(power(ct.c1), power(ct.c2)).to_bytes(G), inner)
-        for ct, (_, inner) in zip(cts, records)
+        (power(ct[:w]) + power(ct[w:]), inner) for ct, (_, inner) in zip(cts, records)
     ]
     assert out.stats == {"input_count": 600, "invalid": 0}

@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonpipe.crypto.envelope import TransportKeyPair
-from anonpipe.crypto.group import (
-    TEST_GROUP_256,
-    BlindingSecret,
-    ElGamalCiphertext,
-    KeyPair,
-    elgamal_encrypt,
-    hash_to_group,
-    unblind_decrypt,
-)
+from anonpipe.crypto.group import TEST_GROUP_256, KeyPair
 from anonpipe.encoder import CrowdId, encode_report, make_crowd_id
 from anonpipe.errors import DecryptionError
 from anonpipe.formats import (
@@ -235,9 +227,9 @@ def test_selectivity_record_is_counts_only():
 def _blinded_batch(crowd_keys, kp2, rng):
     records = []
     for key in crowd_keys:
-        mu = hash_to_group(G, key)
-        ct = elgamal_encrypt(G, kp2.public, mu, rng)
-        records.append((ct.to_bytes(G), rng.randbytes(16)))
+        mu = G.hash_to_group(key)
+        ct = G.elgamal_encrypt(kp2.public, mu, rng)
+        records.append((ct, rng.randbytes(16)))
     return Batch("e", records)
 
 
@@ -245,7 +237,7 @@ def test_blind_stage1_preserves_count_and_rerandomizes():
     rng = random.Random(10)
     kp2 = KeyPair.generate(G, rng)
     batch = _blinded_batch([b"a", b"b", b"a"], kp2, rng)
-    alpha = BlindingSecret.generate(G, rng)
+    alpha = G.random_scalar(rng)
     out = blind_stage1(batch, G, alpha)
     assert len(out.records) == 3
     assert {i for _, i in out.records} == {i for _, i in batch.records}
@@ -257,7 +249,7 @@ def test_blind_stage1_drops_invalid_ciphertexts():
     kp2 = KeyPair.generate(G, rng)
     batch = _blinded_batch([b"a"], kp2, rng)
     batch.records.append((b"\x00" * (2 * G.element_len), b"junk"))
-    out = blind_stage1(batch, G, BlindingSecret.generate(G, rng))
+    out = blind_stage1(batch, G, G.random_scalar(rng))
     assert len(out.records) == 1
     assert out.stats["invalid"] == 1
 
@@ -266,7 +258,7 @@ def test_stage2_pseudonyms_preserve_equality():
     rng = random.Random(12)
     kp2 = KeyPair.generate(G, rng)
     batch = _blinded_batch([b"a"] * 6 + [b"b"] * 2, kp2, rng)
-    blinded = blind_stage1(batch, G, BlindingSecret.generate(G, rng))
+    blinded = blind_stage1(batch, G, G.random_scalar(rng))
     out = blind_stage2_threshold(blinded, G, kp2, ThresholdPolicy(5), rng)
     # only the 6-member crowd passes T=5; its inner envelopes survive intact
     assert len(out.records) == 6
@@ -280,7 +272,7 @@ def test_blinded_pipeline_matches_plaintext_pipeline():
     for seed in range(10):
         rng = random.Random(100 + seed)
         kp2 = KeyPair.generate(G, rng)
-        alpha = BlindingSecret.generate(G, rng)
+        alpha = G.random_scalar(rng)
         keys = [b"k%d" % rng.randrange(6) for _ in range(60)]
         inners = [rng.randbytes(16) for _ in keys]
 
@@ -292,7 +284,7 @@ def test_blinded_pipeline_matches_plaintext_pipeline():
         blinded = Batch(
             "e",
             [
-                (elgamal_encrypt(G, kp2.public, hash_to_group(G, k), rng).to_bytes(G), i)
+                (G.elgamal_encrypt(kp2.public, G.hash_to_group(k), rng), i)
                 for k, i in zip(keys, inners)
             ],
         )
@@ -327,7 +319,7 @@ def test_blinded_stages_count_the_other_representative_as_invalid():
     # q - x is the same class as x, but not its encoding: accepted, it would
     # give one honest element a second byte string
     rng = random.Random(21)
-    kp2, alpha = KeyPair.generate(G, rng), BlindingSecret.generate(G, rng)
+    kp2, alpha = KeyPair.generate(G, rng), G.random_scalar(rng)
     keys = [b"a"] * 3 + [b"b"] * 2
     honest = _blinded_batch(keys, kp2, rng).records
     n_bad = 2 * len(honest)
@@ -335,10 +327,8 @@ def test_blinded_stages_count_the_other_representative_as_invalid():
     stage1 = blind_stage1(Batch("e", honest + _other_representatives(honest, b"s1-")), G, alpha)
     assert stage1.stats["invalid"] == n_bad
     assert stage1.records == blind_stage1(Batch("e", honest), G, alpha).records
-    pseudonyms = [
-        unblind_decrypt(kp2, ElGamalCiphertext.from_bytes(G, cid)) for cid, _ in stage1.records
-    ]
-    assert pseudonyms == [G.exp(hash_to_group(G, k), alpha.alpha) for k in keys]
+    pseudonyms = [G.unblind_decrypt(cid, kp2.secret) for cid, _ in stage1.records]
+    assert pseudonyms == [G.encode_element(G.exp(G.hash_to_group(k), alpha)) for k in keys]
 
     stage2_in = Batch("e", stage1.records + _other_representatives(stage1.records, b"s2-"))
     stage2 = blind_stage2_threshold(stage2_in, G, kp2, ThresholdPolicy(2), random.Random(1))
@@ -376,7 +366,7 @@ _EDGE_CROWD_IDS = [
 def test_blinded_stages_count_every_bad_crowd_id(bad, seed):
     rng = random.Random(seed)
     kp2 = KeyPair.generate(G, rng)
-    alpha = BlindingSecret.generate(G, rng)
+    alpha = G.random_scalar(rng)
     honest = _blinded_batch([b"a"] * 3 + [b"b"] * 2, kp2, rng).records
     n_bad = sum(not _valid_crowd_id(c) for c in bad)
 
