@@ -38,6 +38,9 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from benchstats import summary  # noqa: E402
+
 PATHS = ("openssl", "fallback")
 
 
@@ -47,11 +50,6 @@ def per_call_us(fn, inputs) -> float:
     for args in inputs:
         fn(*args)
     return (perf_counter() - start) / len(inputs) * 1e6
-
-
-def summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs_us": samples}
 
 
 def measure(runs: int, calls: int, seed: int) -> dict:

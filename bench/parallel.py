@@ -33,13 +33,15 @@ import json
 import os
 import platform
 import random
-import statistics
 import sys
 from functools import partial
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from benchstats import summary  # noqa: E402
+
 SIZES = (2, 4, 8, 16, 32, 64, 128, 253, 600, 4000)
 CPUS = (1, 2)
 PAD_TO = 90  # 150-byte inner envelopes
@@ -54,11 +56,6 @@ def per_call_us(fn, calls: int) -> float:
     for _ in range(calls):
         fn()
     return (perf_counter() - start) / calls * 1e6
-
-
-def summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs_us": samples}
 
 
 def measure(runs: int, pass_items: int, seed: int) -> dict:

@@ -1,5 +1,8 @@
 """Final stage: inner decryption, secret-share reconstruction and histograms.
 
+The share decode parses each payload once into plain ints and inverts once
+per decodable group: one `shamir_reconstruct` over that group's t shares.
+
 Covariance accumulation and estimate and `laplace_noise` are library
 helpers: no stage, CLI command or benchmark calls them, and only acceptance
 criteria 10 and 11 check them."""
@@ -7,13 +10,13 @@ criteria 10 and 11 check them."""
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
 from anonpipe.crypto.envelope import TransportKeyPair
-from anonpipe.crypto.shamir import PrimeField, shamir_reconstruct
-from anonpipe.encoder import SecretShareEncoding, open_inner, secret_share_open
+from anonpipe.crypto.shamir import PrimeField, ShamirShare, shamir_reconstruct
+from anonpipe.encoder import open_inner, parse_share_payload, secret_share_open
 from anonpipe.errors import DecryptionError, IntegrityError, NonCanonicalTuple
 from anonpipe.parallel import map_checked
 
@@ -44,36 +47,40 @@ class ShareDecodeResult:
 def secret_share_decode(
     payloads: list[bytes], t: int, fld: PrimeField
 ) -> ShareDecodeResult:
-    """Group (c, aux) payloads by exact ciphertext bytes; decode groups
-    holding at least t distinct evaluation points, one message per record."""
-    groups: dict[bytes, list[SecretShareEncoding]] = defaultdict(list)
+    """Group (c, x, y) payloads by exact ciphertext bytes; decode groups
+    holding at least t distinct evaluation points, one message per record.
+
+    Each payload is parsed once into plain ints.  Per ciphertext the first y
+    seen for each x is kept, and a group with t or more distinct x hands the
+    shares at its t smallest x to one `shamir_reconstruct`, which inverts
+    once.  A decoded group counts every record that parsed, including
+    repeated-x shares and shares beyond the first t that lie off the
+    polynomial: nothing checks those."""
+    groups: dict[bytes, dict[int, int]] = {}  # c -> x -> first y seen
+    records: Counter[bytes] = Counter()
     parse_failures = 0
     for payload in payloads:
         try:
-            enc = SecretShareEncoding.from_payload(fld, payload)
+            c, x, y = parse_share_payload(fld, payload)
         except (DecryptionError, ValueError):
             parse_failures += 1
             continue
-        groups[enc.c].append(enc)
+        records[c] += 1
+        groups.setdefault(c, {}).setdefault(x, y)
 
     result = ShareDecodeResult(messages=[], parse_failures=parse_failures)
-    for c, encodings in groups.items():
-        shares = []
-        seen = set()
-        for enc in sorted(encodings, key=lambda e: e.aux.x):
-            if enc.aux.x not in seen:
-                seen.add(enc.aux.x)
-                shares.append(enc.aux)
-        if len(shares) < t:
+    for c, points in groups.items():
+        if len(points) < t:
             result.undecoded_groups += 1
             continue
+        shares = [ShamirShare(x, points[x]) for x in sorted(points)[:t]]
         try:
-            k_field = shamir_reconstruct(fld, shares[:t], t)
+            k_field = shamir_reconstruct(fld, shares, t)
             m = secret_share_open(fld, c, k_field)
         except IntegrityError:
             result.adversarial_groups += 1
             continue
-        result.messages.extend([m] * len(encodings))
+        result.messages.extend([m] * records[c])
     return result
 
 

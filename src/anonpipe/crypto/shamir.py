@@ -93,20 +93,38 @@ def _distinct_nonzero_xs(field: PrimeField, n: int, rng) -> list[int]:
 
 
 def shamir_reconstruct(field: PrimeField, shares: list[ShamirShare], t: int) -> int:
-    """Recover P(0) by Lagrange interpolation from the first t shares given."""
+    """Recover P(0) by Lagrange interpolation from the first t shares given.
+
+    P(0) = sum_i y_i * prod_{j != i} (-x_j) / (x_i - x_j).  The numerators
+    come from prefix and suffix products of the -x_j, and the t denominators
+    share one inversion (Montgomery's batch inversion), which raises
+    `ValueError` when two x are congruent mod p.
+    """
     if len(shares) < t:
         raise InsufficientShares(f"need {t} shares, got {len(shares)}")
     pts = shares[:t]
-    if len({s.x for s in pts}) != len(pts):
+    xs = [s.x for s in pts]
+    if len(set(xs)) != len(xs):
         raise DuplicateShareX("shares with colliding x values")
     p = field.modulus
+    dens = []
+    for xi in xs:
+        den = 1
+        for xj in xs:
+            if xj != xi:  # the x are distinct, so this skips j == i alone
+                den = den * (xi - xj) % p
+        dens.append(den)
+    den_prefix = [1]  # den_prefix[i] = dens[0] * ... * dens[i - 1]
+    for den in dens:
+        den_prefix.append(den_prefix[-1] * den % p)
+    num_prefix = [1]  # num_prefix[i] = (-x_0) * ... * (-x_{i-1})
+    for x in xs[:-1]:
+        num_prefix.append(num_prefix[-1] * -x % p)
+    inv = pow(den_prefix[-1], -1, p)  # 1 / (dens[0] * ... * dens[i])
+    num_suffix = 1  # (-x_{i+1}) * ... * (-x_{t-1})
     acc = 0
-    for i, si in enumerate(pts):
-        num, den = 1, 1
-        for j, sj in enumerate(pts):
-            if i == j:
-                continue
-            num = (num * (-sj.x)) % p
-            den = (den * (si.x - sj.x)) % p
-        acc = (acc + si.y * num * pow(den, -1, p)) % p
-    return acc
+    for i in reversed(range(len(xs))):
+        acc += pts[i].y * num_prefix[i] * num_suffix * (inv * den_prefix[i] % p)
+        inv = inv * dens[i] % p
+        num_suffix = num_suffix * -xs[i] % p
+    return acc % p

@@ -71,18 +71,23 @@ class SecretShareEncoding:
         """`to_payload`'s size for a message of `message_len` bytes."""
         return 2 + DETERMINISTIC_OVERHEAD + message_len + 2 * field.elem_len
 
-    @classmethod
-    def from_payload(cls, field: PrimeField, payload: bytes) -> "SecretShareEncoding":
-        if len(payload) < 2:
-            raise DecryptionError("truncated secret-share payload")
-        (clen,) = struct.unpack_from("<H", payload)
-        w = field.elem_len
-        if len(payload) != 2 + clen + 2 * w:
-            raise DecryptionError("bad secret-share payload")
-        c = payload[2 : 2 + clen]
-        x = field.decode(payload[2 + clen : 2 + clen + w])
-        y = field.decode(payload[2 + clen + w :])
-        return cls(c=c, aux=ShamirShare(x=x, y=y))
+
+def parse_share_payload(field: PrimeField, payload: bytes) -> tuple[bytes, int, int]:
+    """(c, x, y) from `SecretShareEncoding.to_payload`'s layout.
+
+    Raises `DecryptionError` when the framing is wrong and `ValueError` when
+    x or y is not below the field's modulus or x is 0."""
+    if len(payload) < 2:
+        raise DecryptionError("truncated secret-share payload")
+    (clen,) = struct.unpack_from("<H", payload)
+    w = field.elem_len
+    if len(payload) != 2 + clen + 2 * w:
+        raise DecryptionError("bad secret-share payload")
+    x = field.decode(payload[2 + clen : 2 + clen + w])
+    y = field.decode(payload[2 + clen + w :])
+    if x == 0:
+        raise ValueError("share x must be nonzero")
+    return payload[2 : 2 + clen], x, y
 
 
 # The field of every secret-share payload, whatever the config's group:

@@ -1,6 +1,8 @@
+import math
 import random
 import statistics
 import struct
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from anonpipe.analyzer import (
+    ShareDecodeResult,
     accumulate_covariance,
     covariance_estimate,
     decrypt_corpus,
@@ -18,8 +21,13 @@ from anonpipe.analyzer import (
 )
 from anonpipe.crypto.envelope import TransportKeyPair, seal
 from anonpipe.crypto.shamir import PrimeField
-from anonpipe.encoder import SecretShareEncoding, secret_share_encode
-from anonpipe.errors import DecryptionError, NonCanonicalTuple
+from anonpipe.encoder import (
+    SHARE_FIELD,
+    parse_share_payload,
+    secret_share_encode,
+    secret_share_open,
+)
+from anonpipe.errors import DecryptionError, IntegrityError, NonCanonicalTuple
 from anonpipe.formats import pad_payload
 
 FIELD = PrimeField((1 << 127) - 1)
@@ -136,7 +144,7 @@ def test_below_threshold_fuzz():
 
 
 _HONEST = _payloads(b"m", 4, 3, random.Random(8)) + _payloads(b"n", 4, 3, random.Random(9))
-_HONEST_C = sorted({SecretShareEncoding.from_payload(FIELD, p).c for p in _HONEST})
+_HONEST_C = sorted({parse_share_payload(FIELD, p)[0] for p in _HONEST})
 
 
 def _framed(c: bytes, x: int, y: int) -> bytes:
@@ -162,14 +170,99 @@ def test_any_payload_list_is_counted_and_never_raises(payloads, t):
     parsed = []
     for payload in payloads:
         try:
-            parsed.append(SecretShareEncoding.from_payload(FIELD, payload))
+            parsed.append(parse_share_payload(FIELD, payload))
         except (DecryptionError, ValueError):
             pass
     res = secret_share_decode(payloads, t, FIELD)
     assert res.parse_failures == len(payloads) - len(parsed)
     assert len(res.messages) <= len(parsed)
     decoded = len(set(res.messages))
-    assert decoded + res.undecoded_groups + res.adversarial_groups == len({e.c for e in parsed})
+    assert decoded + res.undecoded_groups + res.adversarial_groups == len({c for c, _, _ in parsed})
+
+
+def _decode_oracle(payloads, t, fld):
+    """The decode as a reference: each group's payloads stably sorted by x,
+    the first y of each x kept, the first t distinct x interpolated at 0 with
+    one inversion per term, and every parsed record of a decoded group counted."""
+    groups = defaultdict(list)
+    res = ShareDecodeResult(messages=[])
+    for payload in payloads:
+        try:
+            c, x, y = parse_share_payload(fld, payload)
+        except (DecryptionError, ValueError):
+            res.parse_failures += 1
+            continue
+        groups[c].append((x, y))
+    for c, shares in groups.items():
+        first_y = {}
+        for x, y in sorted(shares, key=lambda share: share[0]):
+            first_y.setdefault(x, y)
+        if len(first_y) < t:
+            res.undecoded_groups += 1
+            continue
+        pts, p, k = list(first_y.items())[:t], fld.modulus, 0
+        for xi, yi in pts:
+            num = math.prod(-xj for xj, _ in pts if xj != xi)
+            den = math.prod(xi - xj for xj, _ in pts if xj != xi)
+            k = (k + yi * num * pow(den, -1, p)) % p
+        try:
+            m = secret_share_open(fld, c, k)
+        except IntegrityError:
+            res.adversarial_groups += 1
+            continue
+        res.messages.extend([m] * len(shares))
+    return res
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads=_hostile_payloads, t=st.integers(1, 4))
+def test_decode_matches_the_oracle_on_hostile_payloads(payloads, t):
+    assert secret_share_decode(payloads, t, FIELD) == _decode_oracle(payloads, t, FIELD)
+
+
+def test_decode_matches_the_oracle_on_a_mixed_share_field_batch():
+    rng = random.Random(14)
+    t = 20
+
+    def encodings(message, copies):
+        return [secret_share_encode(message, t, SHARE_FIELD, rng) for _ in range(copies)]
+
+    def framed(c, x, y):
+        return struct.pack("<H", len(c)) + c + SHARE_FIELD.encode(x) + SHARE_FIELD.encode(y)
+
+    payloads = [e.to_payload(SHARE_FIELD) for e in encodings(b"hot", 30)]
+    warm = [e.to_payload(SHARE_FIELD) for e in encodings(b"warm", 20)]
+    payloads += warm + warm[:5]  # replayed x: 25 records, 20 distinct x
+    cold = [e.to_payload(SHARE_FIELD) for e in encodings(b"cold", 19)]
+    payloads += cold + cold[:3]  # replays do not lift it to t
+    # two groups where one share reuses an honest x with another y: the
+    # first y seen for an x is the one interpolated
+    lukewarm = encodings(b"lukewarm", 20)
+    payloads += [e.to_payload(SHARE_FIELD) for e in lukewarm]
+    tepid = encodings(b"tepid", 22)
+    payloads += [e.to_payload(SHARE_FIELD) for e in tepid]
+    low = min(tepid, key=lambda e: e.aux.x).aux.x
+    # one forged group: t shares of another polynomial under "forged"'s c
+    target = encodings(b"forged", 1)[0]
+    payloads += [framed(target.c, e.aux.x, e.aux.y) for e in encodings(b"other", t)]
+    payloads += [
+        b"",
+        b"\x01",
+        rng.randbytes(len(payloads[0])),
+        framed(target.c, 0, 5),  # x = 0
+        framed(target.c, SHARE_FIELD.modulus, 5),  # x out of range
+    ]
+    rng.shuffle(payloads)
+    payloads.insert(0, framed(tepid[0].c, low, 1))  # first seen: tepid fails
+    payloads.append(framed(lukewarm[0].c, lukewarm[0].aux.x, 1))  # seen last
+
+    res = secret_share_decode(payloads, t, SHARE_FIELD)
+    assert res == _decode_oracle(payloads, t, SHARE_FIELD)
+    assert sorted(Counter(res.messages).items()) == [
+        (b"hot", 30), (b"lukewarm", 21), (b"warm", 25)
+    ]
+    assert (res.undecoded_groups, res.adversarial_groups) == (1, 2)
+    assert res.parse_failures == 5
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from anonpipe.crypto.shamir import (
     shamir_reconstruct,
     shamir_share,
 )
+from anonpipe.encoder import SHARE_FIELD
 from anonpipe.errors import DuplicateShareX, InsufficientShares
 
 
@@ -59,6 +60,36 @@ def _interpolate_at(field, points, x_target):
             den = (den * (xi - xj)) % field.modulus
         total += yi * num * pow(den, field.modulus - 2, field.modulus)
     return total % field.modulus
+
+
+@pytest.mark.parametrize("t", [1, 2, 20, 50])
+def test_reconstruct_matches_the_oracle_over_the_share_field(t):
+    # arbitrary points, x and y up to 2p (distinct mod p), two more than t given
+    rng = random.Random(t)
+    p = SHARE_FIELD.modulus
+    for _ in range(5):
+        residues = set()
+        while len(residues) < t + 2:
+            residues.add(rng.randrange(1, p))
+        shares = [ShamirShare(x + p * rng.randrange(2), rng.randrange(2 * p)) for x in residues]
+        expected = _interpolate_at(SHARE_FIELD, [(s.x, s.y) for s in shares[:t]], 0)
+        assert shamir_reconstruct(SHARE_FIELD, shares, t) == expected
+
+
+def test_reconstruct_errors_over_the_share_field():
+    rng = random.Random(6)
+    p = SHARE_FIELD.modulus
+    shares = shamir_share(SHARE_FIELD, 9, t=20, n=21, rng=rng)
+    with pytest.raises(InsufficientShares):
+        shamir_reconstruct(SHARE_FIELD, shares[:19], t=20)
+    repeat = shares[:19] + [ShamirShare(shares[3].x, 1)]
+    with pytest.raises(DuplicateShareX):
+        shamir_reconstruct(SHARE_FIELD, repeat, t=20)
+    # a repeat beyond the first t is never read
+    assert shamir_reconstruct(SHARE_FIELD, shares[:20] + [shares[0]], t=20) == 9
+    congruent = shares[:19] + [ShamirShare(shares[3].x + p, 1)]
+    with pytest.raises(ValueError):
+        shamir_reconstruct(SHARE_FIELD, congruent, t=20)
 
 
 def test_below_threshold_reveals_nothing():
