@@ -66,10 +66,7 @@ def measure(runs: int, pass_items: int, seed: int) -> dict:
 
     rng = random.Random(seed)
     kp = TransportKeyPair.generate(rng)
-    blobs = [
-        seal(kp.public_bytes, pad_payload(b"w%d" % i, PAD_TO), rng).to_bytes()
-        for i in range(max(SIZES))
-    ]
+    blobs = [seal(kp.public_bytes, pad_payload(b"w%d" % i, PAD_TO), rng) for i in range(max(SIZES))]
     functions = {"noop": identity, "open_envelope": partial(open_inner, analyzer_keypair=kp)}
     samples = {
         (name, n, cpus, side): []

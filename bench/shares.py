@@ -71,9 +71,7 @@ def measure(runs: int, calls: int, payloads: int, seed: int) -> dict:
         cases[f"reconstruct_t{t}"] = (shamir_reconstruct, share_sets, 1)
     corpus = generate_zipf_corpus(payloads, ZIPF_EXPONENT, payloads, seed)
     words = [item_word(int(i)) for i in corpus]
-    batch = [
-        secret_share_encode(w, DECODE_T, SHARE_FIELD, rng).to_payload(SHARE_FIELD) for w in words
-    ]
+    batch = [secret_share_encode(w, DECODE_T, SHARE_FIELD, rng) for w in words]
     rng.shuffle(batch)
     decode_args = [(batch, DECODE_T, SHARE_FIELD)]
     cases[f"decode_t{DECODE_T}"] = (secret_share_decode, decode_args, payloads)

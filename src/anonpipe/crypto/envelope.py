@@ -1,7 +1,9 @@
 """Hybrid authenticated-encryption envelopes (ephemeral-static X25519 + AES-GCM).
 
-Wire layout: ephemeral_public (32) || nonce (12) || ciphertext || tag (16),
-a constant 60-byte overhead over the plaintext.
+`seal` returns an envelope's bytes, ephemeral_public (32) || nonce (12) ||
+ciphertext || tag (16), a constant 60-byte overhead over the plaintext, and
+`open_envelope` takes those bytes as they arrived.  Only this module splits
+them, so every other module passes envelopes as bytes.
 """
 
 from __future__ import annotations
@@ -56,28 +58,6 @@ class TransportKeyPair:
         return cls(secret_bytes=sk_bytes, public_bytes=sk.public_key().public_bytes_raw())
 
 
-@dataclass(frozen=True)
-class AeadEnvelope:
-    ephemeral_public: bytes
-    nonce: bytes
-    ciphertext: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.ephemeral_public + self.nonce + self.ciphertext + self.tag
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AeadEnvelope":
-        if len(data) < ENVELOPE_OVERHEAD:
-            raise AuthenticationError("envelope too short")
-        return cls(
-            ephemeral_public=data[:POINT_LEN],
-            nonce=data[POINT_LEN : POINT_LEN + NONCE_LEN],
-            ciphertext=data[POINT_LEN + NONCE_LEN : -TAG_LEN],
-            tag=data[-TAG_LEN:],
-        )
-
-
 def _derive_key(shared: bytes, ephemeral_public: bytes, recipient_public: bytes) -> bytes:
     return HKDF(
         algorithm=hashes.SHA256(),
@@ -87,8 +67,9 @@ def _derive_key(shared: bytes, ephemeral_public: bytes, recipient_public: bytes)
     ).derive(shared)
 
 
-def seal(recipient_public: bytes, plaintext: bytes, rng=OS_RNG) -> AeadEnvelope:
-    """Encrypt to a recipient public key with a fresh ephemeral key pair."""
+def seal(recipient_public: bytes, plaintext: bytes, rng=OS_RNG) -> bytes:
+    """The envelope of `plaintext` for a recipient public key, under a fresh
+    ephemeral key pair."""
     if len(plaintext) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"plaintext longer than {MAX_PLAINTEXT}")
     eph_sk = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
@@ -96,20 +77,19 @@ def seal(recipient_public: bytes, plaintext: bytes, rng=OS_RNG) -> AeadEnvelope:
     shared = eph_sk.exchange(X25519PublicKey.from_public_bytes(recipient_public))
     key = _derive_key(shared, eph_pub, recipient_public)
     nonce = rng.randbytes(NONCE_LEN)
-    ct_tag = AESGCM(key).encrypt(nonce, plaintext, None)
-    return AeadEnvelope(
-        ephemeral_public=eph_pub,
-        nonce=nonce,
-        ciphertext=ct_tag[:-TAG_LEN],
-        tag=ct_tag[-TAG_LEN:],
-    )
+    return eph_pub + nonce + AESGCM(key).encrypt(nonce, plaintext, None)
 
 
-def open_envelope(recipient: TransportKeyPair, env: AeadEnvelope) -> bytes:
+def open_envelope(recipient: TransportKeyPair, envelope: bytes) -> bytes:
+    """The plaintext `seal` sealed in `envelope`; `AuthenticationError` for
+    bytes that are not an envelope to `recipient`, whatever their length."""
+    if len(envelope) < ENVELOPE_OVERHEAD:
+        raise AuthenticationError("envelope too short")
+    eph_pub = envelope[:POINT_LEN]
+    nonce = envelope[POINT_LEN : POINT_LEN + NONCE_LEN]
     try:
-        ephemeral = X25519PublicKey.from_public_bytes(env.ephemeral_public)
-        shared = recipient._private_key.exchange(ephemeral)
-        key = _derive_key(shared, env.ephemeral_public, recipient.public_bytes)
-        return AESGCM(key).decrypt(env.nonce, env.ciphertext + env.tag, None)
+        shared = recipient._private_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        key = _derive_key(shared, eph_pub, recipient.public_bytes)
+        return AESGCM(key).decrypt(nonce, envelope[POINT_LEN + NONCE_LEN :], None)
     except (InvalidTag, ValueError) as exc:
         raise AuthenticationError("envelope failed to open") from exc

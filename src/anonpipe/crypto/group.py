@@ -172,11 +172,10 @@ GROUPS = {g.group_id: g for g in (MODP_2048, TEST_GROUP_256)}
 class KeyPair:
     """Group key pair: public = g^secret."""
 
-    group: GroupParams
     secret: int
     public: int
 
     @classmethod
     def generate(cls, group: GroupParams, rng=OS_RNG) -> "KeyPair":
         x = group.random_scalar(rng)
-        return cls(group=group, secret=x, public=group.exp(group.generator, x))
+        return cls(secret=x, public=group.exp(group.generator, x))

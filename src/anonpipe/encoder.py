@@ -1,12 +1,16 @@
-"""Client-side encoding: randomized response, crowd IDs, secret-share
-encoding, and nested encryption into wire reports."""
+"""Client-side encoding: crowd IDs, secret-share encoding, and nested
+encryption into wire reports.  Also k-ary randomized response, which no
+client applies: it is the mechanism of the local-DP baseline,
+`harness.local_dp_baseline`.
+
+Values leave this module as bytes: a crowd ID's wire encoding, a share
+payload, a report."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
 
 from anonpipe import formats
 from anonpipe.crypto import OS_RNG
@@ -15,9 +19,9 @@ from anonpipe.crypto.deterministic import (
     deterministic_decrypt,
     deterministic_encrypt,
 )
-from anonpipe.crypto.envelope import AeadEnvelope, open_envelope, seal
+from anonpipe.crypto.envelope import open_envelope, seal
 from anonpipe.crypto.group import GroupParams
-from anonpipe.crypto.shamir import PrimeField, ShamirShare, eval_poly
+from anonpipe.crypto.shamir import PrimeField, eval_poly
 from anonpipe.errors import DecryptionError, IntegrityError, MissingKey
 from anonpipe.formats import KIND_BLINDED, KIND_FIXED, KIND_HASHED, KIND_PLAIN
 
@@ -51,29 +55,13 @@ def krr_true_prob(k: int, epsilon: float) -> float:
 # Secret-share encoding
 
 
-@dataclass(frozen=True)
-class SecretShareEncoding:
-    """(c, aux): deterministic ciphertext plus one share of its key."""
-
-    c: bytes
-    aux: ShamirShare
-
-    def to_payload(self, field: PrimeField) -> bytes:
-        return (
-            struct.pack("<H", len(self.c))
-            + self.c
-            + field.encode(self.aux.x)
-            + field.encode(self.aux.y)
-        )
-
-    @staticmethod
-    def payload_length(field: PrimeField, message_len: int) -> int:
-        """`to_payload`'s size for a message of `message_len` bytes."""
-        return 2 + DETERMINISTIC_OVERHEAD + message_len + 2 * field.elem_len
+def share_payload_length(field: PrimeField, message_len: int) -> int:
+    """`secret_share_encode`'s payload size for a message of `message_len` bytes."""
+    return 2 + DETERMINISTIC_OVERHEAD + message_len + 2 * field.elem_len
 
 
 def parse_share_payload(field: PrimeField, payload: bytes) -> tuple[bytes, int, int]:
-    """(c, x, y) from `SecretShareEncoding.to_payload`'s layout.
+    """(c, x, y) from `secret_share_encode`'s payload, len(c) || c || x || y.
 
     Raises `DecryptionError` when the framing is wrong and `ValueError` when
     x or y is not below the field's modulus or x is 0."""
@@ -117,17 +105,18 @@ def symmetric_key_from_field(field: PrimeField, k_field: int) -> bytes:
     return hashlib.sha256(b"anonpipe-ssenc-v1|" + field.encode(k_field)).digest()[:16]
 
 
-def secret_share_encode(
-    m: bytes, t: int, field: PrimeField, rng=OS_RNG
-) -> SecretShareEncoding:
-    """Encode m so it decodes only once t independent encodings are grouped."""
+def secret_share_encode(m: bytes, t: int, field: PrimeField, rng=OS_RNG) -> bytes:
+    """The payload len(c) || c || x || y that decodes to m only once t
+    independent payloads are grouped: c is m's deterministic ciphertext and
+    (x, y) one share of its key."""
     if t < 1:
         raise ValueError("t must be >= 1")
     coeffs = _share_poly_coeffs(field, m, t)
     key = symmetric_key_from_field(field, coeffs[0])
     c = deterministic_encrypt(key, m)
     x = field.random_nonzero(rng)
-    return SecretShareEncoding(c=c, aux=ShamirShare(x=x, y=eval_poly(field, coeffs, x)))
+    y = eval_poly(field, coeffs, x)
+    return struct.pack("<H", len(c)) + c + field.encode(x) + field.encode(y)
 
 
 def secret_share_open(field: PrimeField, c: bytes, k_field: int) -> bytes:
@@ -140,12 +129,6 @@ def secret_share_open(field: PrimeField, c: bytes, k_field: int) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Crowd IDs and nested encryption
-
-
-@dataclass(frozen=True)
-class CrowdId:
-    kind: int
-    data: bytes  # already fixed-width encoded for the wire
 
 
 # The wire kind each crowd-ID mode produces.
@@ -164,30 +147,31 @@ def make_crowd_id(
     group: GroupParams | None = None,
     shuffler2_public: int | None = None,
     rng=OS_RNG,
-) -> CrowdId:
+) -> bytes:
+    """The crowd ID of `crowd_key` in `mode`, fixed-width encoded for the wire;
+    its kind is `CROWD_KINDS[mode]`."""
     if mode == "plain":
-        data = formats.encode_plain_crowd(crowd_key)
-    elif mode == "hashed":
+        return formats.encode_plain_crowd(crowd_key)
+    if mode == "hashed":
         if not hash_key:
             # unkeyed, anyone could recompute every client's crowd ID
             raise MissingKey("hashed crowd IDs need the clients' crowd-hash key")
-        data = hashlib.blake2b(
+        return hashlib.blake2b(
             crowd_key, key=hash_key[:64], digest_size=formats.HASHED_CROWD_WIDTH
         ).digest()
-    elif mode == "fixed":
-        data = formats.FIXED_CROWD_SENTINEL
-    elif mode == "blinded":
+    if mode == "fixed":
+        return formats.FIXED_CROWD_SENTINEL
+    if mode == "blinded":
         if group is None or shuffler2_public is None:
             raise MissingKey("blinded crowd IDs need the second shuffler's public key")
-        data = group.elgamal_encrypt(shuffler2_public, group.hash_to_group(crowd_key), rng)
-    else:
-        raise ValueError(f"unknown crowd-ID mode {mode!r}")
-    return CrowdId(CROWD_KINDS[mode], data)
+        return group.elgamal_encrypt(shuffler2_public, group.hash_to_group(crowd_key), rng)
+    raise ValueError(f"unknown crowd-ID mode {mode!r}")
 
 
 def encode_report(
     payload: bytes,
-    crowd_id: CrowdId,
+    kind: int,
+    crowd_id: bytes,
     analyzer_public: bytes,
     shuffler_public: bytes,
     pad_to: int,
@@ -195,10 +179,9 @@ def encode_report(
 ) -> bytes:
     """Nested encryption: inner sealed to the analyzer, outer to the shuffler."""
     inner = seal(analyzer_public, formats.pad_payload(payload, pad_to), rng)
-    outer_plain = formats.build_outer_plaintext(crowd_id.kind, crowd_id.data, inner.to_bytes())
-    return formats.build_report(seal(shuffler_public, outer_plain, rng).to_bytes())
+    outer_plain = formats.build_outer_plaintext(kind, crowd_id, inner)
+    return formats.build_report(seal(shuffler_public, outer_plain, rng))
 
 
 def open_inner(envelope_bytes: bytes, analyzer_keypair) -> bytes:
-    env = AeadEnvelope.from_bytes(envelope_bytes)
-    return formats.unpad_payload(open_envelope(analyzer_keypair, env))
+    return formats.unpad_payload(open_envelope(analyzer_keypair, envelope_bytes))

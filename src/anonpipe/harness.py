@@ -24,12 +24,12 @@ from anonpipe.crypto.group import GROUPS, GroupParams, KeyPair
 from anonpipe.encoder import (
     CROWD_KINDS,
     SHARE_FIELD,
-    SecretShareEncoding,
     encode_report,
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
     secret_share_encode,
+    share_payload_length,
 )
 from anonpipe.errors import BadInput, DecryptionError
 from anonpipe.parallel import map_records
@@ -183,7 +183,7 @@ def derived_pad_to(config: ScenarioConfig) -> int:
         return config.pad_to
     payload = len(item_word(config.vocab_size))
     if config.secret_share_t:
-        payload = SecretShareEncoding.payload_length(SHARE_FIELD, payload)
+        payload = share_payload_length(SHARE_FIELD, payload)
     return formats.padded_length(payload)
 
 
@@ -299,7 +299,7 @@ class PipelineKeys:
         return cls(
             analyzer=transport("analyzer"),
             shuffler=transport("shuffler1"),
-            shuffler2=KeyPair(group=group, secret=x2, public=h),
+            shuffler2=KeyPair(secret=x2, public=h),
             blinding=scalar("blinding_alpha"),
             crowd_hash=crowd_hash,
             seed=seed,
@@ -378,9 +378,7 @@ def _encode_one(
     i, word = item
     rng = tape.stream(f"encode/{i}")
     if config.secret_share_t:
-        payload = secret_share_encode(
-            word, config.secret_share_t, SHARE_FIELD, rng
-        ).to_payload(SHARE_FIELD)
+        payload = secret_share_encode(word, config.secret_share_t, SHARE_FIELD, rng)
     else:
         payload = word
     crowd = make_crowd_id(
@@ -391,7 +389,8 @@ def _encode_one(
         shuffler2_public=s2_public,
         rng=tape.stream(f"encode/crowd/{i}") if config.two_shufflers else None,
     )
-    return encode_report(payload, crowd, analyzer_public, shuffler_public, pad_to, rng)
+    kind = CROWD_KINDS[config.crowd_mode]
+    return encode_report(payload, kind, crowd, analyzer_public, shuffler_public, pad_to, rng)
 
 
 def first_shuffler_stage(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from anonpipe import stash_shuffle
-from anonpipe.crypto.envelope import AeadEnvelope, TransportKeyPair, open_envelope
+from anonpipe.crypto.envelope import TransportKeyPair, open_envelope
 from anonpipe.crypto.group import GroupParams, KeyPair
 from anonpipe.errors import DecryptionError
 from anonpipe.formats import parse_outer_plaintext, parse_report
@@ -90,7 +90,7 @@ def _open_report(
 ) -> tuple[bytes, bytes]:
     if report_len is not None and len(blob) != report_len:
         raise DecryptionError("report length differs from the batch's")
-    outer = open_envelope(shuffler_keypair, AeadEnvelope.from_bytes(parse_report(blob)))
+    outer = open_envelope(shuffler_keypair, parse_report(blob))
     outer_kind, crowd_id, inner = parse_outer_plaintext(outer, group)
     if kind is not None and outer_kind != kind:
         raise DecryptionError("crowd-ID kind differs from the batch's")

@@ -40,10 +40,7 @@ FIELD = PrimeField((1 << 127) - 1)
 def test_decrypt_corpus_counts_failures():
     rng = random.Random(0)
     analyzer = TransportKeyPair.generate(rng)
-    blobs = [
-        seal(analyzer.public_bytes, pad_payload(b"v%d" % i, 16), rng).to_bytes()
-        for i in range(5)
-    ]
+    blobs = [seal(analyzer.public_bytes, pad_payload(b"v%d" % i, 16), rng) for i in range(5)]
     blobs.append(b"\x00" * len(blobs[0]))
     out = decrypt_corpus(blobs, analyzer)
     assert sorted(out.records) == [b"v%d" % i for i in range(5)]
@@ -54,8 +51,8 @@ def test_decrypt_corpus_counts_failures():
 def test_decrypt_corpus_counts_plaintext_shorter_than_length_prefix():
     rng = random.Random(1)
     analyzer = TransportKeyPair.generate(rng)
-    short = seal(analyzer.public_bytes, b"\x01", rng).to_bytes()
-    good = seal(analyzer.public_bytes, pad_payload(b"v", 16), rng).to_bytes()
+    short = seal(analyzer.public_bytes, b"\x01", rng)
+    good = seal(analyzer.public_bytes, pad_payload(b"v", 16), rng)
     out = decrypt_corpus([short, good], analyzer)
     assert out.records == [b"v"]
     assert out.failures == 1
@@ -66,7 +63,7 @@ def test_decrypt_corpus_counts_plaintext_shorter_than_length_prefix():
 
 
 def _payloads(message, copies, t, rng):
-    return [secret_share_encode(message, t, FIELD, rng).to_payload(FIELD) for _ in range(copies)]
+    return [secret_share_encode(message, t, FIELD, rng) for _ in range(copies)]
 
 
 def test_group_at_threshold_decodes_every_record():
@@ -112,13 +109,10 @@ def test_duplicate_evaluation_points_do_not_count_twice():
 def test_forged_group_flagged_adversarial():
     rng = random.Random(5)
     t = 3
-    good = secret_share_encode(b"m", t, FIELD, rng)
+    good_c, _, _ = parse_share_payload(FIELD, secret_share_encode(b"m", t, FIELD, rng))
     # shares pointing at good's ciphertext but from a different polynomial
-    forged = [secret_share_encode(b"other", t, FIELD, rng) for _ in range(t)]
-    payloads = []
-    for f in forged:
-        fake = type(f)(c=good.c, aux=f.aux)
-        payloads.append(fake.to_payload(FIELD))
+    forged = [parse_share_payload(FIELD, p) for p in _payloads(b"other", t, t, rng)]
+    payloads = [_framed(good_c, x, y) for _, x, y in forged]
     res = secret_share_decode(payloads, t, FIELD)
     assert res.adversarial_groups == 1
     assert res.messages == []
@@ -148,7 +142,7 @@ _HONEST_C = sorted({parse_share_payload(FIELD, p)[0] for p in _HONEST})
 
 
 def _framed(c: bytes, x: int, y: int) -> bytes:
-    # SecretShareEncoding.to_payload's layout, also for x = 0
+    # secret_share_encode's payload layout, also for x = 0
     return struct.pack("<H", len(c)) + c + FIELD.encode(x) + FIELD.encode(y)
 
 
@@ -227,34 +221,37 @@ def test_decode_matches_the_oracle_on_a_mixed_share_field_batch():
     def encodings(message, copies):
         return [secret_share_encode(message, t, SHARE_FIELD, rng) for _ in range(copies)]
 
+    def parsed(payloads):
+        return [parse_share_payload(SHARE_FIELD, p) for p in payloads]
+
     def framed(c, x, y):
         return struct.pack("<H", len(c)) + c + SHARE_FIELD.encode(x) + SHARE_FIELD.encode(y)
 
-    payloads = [e.to_payload(SHARE_FIELD) for e in encodings(b"hot", 30)]
-    warm = [e.to_payload(SHARE_FIELD) for e in encodings(b"warm", 20)]
+    payloads = encodings(b"hot", 30)
+    warm = encodings(b"warm", 20)
     payloads += warm + warm[:5]  # replayed x: 25 records, 20 distinct x
-    cold = [e.to_payload(SHARE_FIELD) for e in encodings(b"cold", 19)]
+    cold = encodings(b"cold", 19)
     payloads += cold + cold[:3]  # replays do not lift it to t
     # two groups where one share reuses an honest x with another y: the
     # first y seen for an x is the one interpolated
-    lukewarm = encodings(b"lukewarm", 20)
-    payloads += [e.to_payload(SHARE_FIELD) for e in lukewarm]
-    tepid = encodings(b"tepid", 22)
-    payloads += [e.to_payload(SHARE_FIELD) for e in tepid]
-    low = min(tepid, key=lambda e: e.aux.x).aux.x
+    lukewarm = parsed(encodings(b"lukewarm", 20))
+    payloads += [framed(*e) for e in lukewarm]
+    tepid = parsed(encodings(b"tepid", 22))
+    payloads += [framed(*e) for e in tepid]
+    low = min(x for _, x, _ in tepid)
     # one forged group: t shares of another polynomial under "forged"'s c
-    target = encodings(b"forged", 1)[0]
-    payloads += [framed(target.c, e.aux.x, e.aux.y) for e in encodings(b"other", t)]
+    target, _, _ = parsed(encodings(b"forged", 1))[0]
+    payloads += [framed(target, x, y) for _, x, y in parsed(encodings(b"other", t))]
     payloads += [
         b"",
         b"\x01",
         rng.randbytes(len(payloads[0])),
-        framed(target.c, 0, 5),  # x = 0
-        framed(target.c, SHARE_FIELD.modulus, 5),  # x out of range
+        framed(target, 0, 5),  # x = 0
+        framed(target, SHARE_FIELD.modulus, 5),  # x out of range
     ]
     rng.shuffle(payloads)
-    payloads.insert(0, framed(tepid[0].c, low, 1))  # first seen: tepid fails
-    payloads.append(framed(lukewarm[0].c, lukewarm[0].aux.x, 1))  # seen last
+    payloads.insert(0, framed(tepid[0][0], low, 1))  # first seen: tepid fails
+    payloads.append(framed(lukewarm[0][0], lukewarm[0][1], 1))  # seen last
 
     res = secret_share_decode(payloads, t, SHARE_FIELD)
     assert res == _decode_oracle(payloads, t, SHARE_FIELD)

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonpipe import formats
-from anonpipe.crypto.envelope import TransportKeyPair, open_envelope, AeadEnvelope
+from anonpipe.crypto.envelope import TransportKeyPair, open_envelope
 from anonpipe.crypto.group import TEST_GROUP_256, KeyPair
-from anonpipe.crypto.shamir import GF251, PrimeField, shamir_reconstruct
+from anonpipe.crypto.shamir import GF251, PrimeField, ShamirShare, shamir_reconstruct
 from anonpipe.encoder import (
+    CROWD_KINDS,
     encode_report,
     k_ary_randomized_response,
     krr_true_prob,
     make_crowd_id,
     message_field_key,
     open_inner,
+    parse_share_payload,
     secret_share_encode,
     secret_share_open,
 )
@@ -58,30 +60,31 @@ def test_share_encodings_agree_on_c_and_reconstruct():
     field = PrimeField((1 << 127) - 1)
     rng = random.Random(6)
     t = 5
-    encs = [secret_share_encode(b"secret-url", t, field, rng) for _ in range(t)]
-    assert len({e.c for e in encs}) == 1  # deterministic outer ciphertext
-    k = shamir_reconstruct(field, [e.aux for e in encs], t=t)
+    encs = [
+        parse_share_payload(field, secret_share_encode(b"secret-url", t, field, rng))
+        for _ in range(t)
+    ]
+    assert len({c for c, _, _ in encs}) == 1  # deterministic outer ciphertext
+    k = shamir_reconstruct(field, [ShamirShare(x, y) for _, x, y in encs], t=t)
     assert k == message_field_key(field, b"secret-url")
-    assert secret_share_open(field, encs[0].c, k) == b"secret-url"
+    assert secret_share_open(field, encs[0][0], k) == b"secret-url"
 
 
 def test_share_open_rejects_wrong_key():
     field = GF251
     rng = random.Random(7)
-    enc = secret_share_encode(b"m", 1, field, rng)
+    c, _, _ = parse_share_payload(field, secret_share_encode(b"m", 1, field, rng))
     good = message_field_key(field, b"m")
     with pytest.raises(IntegrityError):
-        secret_share_open(field, enc.c, (good + 1) % field.modulus)
+        secret_share_open(field, c, (good + 1) % field.modulus)
 
 
 def test_share_payload_roundtrip():
-    from anonpipe.encoder import parse_share_payload
-
     field = PrimeField((1 << 61) - 1)
     rng = random.Random(8)
-    enc = secret_share_encode(b"value", 3, field, rng)
-    back = parse_share_payload(field, enc.to_payload(field))
-    assert back == (enc.c, enc.aux.x, enc.aux.y)
+    payload = secret_share_encode(b"value", 3, field, rng)
+    c, x, y = parse_share_payload(field, payload)
+    assert payload == struct.pack("<H", len(c)) + c + field.encode(x) + field.encode(y)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +95,8 @@ def test_hashed_crowd_id_stable_and_keyed():
     a = make_crowd_id(b"crowd", "hashed", hash_key=b"k1")
     b = make_crowd_id(b"crowd", "hashed", hash_key=b"k1")
     c = make_crowd_id(b"crowd", "hashed", hash_key=b"k2")
-    assert a == b and a.data != c.data
-    assert len(a.data) == formats.HASHED_CROWD_WIDTH
+    assert a == b and a != c
+    assert len(a) == formats.HASHED_CROWD_WIDTH
 
 
 def test_hashed_crowd_id_requires_key():
@@ -111,8 +114,8 @@ def test_fixed_crowd_id_is_constant():
 def test_plain_crowd_id_roundtrip():
     cid = make_crowd_id(b"news.site", "plain")
     # one length byte, then the key zero-padded to the fixed width
-    assert cid.data == b"\x09news.site" + b"\x00" * 14
-    assert len(cid.data) == formats.PLAIN_CROWD_WIDTH
+    assert cid == b"\x09news.site" + b"\x00" * 14
+    assert len(cid) == formats.PLAIN_CROWD_WIDTH
 
 
 def test_blinded_crowd_id_decrypts_to_group_hash():
@@ -120,7 +123,7 @@ def test_blinded_crowd_id_decrypts_to_group_hash():
     rng = random.Random(9)
     kp = KeyPair.generate(g, rng)
     cid = make_crowd_id(b"crowd", "blinded", group=g, shuffler2_public=kp.public, rng=rng)
-    assert g.unblind_decrypt(cid.data, kp.secret) == g.encode_element(g.hash_to_group(b"crowd"))
+    assert g.unblind_decrypt(cid, kp.secret) == g.encode_element(g.hash_to_group(b"crowd"))
 
 
 def test_blinded_crowd_id_requires_key():
@@ -138,17 +141,19 @@ def _transport_keys(seed):
 
 
 def _open_outer(report, shuffler):
-    return open_envelope(shuffler, AeadEnvelope.from_bytes(formats.parse_report(report)))
+    return open_envelope(shuffler, formats.parse_report(report))
 
 
 def test_report_nesting_roundtrip():
     analyzer, shuffler, rng = _transport_keys(10)
     cid = make_crowd_id(b"crowd", "hashed", hash_key=b"hk")
-    report = encode_report(b"payload", cid, analyzer.public_bytes, shuffler.public_bytes, 64, rng)
+    report = encode_report(
+        b"payload", formats.KIND_HASHED, cid, analyzer.public_bytes, shuffler.public_bytes, 64, rng
+    )
     assert report[0] == formats.REPORT_VERSION
 
     kind, crowd, inner = parse_outer_plaintext(_open_outer(report, shuffler))
-    assert (kind, crowd) == (formats.KIND_HASHED, cid.data)
+    assert (kind, crowd) == (formats.KIND_HASHED, cid)
     # the shuffler cannot open the inner envelope
     with pytest.raises(Exception):
         open_inner(inner, shuffler)
@@ -164,9 +169,11 @@ def test_crowd_id_travels_only_inside_the_outer_envelope(mode):
         cid = make_crowd_id(
             b"w1", mode, hash_key=b"hk", group=TEST_GROUP_256, shuffler2_public=h, rng=rng
         )
-        report = encode_report(b"w1", cid, analyzer.public_bytes, shuffler.public_bytes, 32, rng)
-        assert cid.data not in report
-        assert parse_outer_plaintext(_open_outer(report, shuffler), TEST_GROUP_256)[1] == cid.data
+        report = encode_report(
+            b"w1", CROWD_KINDS[mode], cid, analyzer.public_bytes, shuffler.public_bytes, 32, rng
+        )
+        assert cid not in report
+        assert parse_outer_plaintext(_open_outer(report, shuffler), TEST_GROUP_256)[1] == cid
         reports.append(report)
     if mode == "hashed":
         # one key, one word: equal crowd IDs, yet no 8-byte window of one
@@ -184,7 +191,10 @@ def test_report_lengths_are_uniform():
     for i in range(10_000):
         payload = rng.randbytes(rng.randrange(0, pad_to - 1))
         cid = make_crowd_id(b"c%d" % (i % 7), "hashed", hash_key=b"hk")
-        r = encode_report(payload, cid, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng)
+        r = encode_report(
+            payload, formats.KIND_HASHED, cid, analyzer.public_bytes, shuffler.public_bytes,
+            pad_to, rng,
+        )
         sizes.add(len(r))
     assert sizes == {expected}
 
@@ -192,7 +202,9 @@ def test_report_lengths_are_uniform():
 def test_inner_envelope_length_constant():
     analyzer, shuffler, rng = _transport_keys(12)
     cid = make_crowd_id(b"c", "fixed")
-    r = encode_report(b"xy", cid, analyzer.public_bytes, shuffler.public_bytes, 48, rng)
+    r = encode_report(
+        b"xy", formats.KIND_FIXED, cid, analyzer.public_bytes, shuffler.public_bytes, 48, rng
+    )
     _, _, inner = parse_outer_plaintext(_open_outer(r, shuffler))
     assert len(inner) == inner_envelope_length(48)
 

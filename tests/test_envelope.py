@@ -1,14 +1,16 @@
+import ast
 import pickle
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anonpipe
 from anonpipe.crypto.envelope import (
     ENVELOPE_OVERHEAD,
-    AeadEnvelope,
     TransportKeyPair,
     open_envelope,
     seal,
@@ -62,8 +64,8 @@ def test_loaded_key_is_not_part_of_the_value():
 
 def test_sealing_twice_differs():
     kp, rng = _keys(1)
-    a = seal(kp.public_bytes, b"m", rng).to_bytes()
-    b = seal(kp.public_bytes, b"m", rng).to_bytes()
+    a = seal(kp.public_bytes, b"m", rng)
+    b = seal(kp.public_bytes, b"m", rng)
     assert a != b
 
 
@@ -77,25 +79,25 @@ def test_wrong_recipient_fails():
 
 def test_tampered_ciphertext_fails():
     kp, rng = _keys(3)
-    raw = bytearray(seal(kp.public_bytes, b"payload", rng).to_bytes())
+    raw = bytearray(seal(kp.public_bytes, b"payload", rng))
     raw[-1] ^= 0x01
     with pytest.raises(AuthenticationError):
-        open_envelope(kp, AeadEnvelope.from_bytes(bytes(raw)))
+        open_envelope(kp, bytes(raw))
 
 
 def test_tampered_ephemeral_key_fails():
     kp, rng = _keys(4)
-    raw = bytearray(seal(kp.public_bytes, b"payload", rng).to_bytes())
+    raw = bytearray(seal(kp.public_bytes, b"payload", rng))
     raw[0] ^= 0x01
     with pytest.raises(AuthenticationError):
-        open_envelope(kp, AeadEnvelope.from_bytes(bytes(raw)))
+        open_envelope(kp, bytes(raw))
 
 
 def test_serialized_length_is_plaintext_plus_constant():
     kp, rng = _keys(5)
     for n in (0, 1, 17, 255, 1024):
         env = seal(kp.public_bytes, bytes(n), rng)
-        assert len(env.to_bytes()) == n + ENVELOPE_OVERHEAD
+        assert len(env) == n + ENVELOPE_OVERHEAD
 
 
 def test_payload_cap_enforced():
@@ -110,8 +112,8 @@ def test_roundtrip_property(payload, seed):
     rng = random.Random(seed)
     kp = TransportKeyPair.generate(rng)
     env = seal(kp.public_bytes, payload, rng)
-    assert len(env.to_bytes()) == len(payload) + ENVELOPE_OVERHEAD
-    assert open_envelope(kp, AeadEnvelope.from_bytes(env.to_bytes())) == payload
+    assert len(env) == len(payload) + ENVELOPE_OVERHEAD
+    assert open_envelope(kp, env) == payload
 
 
 def test_seal_rng_consumption_is_length_independent():
@@ -123,3 +125,49 @@ def test_seal_rng_consumption_is_length_independent():
         seal(kp.public_bytes, bytes(n), rng)
         seeds.append(rng.randbytes(8))
     assert len(set(seeds)) == 1
+
+
+_FUZZ_KEYS, _ = _keys(11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=ENVELOPE_OVERHEAD + 32))
+def test_hostile_envelope_bytes_raise_only_authentication_error(data):
+    # shufflers and the analyzer count AuthenticationError as a reject;
+    # nothing else may escape, whatever the length
+    with pytest.raises(AuthenticationError):
+        open_envelope(_FUZZ_KEYS, data)
+
+
+def test_every_truncation_of_an_envelope_fails_to_open():
+    kp, rng = _keys(12)
+    env = seal(kp.public_bytes, bytes(32), rng)
+    for n in range(len(env)):
+        with pytest.raises(AuthenticationError):
+            open_envelope(kp, env[:n])
+
+
+# What the rest of anonpipe may see of this module.  Envelopes travel as
+# bytes, so only this module knows their layout.
+ENVELOPE_EXPORTS = {
+    "seal", "open_envelope", "TransportKeyPair", "ENVELOPE_OVERHEAD", "MAX_PLAINTEXT"
+}
+
+
+def test_envelope_layout_stays_inside_the_envelope_module():
+    package = Path(anonpipe.__file__).parent
+    crossings = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "crypto" / "envelope.py":
+            continue
+        where = str(path.relative_to(package))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "anonpipe.crypto.envelope":
+                crossings += [(where, a.name) for a in node.names if a.name not in ENVELOPE_EXPORTS]
+            elif isinstance(node, ast.ImportFrom) and node.module == "anonpipe.crypto":
+                crossings += [(where, a.name) for a in node.names if a.name == "envelope"]
+            elif isinstance(node, ast.Import):
+                crossings += [
+                    (where, a.name) for a in node.names if a.name == "anonpipe.crypto.envelope"
+                ]
+    assert crossings == []

@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from anonpipe import cli, formats, shuffler
 from anonpipe import stash_shuffle
 from anonpipe.cli import main as cli_main
-from anonpipe.crypto.envelope import AeadEnvelope, open_envelope, seal
+from anonpipe.crypto.envelope import POINT_LEN, open_envelope, seal
 from anonpipe.crypto.group import GROUPS, MODP_2048
 from anonpipe.encoder import SHARE_FIELD, secret_share_encode
 from anonpipe.errors import PayloadTooLarge
@@ -147,8 +147,7 @@ def test_longest_word_payload_pads_to_exactly_derived_pad_to(secret_share_t):
         word = item_word(cfg.vocab_size)
         payload = word
         if secret_share_t:
-            share = secret_share_encode(word, secret_share_t, SHARE_FIELD, random.Random(1))
-            payload = share.to_payload(SHARE_FIELD)
+            payload = secret_share_encode(word, secret_share_t, SHARE_FIELD, random.Random(1))
         pad_to = derived_pad_to(cfg)
         assert len(formats.pad_payload(payload, pad_to)) == pad_to
         with pytest.raises(PayloadTooLarge):
@@ -374,11 +373,10 @@ def test_resealed_inner_envelope_is_one_crowd_member():
     keys = derive_keys(cfg.group_id, RngTape(cfg.seed))
     public = (keys.analyzer.public_bytes, keys.shuffler.public_bytes)
     report = encode_corpus(cfg, np.array([7]), RngTape(cfg.seed), *public)[0]
-    outer = open_envelope(keys.shuffler, AeadEnvelope.from_bytes(formats.parse_report(report)))
+    outer = open_envelope(keys.shuffler, formats.parse_report(report))
     rng = random.Random(3)
     resealed = [
-        formats.build_report(seal(keys.shuffler.public_bytes, outer, rng).to_bytes())
-        for _ in range(9)
+        formats.build_report(seal(keys.shuffler.public_bytes, outer, rng)) for _ in range(9)
     ]
     out = shuffle_stage(cfg, resealed, RngTape(cfg.seed), keys.shuffler, keys.shuffler2)
     assert (out.stats["corrupt"], out.stats["surviving_count"], out.records) == (8, 0, [])
@@ -621,14 +619,14 @@ def test_cli_encodes_under_unseeded_keys_differ(cli_encode):
 
 def _open_outer(report: bytes, keys: PipelineKeys):
     """A report's outer envelope and its opened (kind, crowd ID, inner)."""
-    outer = AeadEnvelope.from_bytes(formats.parse_report(report))
+    outer = formats.parse_report(report)
     return outer, formats.parse_outer_plaintext(open_envelope(keys.shuffler, outer))
 
 
 def _ephemeral_publics(report: bytes, keys: PipelineKeys) -> set[bytes]:
-    """The outer and inner envelopes' ephemeral public keys."""
+    """The outer and inner envelopes' ephemeral public keys, which begin them."""
     outer, (_, _, inner) = _open_outer(report, keys)
-    return {outer.ephemeral_public, AeadEnvelope.from_bytes(inner).ephemeral_public}
+    return {outer[:POINT_LEN], inner[:POINT_LEN]}
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -1059,29 +1057,31 @@ def test_cli_params_bad_value_is_a_usage_error(args, message):
 # code that the pipeline, the CLI or a benchmark reaches
 
 # helpers that only the acceptance criteria call (shamir_share: the tests'
-# reference dealer); every other public definition has a caller outside tests
+# reference dealer), and what only those helpers use; every other public
+# definition has a caller outside tests
 CRITERIA_ONLY = {
     "local_dp_baseline", "accumulate_covariance", "covariance_estimate", "laplace_noise",
-    "shamir_share",
+    "shamir_share", "BaselineReport", "k_ary_randomized_response", "krr_true_prob",
+    "CovarianceAccumulators", "NonCanonicalTuple",
 }
 
 
 def _names_in(node):
-    """Every name `node` refers to, as a variable, an attribute or an import."""
+    """Every name `node` refers to, as a variable or an attribute; an import
+    alone is no use."""
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
             yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name.rsplit(".", 1)[-1]
 
 
 def test_every_public_definition_is_reached_outside_the_tests():
     # each public top-level function and class of anonpipe is referred to
-    # from src/, perfbench/ or bench/ outside its own definition, or is a
-    # CLI command, which its decorator registers. Names are matched, not
-    # resolved, so a namesake can hide dead code but never report live code
+    # from src/, perfbench/ or bench/ outside its own definition and outside
+    # every definition only so reached, or is a CLI command, which its
+    # decorator registers. Names are matched, not resolved, so a namesake
+    # can hide dead code but never report live code
     root = Path(__file__).resolve().parents[1]
     defined, referrers = {}, {}
     for path in sorted(p for d in ("src", "perfbench", "bench") for p in (root / d).rglob("*.py")):
@@ -1095,7 +1095,12 @@ def test_every_public_definition_is_reached_outside_the_tests():
                     referrers.setdefault(top.name, set()).add("the CLI")
             for name in _names_in(top):
                 referrers.setdefault(name, set()).add(scope)
-    unreached = {name for name, own in defined.items() if not referrers.get(name, set()) - {own}}
+    unreached, previous = set(), None
+    while unreached != previous:
+        previous, dead = unreached, {defined[name] for name in unreached}
+        unreached = {
+            name for name, own in defined.items() if not referrers.get(name, set()) - {own} - dead
+        }
     assert unreached == CRITERIA_ONLY, (
         f"reached only from tests: {sorted(unreached - CRITERIA_ONLY)}; "
         f"reached after all, or gone: {sorted(CRITERIA_ONLY - unreached)}"

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from anonpipe.crypto.envelope import TransportKeyPair
 from anonpipe.crypto.group import TEST_GROUP_256, KeyPair
-from anonpipe.encoder import CrowdId, encode_report, make_crowd_id
+from anonpipe.encoder import encode_report, make_crowd_id
 from anonpipe.errors import DecryptionError
 from anonpipe.formats import (
+    KIND_BLINDED,
     KIND_HASHED,
     KIND_PLAIN,
     encode_plain_crowd,
@@ -41,7 +42,10 @@ def _reports(crowd_keys, seed=0, pad_to=48):
     for key in crowd_keys:
         cid = make_crowd_id(key, "hashed", hash_key=b"hk")
         blobs.append(
-            encode_report(b"v:" + key, cid, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng)
+            encode_report(
+                b"v:" + key, KIND_HASHED, cid, analyzer.public_bytes, shuffler.public_bytes,
+                pad_to, rng,
+            )
         )
     return blobs, shuffler, rng
 
@@ -68,7 +72,9 @@ def test_intake_without_group_counts_blinded_reports_corrupt():
     blobs, shuffler, rng = _reports([b"b"])
     kp2 = KeyPair.generate(G, rng)
     cid = make_crowd_id(b"a", "blinded", group=G, shuffler2_public=kp2.public, rng=rng)
-    blinded = encode_report(b"v", cid, shuffler.public_bytes, shuffler.public_bytes, 48, rng)
+    blinded = encode_report(
+        b"v", KIND_BLINDED, cid, shuffler.public_bytes, shuffler.public_bytes, 48, rng
+    )
     batch = intake([blinded] + blobs, shuffler, "e", rng)
     assert len(batch.records) == 1
     assert batch.stats["corrupt"] == 1
@@ -77,12 +83,12 @@ def test_intake_without_group_counts_blinded_reports_corrupt():
 def test_intake_counts_reports_of_another_length_or_kind_corrupt():
     blobs, shuffler, rng = _reports([b"a", b"b"])
     analyzer = TransportKeyPair.generate(rng)
-    hashed = make_crowd_id(b"a", "hashed", hash_key=b"hk")
-    plain_crowd = CrowdId(KIND_PLAIN, encode_plain_crowd(b"a"))
+    hashed = (KIND_HASHED, make_crowd_id(b"a", "hashed", hash_key=b"hk"))
+    plain_crowd = (KIND_PLAIN, encode_plain_crowd(b"a"))
 
     def report(crowd, pad_to):
         return encode_report(
-            b"v:a", crowd, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng
+            b"v:a", *crowd, analyzer.public_bytes, shuffler.public_bytes, pad_to, rng
         )
 
     # Each hostile report opens, and each would carry an inner envelope of
@@ -110,7 +116,7 @@ def test_intake_counts_a_report_of_the_old_layout_corrupt():
     # version 1 carried the kind and crowd ID in the clear before the outer
     # envelope; such a report is rejected on its header, never opened
     blobs, shuffler, rng = _reports([b"a", b"b"])
-    crowd = make_crowd_id(b"a", "hashed", hash_key=b"hk").data
+    crowd = make_crowd_id(b"a", "hashed", hash_key=b"hk")
     old = bytes([1, KIND_HASHED]) + crowd + parse_report(blobs[0])
     with pytest.raises(DecryptionError, match="bad report header"):
         parse_report(old)
