@@ -1,11 +1,74 @@
-"""Summary statistics shared by the per-layer bench scripts."""
+"""What the per-layer bench scripts share: their options, the timing of one
+pass, the order of the sides from run to run, the summary over runs and the
+result file."""
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import platform
 import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args(doc: str, out_name: str, argv, **counts) -> argparse.Namespace:
+    """`--runs`, then one integer option per `counts` entry, given as
+    name=(default, help) and each `>= 1`, then `--seed` and `--out` (default
+    `out_name` at the root of the checkout); puts `src/` on the import path."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=11, help="alternating runs (>= 2)")
+    for name, (default, text) in counts.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=default, help=text)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=ROOT / out_name)
+    args = parser.parse_args(argv)
+    if args.runs < 2 or any(getattr(args, name) < 1 for name in counts):
+        options = " and ".join(f"--{name.replace('_', '-')}" for name in counts)
+        parser.error(f"--runs must be >= 2 and {options} >= 1")
+    sys.path.insert(0, str(ROOT / "src"))
+    return args
+
+
+def per_call_us(fn, inputs) -> float:
+    """Microseconds per call of `fn` over the argument tuples `inputs`.  One
+    untimed call on the first comes before the timed pass, since a first use
+    may build a context or start workers."""
+    fn(*inputs[0])
+    start = perf_counter()
+    for args in inputs:
+        fn(*args)
+    return (perf_counter() - start) / len(inputs) * 1e6
+
+
+def in_turn(run: int, sides):
+    """`sides` in order on even runs and reversed on odd ones, so the drift of
+    a shared host falls on every side alike."""
+    return sides if run % 2 == 0 else reversed(sides)
 
 
 def summary(samples: list[float]) -> dict:
     """Median and quartiles of per-run timings in microseconds, with the runs."""
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs_us": samples}
+
+
+def write_result(out: Path, fields: dict, **machine) -> dict:
+    """Write the machine record, with `machine`'s extra entries, and then
+    `fields` to `out` as JSON; return what was written.  `cpus` counts the
+    CPUs this process may run on."""
+    result = {
+        "machine": {
+            "machine": platform.machine(),
+            "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            **machine,
+        },
+        **fields,
+    }
+    out.write_text(json.dumps(result, indent=2) + "\n")
+    return result

@@ -26,30 +26,16 @@ One process, one thread.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import ssl
 import statistics
 import sys
 from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-from benchstats import summary  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from benchstats import in_turn, parse_args, per_call_us, summary, write_result  # noqa: E402
 
 PATHS = ("openssl", "fallback")
-
-
-def per_call_us(fn, inputs) -> float:
-    fn(*inputs[0])  # a modulus's first use builds its Montgomery context
-    start = perf_counter()
-    for args in inputs:
-        fn(*args)
-    return (perf_counter() - start) / len(inputs) * 1e6
 
 
 def measure(runs: int, calls: int, seed: int) -> dict:
@@ -81,7 +67,7 @@ def measure(runs: int, calls: int, seed: int) -> dict:
     try:
         for run in range(runs):
             for case, (fn, inputs) in cases.items():
-                for path in PATHS if run % 2 == 0 else reversed(PATHS):
+                for path in in_turn(run, PATHS):
                     modexp._power = functions[path]
                     samples[case, path].append(per_call_us(fn, inputs))
     finally:
@@ -101,29 +87,13 @@ def measure(runs: int, calls: int, seed: int) -> dict:
 
 
 def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=11, help="alternating runs (>= 2)")
-    parser.add_argument("--calls", type=int, default=60, help="inputs per timed pass (>= 1)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_groups.json")
-    args = parser.parse_args(argv)
-    if args.runs < 2 or args.calls < 1:
-        parser.error("--runs must be >= 2 and --calls >= 1")
-
-    sys.path.insert(0, str(ROOT / "src"))
-    result = {
-        "machine": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "openssl": ssl.OPENSSL_VERSION,
-        },
-        "runs": args.runs,
-        "calls": args.calls,
-        "seed": args.seed,
-        **measure(args.runs, args.calls, args.seed),
-    }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    args = parse_args(
+        __doc__, "BENCH_groups.json", argv, calls=(60, "inputs per timed pass (>= 1)")
+    )
+    fields = {"runs": args.runs, "calls": args.calls, "seed": args.seed}
+    result = write_result(
+        args.out, fields | measure(args.runs, args.calls, args.seed), openssl=ssl.OPENSSL_VERSION
+    )
     for group_id, ops in result["groups"].items():
         for op, sides in ops.items():
             o, f = sides["openssl"], sides["fallback"]

@@ -22,25 +22,20 @@ batch size at which the 2-CPU map's median beats the loop's: the break-even
 batch that `parallel.MIN_PER_WORKER` is half of.
 
 The items are inner envelopes sealed to one analyzer key, 150 bytes each.
-The parent's first chunk runs in this process; a checkout whose map keeps
-workers between calls starts them in an untimed call first.
+The parent's first chunk runs in this process.  Each timed pass starts with
+one untimed call, which also starts the workers of a checkout whose map
+keeps them between calls.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import sys
 from functools import partial
 from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-from benchstats import summary  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from benchstats import in_turn, parse_args, per_call_us, summary, write_result  # noqa: E402
 
 SIZES = (2, 4, 8, 16, 32, 64, 128, 253, 600, 4000)
 CPUS = (1, 2)
@@ -49,13 +44,6 @@ PAD_TO = 90  # 150-byte inner envelopes
 
 def identity(x):
     return x
-
-
-def per_call_us(fn, calls: int) -> float:
-    start = perf_counter()
-    for _ in range(calls):
-        fn()
-    return (perf_counter() - start) / calls * 1e6
 
 
 def measure(runs: int, pass_items: int, seed: int) -> dict:
@@ -76,17 +64,16 @@ def measure(runs: int, pass_items: int, seed: int) -> dict:
     parallel.MIN_PER_WORKER = 1
     try:
         for run in range(runs):
-            for cpus in CPUS if run % 2 == 0 else reversed(CPUS):
+            for cpus in in_turn(run, CPUS):
                 parallel.usable_cpus = partial(int, cpus)
                 for name, fn in functions.items():
                     for n in SIZES:
-                        items, calls = blobs[:n], -(-pass_items // n)
+                        items, calls = blobs[:n], [()] * -(-pass_items // n)  # no arguments
                         sides = {
                             "map": partial(parallel.map_records, fn, items),
                             "loop": lambda: [fn(x) for x in items],  # noqa: B023 - called here
                         }
-                        sides["map"]()  # a checkout that keeps workers starts them here
-                        for side in sides if run % 2 == 0 else reversed(sides):
+                        for side in in_turn(run, sides):
                             samples[name, n, cpus, side].append(per_call_us(sides[side], calls))
     finally:
         parallel.usable_cpus, parallel.MIN_PER_WORKER = saved
@@ -112,29 +99,13 @@ def measure(runs: int, pass_items: int, seed: int) -> dict:
 
 
 def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=11, help="alternating runs (>= 2)")
-    parser.add_argument("--pass-items", type=int, default=2000, help="records per timed pass")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_parallel.json")
-    args = parser.parse_args(argv)
-    if args.runs < 2 or args.pass_items < 1:
-        parser.error("--runs must be >= 2 and --pass-items >= 1")
-
-    sys.path.insert(0, str(ROOT / "src"))
-    result = {
-        "machine": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
-        "runs": args.runs,
-        "sizes": list(SIZES),
-        "pass_items": args.pass_items,
-        "seed": args.seed,
-        **measure(args.runs, args.pass_items, args.seed),
+    args = parse_args(
+        __doc__, "BENCH_parallel.json", argv, pass_items=(2000, "records per timed pass")
+    )
+    fields = {
+        "runs": args.runs, "sizes": list(SIZES), "pass_items": args.pass_items, "seed": args.seed
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    result = write_result(args.out, fields | measure(args.runs, args.pass_items, args.seed))
     for name, by_size in result["cases"].items():
         for n, by_cpus in by_size.items():
             row = "  ".join(

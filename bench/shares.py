@@ -20,29 +20,16 @@ batch's group counts.  One process, one thread.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import sys
 from pathlib import Path
-from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-from benchstats import summary  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from benchstats import in_turn, parse_args, per_call_us, summary, write_result  # noqa: E402
 
 THRESHOLDS = (5, 20, 50)
 DECODE_T = 20
 ZIPF_EXPONENT = 1.1
-
-
-def per_call_us(fn, inputs) -> float:
-    start = perf_counter()
-    for args in inputs:
-        fn(*args)
-    return (perf_counter() - start) / len(inputs) * 1e6
 
 
 def measure(runs: int, calls: int, payloads: int, seed: int) -> dict:
@@ -78,7 +65,7 @@ def measure(runs: int, calls: int, payloads: int, seed: int) -> dict:
 
     samples = {case: [] for case in cases}
     for run in range(runs):
-        for case in cases if run % 2 == 0 else reversed(cases):
+        for case in in_turn(run, cases):
             fn, inputs, per = cases[case]
             samples[case].append(per_call_us(fn, inputs) / per)
 
@@ -97,30 +84,17 @@ def measure(runs: int, calls: int, payloads: int, seed: int) -> dict:
 
 
 def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=11, help="alternating runs (>= 2)")
-    parser.add_argument("--calls", type=int, default=40, help="reconstructs per timed pass (>= 1)")
-    parser.add_argument("--payloads", type=int, default=3000, help="decode batch size (>= 1)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_shares.json")
-    args = parser.parse_args(argv)
-    if args.runs < 2 or args.calls < 1 or args.payloads < 1:
-        parser.error("--runs must be >= 2, and --calls and --payloads >= 1")
-
-    sys.path.insert(0, str(ROOT / "src"))
-    result = {
-        "machine": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
-        "runs": args.runs,
-        "calls": args.calls,
-        "payloads": args.payloads,
-        "seed": args.seed,
-        **measure(args.runs, args.calls, args.payloads, args.seed),
+    args = parse_args(
+        __doc__, "BENCH_shares.json", argv,
+        calls=(40, "reconstructs per timed pass (>= 1)"),
+        payloads=(3000, "decode batch size (>= 1)"),
+    )
+    fields = {
+        "runs": args.runs, "calls": args.calls, "payloads": args.payloads, "seed": args.seed
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    result = write_result(
+        args.out, fields | measure(args.runs, args.calls, args.payloads, args.seed)
+    )
     for t, s in result["reconstruct"].items():
         print(f"reconstruct {t:4} {s['median_us']:9.1f} us [{s['q1_us']:.1f}, {s['q3_us']:.1f}]")
     for t, d in result["decode"].items():

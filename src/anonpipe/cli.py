@@ -3,6 +3,7 @@ batch files, whole-scenario runs, and the shuffle parameter calculator."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import click
@@ -60,7 +61,10 @@ def keygen(config_path, workspace, seed):
     keys = harness.derive_keys(_load_config(config_path).group_id, RngTape(seed))
     out = Path(workspace) / "keys.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(keys.to_json() + "\n")
+    # every party's secrets: the owner's alone, also when an older file was not
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w") as f:
+        os.fchmod(f.fileno(), 0o600)  # os.open's mode applies only to a new file
+        f.write(keys.to_json() + "\n")
     click.echo(f"wrote {out}")
 
 

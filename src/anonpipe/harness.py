@@ -174,6 +174,8 @@ class ScenarioConfig:
             key, value = key.strip(), value.strip()
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in kw:
+                raise ValueError(f"config key {key!r} is set more than once")
             kw[key] = casts[key](value)
         return cls(**kw)
 

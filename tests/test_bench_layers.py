@@ -19,3 +19,23 @@ def test_layer_bench_writes_medians_and_quartiles_per_envelope_call(tmp_path):
     for side in result["envelope"].values():
         assert len(side["runs_us"]) == 2 and all(t > 0 for t in side["runs_us"])
         assert side["q1_us"] <= side["median_us"] <= side["q3_us"]
+
+
+def test_layer_bench_writes_the_threshold_per_record_on_a_hashed_batch(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "BENCH_layers.json"
+    result = bench.main(["--runs", "2", "--calls", "2", "--out", str(out)])
+    assert json.loads(out.read_text()) == result
+    assert list(result) == ["machine", "runs", "calls", "plaintext_len", "seed", "envelope",
+                            "threshold"]
+    threshold = result["threshold"]
+    assert list(threshold) == ["apply_threshold", "count_crowds", "records", "kept"]
+    for case in ("apply_threshold", "count_crowds"):
+        side = threshold[case]
+        assert len(side["runs_us"]) == 2 and all(t > 0 for t in side["runs_us"])
+        assert side["q1_us"] <= side["median_us"] <= side["q3_us"]
+    # a Zipf(1.1) batch as large as its vocabulary keeps about half its records at T = 20
+    assert threshold["records"] == bench.THRESHOLD_RECORDS == 4000
+    assert 0 < threshold["kept"] < threshold["records"]

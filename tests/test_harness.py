@@ -4,6 +4,7 @@ import json
 import random
 import shlex
 import shutil
+import stat
 import struct
 from collections import Counter
 from pathlib import Path
@@ -102,6 +103,17 @@ def test_config_rejects_unknown_keys():
     for line in ("budget = 12\n", "policy_mode = both\n"):
         with pytest.raises(ValueError, match="unknown config key"):
             ScenarioConfig.from_text(line)
+
+
+# (key, first value, second value) for a config that sets the key twice
+SET_TWICE = [("threshold_t", 50, 2), ("sigma", 4, 0), ("group_id", "modp-2048", "test-256")]
+
+
+@pytest.mark.parametrize("key, first, last", SET_TWICE)
+def test_config_refuses_a_key_set_twice(key, first, last):
+    # the last line once set the key silently, the privacy threshold among them
+    with pytest.raises(ValueError, match=f"config key '{key}' is set more than once"):
+        ScenarioConfig.from_text(f"{key} = {first}\n{key} = {last}\n")
 
 
 def test_config_drop_mean_and_sigma_apply_without_a_mode():
@@ -590,6 +602,19 @@ def test_cli_keygen_unseeded_keys_differ_and_seeded_keys_match_run(tmp_path):
     assert seeded == derive_keys(DEFAULT_GROUP, RngTape(7))
 
 
+def test_cli_keygen_writes_keys_readable_by_the_owner_only(tmp_path):
+    cfg_path = _write_config(tmp_path)
+    keys_path = tmp_path / "keys.json"
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "3"])
+    assert stat.S_IMODE(keys_path.stat().st_mode) & 0o077 == 0
+    written = keys_path.read_bytes()
+    # a mode given at creation leaves an existing file's mode as it was
+    keys_path.chmod(0o644)
+    _cli_ok(["keygen", "--config", cfg_path, "--workspace", str(tmp_path), "--seed", "3"])
+    assert stat.S_IMODE(keys_path.stat().st_mode) & 0o077 == 0
+    assert keys_path.read_bytes() == written
+
+
 @pytest.fixture
 def cli_encode(tmp_path):
     """`anonpipe encode` of one hashed corpus under the keys in `keys_dir`,
@@ -919,7 +944,7 @@ def test_cli_path_of_the_wrong_kind_is_a_usage_error(tmp_path, monkeypatch, comm
 )
 def test_cli_unknown_config_value_is_a_usage_error(tmp_path, key, value):
     cfg_path = tmp_path / "scenario.cfg"
-    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
+    _write_config(tmp_path, **{"n_samples": 50, key: value})
     res = CliRunner().invoke(
         cli_main, ["run", "--config", str(cfg_path), "--workspace", str(tmp_path / "run")]
     )
@@ -927,6 +952,19 @@ def test_cli_unknown_config_value_is_a_usage_error(tmp_path, key, value):
     assert "Usage:" in res.output and f"{key} must be one of" in res.output
     assert isinstance(res.exception, SystemExit) and "Traceback" not in res.output
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, first, last", SET_TWICE)
+def test_cli_config_setting_a_key_twice_is_a_usage_error(tmp_path, key, first, last):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(f"n_samples = 50\n{key} = {first}\n{key} = {last}\n")
+    res = CliRunner().invoke(
+        cli_main, ["run", "--config", str(cfg_path), "--workspace", str(tmp_path / "run")]
+    )
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and "'--config'" in res.output
+    assert f"config key '{key}' is set more than once" in res.output
+    assert isinstance(res.exception, SystemExit) and not (tmp_path / "run").exists()
 
 
 def test_cli_config_naming_policy_mode_is_a_usage_error(tmp_path):
@@ -957,7 +995,7 @@ def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, v
         formats.write_batch(tmp_path / "reports.bin", [])
         args = ["shuffle", "--config", str(cfg_path), "--keys", str(tmp_path / "keys.json"),
                 "--in", str(tmp_path / "reports.bin"), "--out", str(tmp_path / "out.bin")]
-    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
+    _write_config(tmp_path, **{"n_samples": 50, key: value})
     res = CliRunner().invoke(cli_main, args)
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and "threshold_t must be at least 1" in res.output
@@ -976,7 +1014,7 @@ def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, v
 @pytest.mark.parametrize("command", ["generate", "run"])
 def test_cli_out_of_range_config_value_is_a_usage_error(tmp_path, command, key, value, rule):
     cfg_path = tmp_path / "scenario.cfg"
-    cfg_path.write_text(_small_config(n_samples=50).to_text() + f"{key} = {value}\n")
+    _write_config(tmp_path, **{"n_samples": 50, key: value})
     with pytest.raises(ValueError, match=f"{key} must be {rule}"):
         ScenarioConfig.from_text(cfg_path.read_text())
     # a config built in code meets the same rules
