@@ -1,6 +1,6 @@
 """What the per-layer bench scripts share: their options, the timing of one
-pass, the order of the sides from run to run, the summary over runs and the
-result file."""
+pass and of the steps inside it, the order of the sides from run to run, the
+summary over runs and the result file."""
 
 from __future__ import annotations
 
@@ -43,6 +43,20 @@ def per_call_us(fn, inputs) -> float:
     for args in inputs:
         fn(*args)
     return (perf_counter() - start) / len(inputs) * 1e6
+
+
+def stamped(cls, attr: str, marks: list):
+    """A subclass of `cls` whose instances append (value, time) to `marks`
+    each time `attr` is set, in `__init__` too, on the clock `per_call_us`
+    reads: the steps of a call that marks them by setting `attr`."""
+
+    class Stamped(cls):
+        def __setattr__(self, name, value):
+            if name == attr:
+                marks.append((value, perf_counter()))
+            super().__setattr__(name, value)
+
+    return Stamped
 
 
 def in_turn(run: int, sides):

@@ -1,5 +1,6 @@
 """Per-call cost of the layers the pipeline's stages are built from: the
-envelope layer's `seal` and `open_envelope`, and the shuffler's threshold.
+envelope layer's `seal` and `open_envelope`, the shuffler's threshold, and
+each phase of the Stash Shuffle.
 
 Run from the root of a checkout:
 
@@ -14,12 +15,20 @@ timed per record on one batch shaped like the `hashed` workload's, as the
 first shuffler calls them: 4 000 records of Zipf(1.1) words over a
 vocabulary as large as the batch, each an 8-byte keyed BLAKE2b crowd ID and
 a 67-byte inner envelope, under `ThresholdPolicy(20)`, which draws nothing.
-A run times `--calls` calls of each envelope case and one call of each
-threshold case, and the order of the cases alternates from run to run, so
-the drift of a shared host falls on all of them alike.  The output records
-each case's median and quartiles over the runs in microseconds per call
-(per record for the threshold), and how many records the threshold kept.
-One process, one thread.
+`stash_shuffle` is timed per item on random 150-byte records, the length of
+the `stash` workload's inner envelopes, at two sizes: that workload's
+parameters (N = 4 000, B = 20, C = 30, S = 1 200, W = 4) and
+`params_for(100_000, 150)`.  Its rows are the whole call and each phase
+(distribution, drain, compression): during the timed calls the module's
+store, `Trace`, is a subclass that stamps the time at each change of its
+`phase`, and a failed attempt's time counts toward the phase it failed in.
+A run times `--calls` calls of each envelope case, one call of each
+threshold case and about 100 000 items' worth of shuffles at each size, and
+the order of the cases alternates from run to run, so the drift of a shared
+host falls on all of them alike.  The output records each case's median and
+quartiles over the runs in microseconds per call (per record for the
+threshold, per item for the shuffle), and how many records the threshold
+kept.  One process, one thread.
 """
 
 from __future__ import annotations
@@ -29,12 +38,45 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from benchstats import in_turn, parse_args, per_call_us, summary, write_result  # noqa: E402
+from benchstats import (  # noqa: E402
+    in_turn, parse_args, per_call_us, stamped, summary, write_result
+)
 
 PLAINTEXT_LEN = 140
 THRESHOLD_RECORDS = 4000
 THRESHOLD_T = 20
 ZIPF_EXPONENT = 1.1
+STASH_ITEM_LEN = 150
+STASH_ITEMS_PER_PASS = 100_000
+STASH_PHASES = ("distribution", "drain", "compression")
+
+
+def stash_pass(module, inputs) -> dict:
+    """Microseconds per item of the whole `stash_shuffle` call and of each
+    phase, over one timed pass of `inputs`; during the pass only,
+    `module.Trace` is a subclass that stamps each change of `phase`."""
+
+    def shuffle(records, params, rng):
+        # setting `phase` on the returned store stamps the call's end
+        module.stash_shuffle(records, params, rng, keep_trace=False).trace.phase = "done"
+
+    marks = []
+    store, module.Trace = module.Trace, stamped(module.Trace, "phase", marks)
+    try:
+        whole = per_call_us(shuffle, inputs)
+    finally:
+        module.Trace = store
+    # the pass's first call is untimed
+    timed = marks[[phase for phase, _ in marks].index("done") + 1 :]
+    spent = dict.fromkeys(STASH_PHASES, 0.0)
+    for (phase, start), (_, stop) in zip(timed, timed[1:]):
+        if phase in spent:
+            spent[phase] += stop - start
+    items = len(inputs) * inputs[0][1].n_items
+    return {
+        **{phase: seconds / items * 1e6 for phase, seconds in spent.items()},
+        "stash_shuffle": whole / inputs[0][1].n_items,
+    }
 
 
 def measure(runs: int, calls: int, seed: int) -> dict:
@@ -43,6 +85,7 @@ def measure(runs: int, calls: int, seed: int) -> dict:
     from anonpipe.formats import pad_payload, padded_length
     from anonpipe.harness import generate_zipf_corpus, item_word
     from anonpipe.shuffler import Batch, ThresholdPolicy, apply_threshold, count_crowds
+    from anonpipe import stash_shuffle as stash_module
 
     rng = random.Random(seed)
     kp = TransportKeyPair.generate(rng)
@@ -65,9 +108,27 @@ def measure(runs: int, calls: int, seed: int) -> dict:
     cases["count_crowds"] = (count_crowds, [(batch,)], THRESHOLD_RECORDS)
     cases["apply_threshold"] = (apply_threshold, [(batch, counts, policy, rng)], THRESHOLD_RECORDS)
 
+    sizes = {
+        # the `stash` benchmark workload's parameters
+        "perfbench": stash_module.make_params(4000, 20, 30, 1200, 4, item_len=STASH_ITEM_LEN),
+        "params_for_100000": stash_module.params_for(100_000, STASH_ITEM_LEN),
+    }
+    stash_inputs = {}
+    for size, params in sizes.items():
+        records = [rng.randbytes(STASH_ITEM_LEN) for _ in range(params.n_items)]
+        stash_inputs[size] = [
+            (records, params, random.Random(rng.randrange(1 << 32)))
+            for _ in range(max(1, STASH_ITEMS_PER_PASS // params.n_items))
+        ]
+
     samples = {case: [] for case in cases}
+    stash_samples = {size: {row: [] for row in (*STASH_PHASES, "stash_shuffle")} for size in sizes}
     for run in range(runs):
-        for case in in_turn(run, cases):
+        for case in in_turn(run, [*cases, *sizes]):
+            if case in sizes:
+                for row, us in stash_pass(stash_module, stash_inputs[case]).items():
+                    stash_samples[case][row].append(us)
+                continue
             fn, inputs, per = cases[case]
             samples[case].append(per_call_us(fn, inputs) / per)
     threshold = {case: summary(samples[case]) for case in ("apply_threshold", "count_crowds")}
@@ -76,6 +137,15 @@ def measure(runs: int, calls: int, seed: int) -> dict:
     return {
         "envelope": {case: summary(samples[case]) for case in ("seal", "open_envelope")},
         "threshold": threshold,
+        "stash": {
+            size: {
+                "n_items": p.n_items, "num_buckets": p.num_buckets, "chunk_cap": p.chunk_cap,
+                "stash_cap": p.stash_cap, "window": p.window, "item_len": p.item_len,
+                "calls": len(stash_inputs[size]),
+                **{row: summary(runs_us) for row, runs_us in stash_samples[size].items()},
+            }
+            for size, p in sizes.items()
+        },
     }
 
 
@@ -94,6 +164,13 @@ def main(argv=None) -> dict:
         s = threshold[case]
         print(f"{case:15} {s['median_us']:8.2f} us/record [{s['q1_us']:.2f}, {s['q3_us']:.2f}]")
     print(f"threshold kept {threshold['kept']} of {threshold['records']} records")
+    for size, rows in result["stash"].items():
+        for row in (*STASH_PHASES, "stash_shuffle"):
+            s = rows[row]
+            print(
+                f"{size:17} {row:13} {s['median_us']:7.3f} us/item "
+                f"[{s['q1_us']:.3f}, {s['q3_us']:.3f}]"
+            )
     return result
 
 
