@@ -176,7 +176,12 @@ class ScenarioConfig:
                 raise ValueError(f"unknown config key {key!r}")
             if key in kw:
                 raise ValueError(f"config key {key!r} is set more than once")
-            kw[key] = casts[key](value)
+            try:
+                kw[key] = casts[key](value)
+            except ValueError:
+                raise ValueError(
+                    f"{key} must be of type {casts[key].__name__}, not {value!r}"
+                ) from None
         return cls(**kw)
 
 

@@ -22,9 +22,11 @@ nothing about the final order.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -47,6 +49,11 @@ class ShuffleParams:
     def bucket_size(self) -> int:
         """D = ceil(N / B)."""
         return -(-self.n_items // self.num_buckets)
+
+    @property
+    def pad_count(self) -> int:
+        """B*D - N: pads fill out a short last input bucket."""
+        return self.num_buckets * self.bucket_size - self.n_items
 
     @property
     def drain_per_bucket(self) -> int:
@@ -79,7 +86,10 @@ class ShuffleParams:
         bucket i's chunk for each output bucket, row B each drain region."""
         b, c, k = self.num_buckets, self.chunk_cap, self.drain_per_bucket
         stride = self.bucket_stride
-        return [[(j * stride + i * c, c if i < b else k) for j in range(b)] for i in range(b + 1)]
+        return [
+            list(zip(range(i * c, i * c + b * stride, stride), repeat(c if i < b else k)))
+            for i in range(b + 1)
+        ]
 
     def private_bytes(self, stash: int, queue: int) -> int:
         """Peak private bytes of either phase with `stash` items stashed and `queue` queued."""
@@ -244,24 +254,35 @@ class ItemCipher:
     open.  A blob of n slots seals n flag bytes followed by n items, 12 +
     n * (1 + item_len) + 16 bytes whatever it holds.  In private memory an
     item is its record's bytes or `pad`, a zero-filled sentinel told apart by
-    identity; dummies exist only inside blobs."""
+    identity; dummies exist only inside blobs.
 
-    def __init__(self, rng, item_len: int):
+    Sealing joins the items with slices of constant runs: the dummies' flags
+    and zero-filled items, and also the real items' flags when B*D = N, so
+    only an attempt that has pads looks at each item.  Opening cuts the items
+    out with one `struct` unpack per blob."""
+
+    def __init__(self, rng, params: ShuffleParams):
         self._aead = AESGCM(rng.randbytes(16))
         self._rng = rng
-        self._item_len = item_len
+        self._item_len = item_len = params.item_len
+        self._pads = params.pad_count > 0
         self.pad = memoryview(bytes(item_len))
+        most = self._most = max(params.chunk_cap, params.drain_per_bucket)
+        # most real flags, then most dummy flags: a blob's flags are a slice
+        self._flags = memoryview(bytes([FLAG_REAL]) * most + bytes([FLAG_DUMMY]) * most)
+        self._zeros = memoryview(bytes(most * item_len))
+        self._cuts = [_cutter(item_len, count) for count in range(most + 1)]
 
     def encrypt(self, items: list, offset: int, slots: int) -> bytes:
         """Seal `items` followed by dummies up to `slots` slots, for `offset`."""
-        fill = slots - len(items)
-        pad = self.pad
-        plaintext = b"".join([
-            bytes([FLAG_PAD if x is pad else FLAG_REAL for x in items]),
-            bytes([FLAG_DUMMY]) * fill,
-            *items,
-            bytes(fill * self._item_len),
-        ])
+        most, fill = self._most, slots - len(items)
+        if self._pads:
+            pad = self.pad
+            flags = bytes([FLAG_PAD if x is pad else FLAG_REAL for x in items])
+            flags += self._flags[most : most + fill]
+        else:
+            flags = self._flags[most - len(items) : most + fill]
+        plaintext = b"".join([flags, *items, self._zeros[: fill * self._item_len]])
         nonce = self._rng.randbytes(12)
         return nonce + self._aead.encrypt(nonce, plaintext, _address(offset, slots))
 
@@ -269,16 +290,24 @@ class ItemCipher:
         """The items of the blob sealed for (`offset`, `slots`): its slots
         before the first dummy.  Raises `InvalidTag` for any other blob."""
         pt = self._aead.decrypt(blob[:12], blob[12:], _address(offset, slots))
-        step = self._item_len
         count = pt.find(FLAG_DUMMY, 0, slots)
         if count < 0:
             count = slots
-        items = [pt[i : i + step] for i in range(slots, slots + count * step, step)]
-        i = pt.find(FLAG_PAD, 0, count)
-        while i >= 0:
-            items[i] = self.pad
-            i = pt.find(FLAG_PAD, i + 1, count)
+        items = list(self._cuts[count](pt, slots))
+        if self._pads:
+            i = pt.find(FLAG_PAD, 0, count)
+            while i >= 0:
+                items[i] = self.pad
+                i = pt.find(FLAG_PAD, i + 1, count)
         return items
+
+
+@functools.cache
+def _cutter(item_len: int, count: int):
+    """`unpack_from(buffer, offset)` for `count` items of `item_len` bytes;
+    kept for the process, one per record length and count up to the largest
+    blob's slot count."""
+    return struct.Struct(f"{item_len}s" * count).unpack_from
 
 
 _address = struct.Struct(">QQ").pack  # a blob's associated data: (slot offset, slot count)
@@ -315,12 +344,12 @@ def stash_shuffle(
     returning a uniformly chosen feasible permutation."""
     if len(records) != params.n_items:
         raise ValueError("record count does not match params.n_items")
-    if any(len(rec) != params.item_len for rec in records):
+    if set(map(len, records)) != {params.item_len}:
         raise ValueError(f"every record must be params.item_len = {params.item_len} bytes")
     failed: list[str] = []
     for attempt in range(1, max_attempts + 1):
         trace = Trace(enabled=keep_trace)
-        cipher = ItemCipher(rng, params.item_len)
+        cipher = ItemCipher(rng, params)
         try:
             out, peak = _attempt(records, params, cipher, rng, trace)
             return ShuffleResult(out, attempt, trace, peak_private_bytes=peak, failed_phases=failed)
@@ -350,13 +379,15 @@ def _attempt(records, params, cipher, rng, trace):
         # each chunk starts with its target's oldest stashed items
         chunks = [st[:c] for st in stash]
         for st in stash:
-            del st[:c]
+            if st:
+                del st[:c]
         for item, j in zip(trace.read("in", b * d, d), targets):
             chunks[j].append(item)
         # past C, a target's items queue at the back of its stash, in order
         for st, chunk in zip(stash, chunks):
-            st += chunk[c:]
-            del chunk[c:]
+            if len(chunk) > c:
+                st += chunk[c:]
+                del chunk[c:]
         stash_total = sum(map(len, stash))
         if stash_total > params.stash_cap:
             raise _AttemptFailed("distribution")
@@ -392,7 +423,11 @@ def _attempt(records, params, cipher, rng, trace):
             queue += items
             max_queue = max(max_queue, len(queue))
 
-    result = [x for i in range(b_count) for x in trace.runs["out", i * d, d] if x is not cipher.pad]
+    result = []
+    for i in range(b_count):
+        result += trace.runs["out", i * d, d]
+    if params.pad_count:
+        result = [x for x in result if x is not cipher.pad]
     trace.runs.clear()  # only the log outlives the attempt
     assert len(result) == params.n_items
     return result, params.private_bytes(max_stash, max_queue)

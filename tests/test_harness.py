@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import re
 import random
 import shlex
 import shutil
@@ -1026,6 +1027,22 @@ def test_cli_out_of_range_config_value_is_a_usage_error(tmp_path, command, key, 
     res = CliRunner().invoke(cli_main, args)
     assert res.exit_code == 2, res.output
     assert "Usage:" in res.output and f"{key} must be {rule}" in res.output
+    assert isinstance(res.exception, SystemExit) and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("threshold_t", "ten", "int"), ("zipf_exponent", "abc", "float"), ("seed", "1.5", "int")],
+)
+def test_cli_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, key, value, kind):
+    cfg_path = _write_config(tmp_path, **{"n_samples": 50, key: value})
+    message = f"{key} must be of type {kind}, not {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScenarioConfig.from_text(Path(cfg_path).read_text())
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli_main, ["run", "--config", cfg_path, "--workspace", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "Usage:" in res.output and message in res.output
     assert isinstance(res.exception, SystemExit) and not out.exists()
 
 

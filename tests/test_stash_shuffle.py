@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidTag
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from anonpipe import stash_shuffle as stash_shuffle_mod
@@ -291,6 +293,65 @@ def test_untrusted_accesses_are_logged_only_by_the_store():
             assert node.func.attr in ("read", "write"), node.lineno
     attempt = next(n for n in tree.body if getattr(n, "name", None) == "_attempt")
     assert not [n for n in ast.walk(attempt) if isinstance(n, functions) and n is not attempt]
+
+
+@pytest.mark.parametrize("path", ["stash_shuffle", "shuffle_batch"])
+@pytest.mark.parametrize("n", [99, 97])  # B = 3 buckets of D = 33: no pads, then two
+def test_all_zero_records_are_never_taken_for_pads(n, path):
+    # a pad is zero-filled and told apart from a record only by identity, so
+    # a real all-zero record equals it by value: counting pads, `in` or `==`
+    # would drop or duplicate that record
+    rng = random.Random(n)
+    p = params_for(n, 48)
+    assert p.num_buckets * p.bucket_size - n == 99 - n
+    zero, repeated = bytes(48), rng.randbytes(48)
+    records = [zero] * 5 + [repeated] * 4 + _items(n - 9, rng, 48)
+    rng.shuffle(records)
+    for seed in range(3):
+        if path == "stash_shuffle":
+            out = stash_shuffle(records, p, random.Random(seed)).records
+        else:
+            batch = Batch("e", [(r[:8], r[8:]) for r in records])
+            out = [a + b for a, b in shuffle_batch(batch, random.Random(seed)).records]
+        assert all(type(r) is bytes for r in out)
+        assert sorted(out) == sorted(records)
+
+
+# N = 97 over 5 buckets of D = 20 leaves three pads; N = 100 leaves none
+_CIPHER_PARAMS = [make_params(97, 5, 14, 30, 3, item_len=16),
+                  make_params(100, 5, 14, 30, 3, item_len=16)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("p", _CIPHER_PARAMS, ids=["pads", "no-pads"])
+def test_item_cipher_round_trips_every_fill_at_its_own_address_only(p, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    cipher = ItemCipher(rng, p)
+    kinds = ["record", "zero", "pad"] if p.pad_count else ["record", "zero"]
+    addresses = [a for row in p.blob_addresses() for a in row]
+    # a chunk's address and a drain region's
+    for offset, slots in (addresses[0], addresses[-1]):
+        assert slots in (p.chunk_cap, p.drain_per_bucket)
+        for fill in range(slots + 1):
+            drawn = data.draw(st.lists(st.sampled_from(kinds), min_size=fill, max_size=fill))
+            items = [
+                cipher.pad if kind == "pad" else bytes(16) if kind == "zero" else rng.randbytes(16)
+                for kind in drawn
+            ]
+            blob = cipher.encrypt(items, offset, slots)
+            assert len(blob) == 12 + slots * (1 + p.item_len) + 16
+            out = cipher.decrypt(blob, offset, slots)
+            assert len(out) == fill
+            for got, want in zip(out, items):
+                if want is cipher.pad:
+                    assert got is cipher.pad
+                else:
+                    assert type(got) is bytes and got == want
+            for other in [*addresses, (offset + 1, slots), (offset, slots + 1)]:
+                if other != (offset, slots):
+                    with pytest.raises(InvalidTag):
+                        cipher.decrypt(blob, *other)
 
 
 # ---------------------------------------------------------------------------
