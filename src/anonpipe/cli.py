@@ -180,7 +180,7 @@ def params(n_items, buckets, chunk_cap, window, stash, record_len, budget, refer
                 )
             )
         if prior_art:
-            pm_budget = budget if budget else 2 * 152_000 * record_len
+            pm_budget = budget if budget is not None else 2 * 152_000 * record_len
             prior = [ss.prior_art_overheads(p.n_items, record_len, pm_budget) for p in rows]
     except (ValueError, BudgetExceeded) as exc:
         raise click.UsageError(str(exc)) from exc

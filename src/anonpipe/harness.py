@@ -135,6 +135,7 @@ class ScenarioConfig:
             ("zipf_exponent", self.zipf_exponent > 0, "positive"),
             ("secret_share_t", self.secret_share_t >= 0, "at least 0"),
             ("pad_to", self.pad_to >= 0, "at least 0"),
+            ("seed", self.seed >= 0, "at least 0"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, not {getattr(self, key)!r}")

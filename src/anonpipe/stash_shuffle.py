@@ -1,15 +1,17 @@
 """Oblivious shuffle of N fixed-size records under a private-memory budget.
 
-Two phases.  Distribution reads one input bucket at a time, deals its items
-to randomly chosen output buckets subject to a per-(input, output) chunk
-quota C, parks overflow in a bounded private stash, and writes each chunk
-of C slots (its items, then dummies) to an intermediate array as one sealed
-blob; the stash drains into one sealed K-slot region per output bucket.  A
-blob's plaintext is its slots' flag bytes (real, pad or dummy) followed by
-their items, so its length depends only on its slot count.  Compression
-slides a W-bucket window over the intermediate array, opens a bucket's
-B + 1 blobs, keeps each blob's slots before its first dummy, shuffles the
-items in private memory, and streams the result to the output.
+Two phases.  Input run i and output run i both hold records i*N//B up to
+(i+1)*N//B, so every run is D or D - 1 items long.  Distribution reads one
+input run at a time, deals its items to randomly chosen output buckets
+subject to a per-(input, output) chunk quota C, parks overflow in a bounded
+private stash, and writes each chunk of C slots (its items, then dummies)
+to an intermediate array as one sealed blob; the stash drains into one
+sealed K-slot region per output bucket.  A blob's plaintext is its item
+count followed by its slots, so its length depends only on its slot count.
+Compression slides a W-bucket window over the intermediate array, opens a
+bucket's B + 1 blobs, keeps each blob's counted items, shuffles them in
+private memory, and streams each output run, at its own length, to the
+output.
 
 Untrusted memory is one store, `Trace`, addressed by (region, slot offset,
 slot count).  Its log of reads and writes is the trace, and each address in
@@ -47,13 +49,8 @@ class ShuffleParams:
 
     @property
     def bucket_size(self) -> int:
-        """D = ceil(N / B)."""
+        """D = ceil(N / B), the longest run's length."""
         return -(-self.n_items // self.num_buckets)
-
-    @property
-    def pad_count(self) -> int:
-        """B*D - N: pads fill out a short last input bucket."""
-        return self.num_buckets * self.bucket_size - self.n_items
 
     @property
     def drain_per_bucket(self) -> int:
@@ -80,6 +77,13 @@ class ShuffleParams:
     def queue_cap(self) -> int:
         """W buckets' slots: occupancy varies around D, so W*D would overflow."""
         return self.window * self.bucket_stride
+
+    def run_addresses(self) -> list[tuple[int, int]]:
+        """(slot offset, slot count) of input run i and of output run i:
+        records i*N//B up to (i+1)*N//B, D or D - 1 of them."""
+        n, b = self.n_items, self.num_buckets
+        bounds = [i * n // b for i in range(b + 1)]
+        return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
     def blob_addresses(self) -> list[list[tuple[int, int]]]:
         """(slot offset, slot count) of every blob: row i < B holds input
@@ -237,69 +241,37 @@ class Trace:
         return "\n".join(f"{p},{r},{off},{ln},{op}" for p, r, off, ln, op in self.entries)
 
 
-# Slot flags, at the head of a blob's plaintext.  Dummies only fill the tail
-# of a chunk or drain region and are discarded during compression; pads stand
-# in for missing items of a short last input bucket and travel all the way
-# to the output, keeping the per-bucket export schedule independent of
-# N mod (B*D).
-FLAG_REAL = 0
-FLAG_DUMMY = 1
-FLAG_PAD = 2
-
-
 class ItemCipher:
     """AEAD over a run of slots under an ephemeral per-attempt key; every
     blob gets a fresh nonce and is bound to its address, the slot offset and
     slot count it is written at, so a blob moved to another address fails to
-    open.  A blob of n slots seals n flag bytes followed by n items, 12 +
-    n * (1 + item_len) + 16 bytes whatever it holds.  In private memory an
-    item is its record's bytes or `pad`, a zero-filled sentinel told apart by
-    identity; dummies exist only inside blobs.
+    open.  A blob of n slots seals its item count as 4 bytes, then its
+    items, then zero-filled dummies up to n slots: 12 + 4 + n * item_len + 16
+    bytes whatever it holds.  Dummies exist only inside blobs.
 
-    Sealing joins the items with slices of constant runs: the dummies' flags
-    and zero-filled items, and also the real items' flags when B*D = N, so
-    only an attempt that has pads looks at each item.  Opening cuts the items
-    out with one `struct` unpack per blob."""
+    Sealing joins the items with a slice of one zero-filled run; opening cuts
+    the items out with one `struct` unpack per blob."""
 
     def __init__(self, rng, params: ShuffleParams):
         self._aead = AESGCM(rng.randbytes(16))
         self._rng = rng
         self._item_len = item_len = params.item_len
-        self._pads = params.pad_count > 0
-        self.pad = memoryview(bytes(item_len))
-        most = self._most = max(params.chunk_cap, params.drain_per_bucket)
-        # most real flags, then most dummy flags: a blob's flags are a slice
-        self._flags = memoryview(bytes([FLAG_REAL]) * most + bytes([FLAG_DUMMY]) * most)
+        most = max(params.chunk_cap, params.drain_per_bucket)
         self._zeros = memoryview(bytes(most * item_len))
         self._cuts = [_cutter(item_len, count) for count in range(most + 1)]
 
     def encrypt(self, items: list, offset: int, slots: int) -> bytes:
         """Seal `items` followed by dummies up to `slots` slots, for `offset`."""
-        most, fill = self._most, slots - len(items)
-        if self._pads:
-            pad = self.pad
-            flags = bytes([FLAG_PAD if x is pad else FLAG_REAL for x in items])
-            flags += self._flags[most : most + fill]
-        else:
-            flags = self._flags[most - len(items) : most + fill]
-        plaintext = b"".join([flags, *items, self._zeros[: fill * self._item_len]])
+        fill = (slots - len(items)) * self._item_len
+        plaintext = b"".join([_count(len(items)), *items, self._zeros[:fill]])
         nonce = self._rng.randbytes(12)
         return nonce + self._aead.encrypt(nonce, plaintext, _address(offset, slots))
 
     def decrypt(self, blob: bytes, offset: int, slots: int) -> list:
-        """The items of the blob sealed for (`offset`, `slots`): its slots
-        before the first dummy.  Raises `InvalidTag` for any other blob."""
+        """The items of the blob sealed for (`offset`, `slots`).  Raises
+        `InvalidTag` for any other blob."""
         pt = self._aead.decrypt(blob[:12], blob[12:], _address(offset, slots))
-        count = pt.find(FLAG_DUMMY, 0, slots)
-        if count < 0:
-            count = slots
-        items = list(self._cuts[count](pt, slots))
-        if self._pads:
-            i = pt.find(FLAG_PAD, 0, count)
-            while i >= 0:
-                items[i] = self.pad
-                i = pt.find(FLAG_PAD, i + 1, count)
-        return items
+        return list(self._cuts[int.from_bytes(pt[:4], "big")](pt, 4))
 
 
 @functools.cache
@@ -311,17 +283,19 @@ def _cutter(item_len: int, count: int):
 
 
 _address = struct.Struct(">QQ").pack  # a blob's associated data: (slot offset, slot count)
+_count = struct.Struct(">I").pack  # a blob's item count, at the head of its plaintext
 
 
-def shuffle_to_buckets(num_buckets: int, bucket_size: int, rng) -> list[int]:
-    """Target bucket per input slot, each drawn independently and uniformly.
+def shuffle_to_buckets(num_buckets: int, run_length: int, rng) -> list[int]:
+    """Target bucket per item of an input run, each drawn independently and
+    uniformly.
 
     Independent targets make the bucket loads multinomial; a uniform
     composition (D items shuffled among B-1 separators) would skew loads and
     keep items of one input bucket together more often than a uniform
     permutation does.
     """
-    return rng.choices(range(num_buckets), k=bucket_size)
+    return rng.choices(range(num_buckets), k=run_length)
 
 
 @dataclass
@@ -359,29 +333,28 @@ def stash_shuffle(
 
 
 def _attempt(records, params, cipher, rng, trace):
-    """One attempt.  The host places the input in `trace` as D-slot runs and
-    takes the output runs at the end; every access in between goes through
-    `trace`.  Per output bucket, the intermediate region holds one sealed
-    C-slot chunk from each input bucket and one sealed K-slot drain region."""
-    b_count, d, c = params.num_buckets, params.bucket_size, params.chunk_cap
+    """One attempt.  The host places the input in `trace` as runs at
+    `params.run_addresses()` and takes the output runs at the same addresses
+    at the end; every access in between goes through `trace`.  Per output
+    bucket, the intermediate region holds one sealed C-slot chunk from each
+    input bucket and one sealed K-slot drain region."""
+    b_count, c = params.num_buckets, params.chunk_cap
+    runs = params.run_addresses()
     addresses = params.blob_addresses()
-    # a short last bucket is padded; pads ride through to the output so every
-    # bucket exports exactly D items
-    for b in range(b_count):
-        block = records[b * d : (b + 1) * d]
-        trace.runs["in", b * d, d] = block + [cipher.pad] * (d - len(block))
+    for start, length in runs:
+        trace.runs["in", start, length] = records[start : start + length]
     stash: list[list] = [[] for _ in range(b_count)]
     max_stash = 0
 
     trace.phase = "distribution"
-    for b in range(b_count):
-        targets = shuffle_to_buckets(b_count, d, rng)
+    for (start, length), row in zip(runs, addresses):
+        targets = shuffle_to_buckets(b_count, length, rng)
         # each chunk starts with its target's oldest stashed items
         chunks = [st[:c] for st in stash]
         for st in stash:
             if st:
                 del st[:c]
-        for item, j in zip(trace.read("in", b * d, d), targets):
+        for item, j in zip(trace.read("in", start, length), targets):
             chunks[j].append(item)
         # past C, a target's items queue at the back of its stash, in order
         for st, chunk in zip(stash, chunks):
@@ -392,7 +365,7 @@ def _attempt(records, params, cipher, rng, trace):
         if stash_total > params.stash_cap:
             raise _AttemptFailed("distribution")
         max_stash = max(max_stash, stash_total)
-        for chunk, (offset, slots) in zip(chunks, addresses[b]):
+        for chunk, (offset, slots) in zip(chunks, row):
             trace.write("mid", offset, slots, cipher.encrypt(chunk, offset, slots))
 
     trace.phase = "drain"
@@ -405,13 +378,14 @@ def _attempt(records, params, cipher, rng, trace):
     window = min(params.window, b_count)
     queue: list = []
     max_queue = 0
-    # step i exports bucket i - W, then imports bucket i
+    # step i exports output run i - W, then imports bucket i
     for i in range(b_count + window):
         if i >= window:
-            if len(queue) < d:
+            start, length = runs[i - window]
+            if len(queue) < length:
                 raise _AttemptFailed("compression")
-            trace.write("out", (i - window) * d, d, queue[:d])
-            del queue[:d]
+            trace.write("out", start, length, queue[:length])
+            del queue[:length]
         if i < b_count:
             items = []
             for row in addresses:
@@ -424,10 +398,8 @@ def _attempt(records, params, cipher, rng, trace):
             max_queue = max(max_queue, len(queue))
 
     result = []
-    for i in range(b_count):
-        result += trace.runs["out", i * d, d]
-    if params.pad_count:
-        result = [x for x in result if x is not cipher.pad]
+    for start, length in runs:
+        result += trace.runs["out", start, length]
     trace.runs.clear()  # only the log outlives the attempt
     assert len(result) == params.n_items
     return result, params.private_bytes(max_stash, max_queue)

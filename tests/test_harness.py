@@ -1008,7 +1008,7 @@ def test_cli_invalid_threshold_policy_is_a_usage_error(tmp_path, command, key, v
     "key, value, rule",
     [("vocab_size", 0, "at least 1"), ("n_samples", 0, "at least 1"),
      ("zipf_exponent", 0, "positive"), ("secret_share_t", -2, "at least 0"),
-     ("pad_to", -1, "at least 0"),
+     ("pad_to", -1, "at least 0"), ("seed", -1, "at least 0"),
      # below the 4-byte word w300's needs, and past what one envelope holds
      ("pad_to", 5, "0 or from 6 to 1048507"), ("pad_to", 1048508, "0 or from 6 to 1048507")],
 )
@@ -1100,6 +1100,7 @@ ONE_ROW = ["--n-items", "100", "--buckets", "10", "--chunk-cap", "12"]
         (["--reference", "--prior-art", "--budget", "10"], "budget below one record pair"),
         (["--n-items", "0", "--buckets", "10", "--chunk-cap", "12"], "n_items >= 1"),
         (["--n-items", "100", "--buckets", "10"], "--chunk-cap"),
+        (["--reference", "--prior-art", "--budget", "0"], "budget below one record pair"),
     ],
 )
 def test_cli_params_bad_value_is_a_usage_error(args, message):

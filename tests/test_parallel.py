@@ -661,14 +661,14 @@ GOLDEN_DIGESTS = {
     },
     "secret-share": {
         "reports.bin": "5223def4ff01cd2bddbf4ec5330d4a29a1b2ca87e8187eb392bddba6effdf09a",
-        "shuffled.bin": "1cdf0f92091f66d950a89759bba774a8ecae9cbe378cd043d0edb10067ca22d8",
+        "shuffled.bin": "d18b4d5202cd68fdf761a58aec9bb37a7100b0ae99cb3c3ba6d238028e7dd6aa",
         "selectivity.json": "c5f11ee83db0a8dd0cc18cb485819599dbcaa561d59aa1e98adf885b666b680f",
         "histogram.csv": "887197f19a34423b9283ab1d516e847e60ec7842c7241f66e4b74d7a03ffd41f",
         "analyzer_stats.json": "04a2ad0eeb5717dcf49f58f597d7532762b74820f5d48145d4a36342ddbc677b",
     },
     "blinded-test-256": {
         "reports.bin": "9bcaac0a5003ce1ab3ab2fc27d73f90b5c34d076057440e5b23ef918792fe5f0",
-        "blinded.bin": "efe5ef5e6d468cd2120168c6334c70723f58590d3a53388eb61b637920d03633",
+        "blinded.bin": "641da1f338afe3e1037c2027a24cc77d2b03110fc605c8bf68867062c7631ef5",
         "shuffled.bin": "6f9f8938dbcede84a374f245b630fe65376a07c0163dc27e653d03b649d3ca9b",
         "selectivity.json": "a614f202b93fe09795f42b93c1316b9417fa0165523c13bdeab39f6a85520560",
         "histogram.csv": "68f6831d97d52ba934aa5b8675b2382f0da2be0c3538187e0a7ffe3c23def7ba",

@@ -120,10 +120,12 @@ def test_output_is_permutation_of_input():
 
 def test_short_last_bucket():
     rng = random.Random(3)
-    p = make_params(97, 5, chunk_cap=14, stash_cap=30, window=3, item_len=16)
-    items = _items(97, rng)
-    res = stash_shuffle(items, p, rng)
-    assert sorted(res.records) == sorted(items)
+    # runs of 19 and 20 items; then B > N, so one run of 0 items and two of 1
+    for p in (make_params(97, 5, chunk_cap=14, stash_cap=30, window=3, item_len=16),
+              make_params(2, 3, chunk_cap=1, stash_cap=1, window=3, item_len=16)):
+        items = _items(p.n_items, rng)
+        res = stash_shuffle(items, p, rng)
+        assert sorted(res.records) == sorted(items)
 
 
 def test_mixed_item_lengths_rejected():
@@ -158,14 +160,15 @@ def _safe_params(n, b, item_len=16):
 
 
 def test_trace_is_data_independent():
-    p = _safe_params(48, 4)
-    dumps = set()
-    for seed in range(6):
-        rng = random.Random(seed)
-        res = stash_shuffle(_items(48, rng), p, rng)
-        assert res.attempts == 1
-        dumps.add(res.trace.dump())
-    assert len(dumps) == 1
+    # runs of 12 items; then B does not divide N, so runs of 12 and 13
+    for p in (_safe_params(48, 4), _safe_params(50, 4)):
+        dumps = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            res = stash_shuffle(_items(p.n_items, rng), p, rng)
+            assert res.attempts == 1
+            dumps.add(res.trace.dump())
+        assert len(dumps) == 1
 
 
 @pytest.mark.parametrize("n", [1, 7, 50, 300, 2255])
@@ -180,16 +183,18 @@ def test_trace_is_data_independent_at_pipeline_params(n):
 
 def test_trace_volumes_match_analysis():
     rng = random.Random(7)
-    p = make_params(120, 4, chunk_cap=21, stash_cap=16, window=3, item_len=16)
-    res = stash_shuffle(_items(120, rng), p, rng)
-    assert res.attempts == 1
-    mid_writes = sum(1 for _, r, _, _, op in res.trace.entries if r == "mid" and op == "write")
-    mid_reads = sum(1 for _, r, _, _, op in res.trace.entries if r == "mid" and op == "read")
-    in_reads = sum(1 for _, r, _, _, op in res.trace.entries if r == "in")
-    out_writes = sum(1 for _, r, _, _, op in res.trace.entries if r == "out")
-    assert mid_writes == mid_reads == p.mid_slots
-    assert in_reads == p.num_buckets * p.bucket_size
-    assert out_writes == p.num_buckets * p.bucket_size
+    # runs of 30 items; then B does not divide N, so runs of 30 and 31
+    for n in (120, 122):
+        p = make_params(n, 4, chunk_cap=21, stash_cap=16, window=3, item_len=16)
+        res = stash_shuffle(_items(n, rng), p, rng)
+        assert res.attempts == 1
+        entries = res.trace.entries
+        mid_writes = sum(1 for _, r, _, _, op in entries if r == "mid" and op == "write")
+        mid_reads = sum(1 for _, r, _, _, op in entries if r == "mid" and op == "read")
+        in_reads = sum(1 for _, r, _, _, op in entries if r == "in")
+        out_writes = sum(1 for _, r, _, _, op in entries if r == "out")
+        assert mid_writes == mid_reads == p.mid_slots
+        assert in_reads == out_writes == n
 
 
 def test_peak_private_memory_within_declared_working_set():
@@ -224,12 +229,12 @@ def _blob_lengths(monkeypatch, n, seed):
 
 
 def test_blob_lengths_depend_only_on_the_parameters(monkeypatch):
-    # 99 records fill 3 buckets of 33; 97 leave two pads in the last one
+    # 99 records fill 3 runs of 33; 97 fill runs of 32, 32 and 33
     sealed, opened, p = _blob_lengths(monkeypatch, 99, 1)
     b, d = p.num_buckets, p.bucket_size
     assert (b, b * d) == (3, 99)
-    chunk = 12 + p.chunk_cap * (1 + p.item_len) + 16
-    drain = 12 + p.drain_per_bucket * (1 + p.item_len) + 16
+    chunk = 12 + 4 + p.chunk_cap * p.item_len + 16
+    drain = 12 + 4 + p.drain_per_bucket * p.item_len + 16
     # one attempt: B chunks per input bucket, then B drain regions; each
     # output bucket then opens its B chunks and its drain region
     assert sealed == [chunk] * (b * b) + [drain] * b
@@ -296,11 +301,11 @@ def test_untrusted_accesses_are_logged_only_by_the_store():
 
 
 @pytest.mark.parametrize("path", ["stash_shuffle", "shuffle_batch"])
-@pytest.mark.parametrize("n", [99, 97])  # B = 3 buckets of D = 33: no pads, then two
+@pytest.mark.parametrize("n", [99, 97])  # B = 3 runs: of 33 items, then of 32, 32 and 33
 def test_all_zero_records_are_never_taken_for_pads(n, path):
-    # a pad is zero-filled and told apart from a record only by identity, so
-    # a real all-zero record equals it by value: counting pads, `in` or `==`
-    # would drop or duplicate that record
+    # a dummy is zero-filled, so a real all-zero record equals it by value,
+    # and repeated records equal each other: only a blob's item count may
+    # tell items from dummies, or such records would be dropped or duplicated
     rng = random.Random(n)
     p = params_for(n, 48)
     assert p.num_buckets * p.bucket_size - n == 99 - n
@@ -317,7 +322,8 @@ def test_all_zero_records_are_never_taken_for_pads(n, path):
         assert sorted(out) == sorted(records)
 
 
-# N = 97 over 5 buckets of D = 20 leaves three pads; N = 100 leaves none
+# N = 97 over 5 buckets: runs of 19 and 20 items, B*D - N = 3 short of five
+# full runs (id "pads"); N = 100: five full runs of 20
 _CIPHER_PARAMS = [make_params(97, 5, 14, 30, 3, item_len=16),
                   make_params(100, 5, 14, 30, 3, item_len=16)]
 
@@ -328,26 +334,17 @@ _CIPHER_PARAMS = [make_params(97, 5, 14, 30, 3, item_len=16),
 def test_item_cipher_round_trips_every_fill_at_its_own_address_only(p, data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     cipher = ItemCipher(rng, p)
-    kinds = ["record", "zero", "pad"] if p.pad_count else ["record", "zero"]
     addresses = [a for row in p.blob_addresses() for a in row]
     # a chunk's address and a drain region's
     for offset, slots in (addresses[0], addresses[-1]):
         assert slots in (p.chunk_cap, p.drain_per_bucket)
         for fill in range(slots + 1):
-            drawn = data.draw(st.lists(st.sampled_from(kinds), min_size=fill, max_size=fill))
-            items = [
-                cipher.pad if kind == "pad" else bytes(16) if kind == "zero" else rng.randbytes(16)
-                for kind in drawn
-            ]
+            zeros = data.draw(st.lists(st.booleans(), min_size=fill, max_size=fill))
+            items = [bytes(16) if zero else rng.randbytes(16) for zero in zeros]
             blob = cipher.encrypt(items, offset, slots)
-            assert len(blob) == 12 + slots * (1 + p.item_len) + 16
+            assert len(blob) == 12 + 4 + slots * p.item_len + 16
             out = cipher.decrypt(blob, offset, slots)
-            assert len(out) == fill
-            for got, want in zip(out, items):
-                if want is cipher.pad:
-                    assert got is cipher.pad
-                else:
-                    assert type(got) is bytes and got == want
+            assert all(type(got) is bytes for got in out) and out == items
             for other in [*addresses, (offset + 1, slots), (offset, slots + 1)]:
                 if other != (offset, slots):
                     with pytest.raises(InvalidTag):
@@ -429,14 +426,16 @@ def test_retries_do_not_bias_the_permutation():
 
 def test_first_item_lands_uniformly():
     rng = random.Random(11)
-    p = _safe_params(6, 3, item_len=4)
-    items = [b"%04d" % i for i in range(6)]
-    positions = Counter()
-    for _ in range(4000):
-        res = stash_shuffle(items, p, rng)
-        positions[res.records.index(items[0])] += 1
-    _, pvalue = stats.chisquare([positions[i] for i in range(6)])
-    assert pvalue > 1e-3
+    # runs of 2 items; then B does not divide N, so runs of 2, 2 and 3
+    for n in (6, 7):
+        p = _safe_params(n, 3, item_len=4)
+        items = [b"%04d" % i for i in range(n)]
+        positions = Counter()
+        for _ in range(4000):
+            res = stash_shuffle(items, p, rng)
+            positions[res.records.index(items[0])] += 1
+        _, pvalue = stats.chisquare([positions[i] for i in range(n)])
+        assert pvalue > 1e-3
 
 
 def test_same_input_bucket_pairs_split_like_a_uniform_permutation():
@@ -467,14 +466,14 @@ _GOLDEN = [
     # the perfbench `stash` workload's parameters
     (make_params(4000, 20, 30, 1200, 4, item_len=150), 4, 1, [],
      "bfb2b0ace98c83615e29f68f2ad8a37b2e537dc433720591919db152a6673d95"),
-    # N < B*D: three pads travel through to the output
+    # B does not divide N: runs of 19 and 20 items
     (make_params(97, 5, 14, 30, 3, item_len=16), 5, 1, [],
-     "c7b13638fdc9daabe08d76ac3cbe71ef4a366d1a17bdcfc3319b3026d4158f9d"),
+     "142e01323090e979eae5e3b3901f5d84995c3f0392b59eaad3b226656c4e7d81"),
     # tight caps: failed attempts before the one that succeeds
     (make_params(6, 3, 1, 2, 3, item_len=4), 185, 3, ["distribution", "drain"],
      "8a9343367757ef3d9b8f04850958dc03592ddad8422126d24e1d9352ee6dfe93"),
-    (make_params(10, 3, 2, 3, 1, item_len=4), 0, 3, ["compression", "drain"],
-     "d507c82b99a7f0695a29fe93c2b80a709675388d9c16ce5c2273e9cb789e9593"),
+    (make_params(10, 3, 2, 3, 1, item_len=4), 0, 3, ["compression", "compression"],
+     "bdf19bbdf46d92cfc6bf972420ed7db0d49c906383a4e4ff70a1cbea8805ff9b"),
 ]
 
 
