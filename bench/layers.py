@@ -22,6 +22,9 @@ parameters (N = 4 000, B = 20, C = 30, S = 1 200, W = 4) and
 (distribution, drain, compression): during the timed calls the module's
 store, `Trace`, is a subclass that stamps the time at each change of its
 `phase`, and a failed attempt's time counts toward the phase it failed in.
+Each phase draws its own randomness (the targets in `distribution`, the
+keys that order each output bucket in `compression`), so the phase rows
+and the attempt's key draw and input placement add up to the whole call.
 A run times `--calls` calls of each envelope case, one call of each
 threshold case and about 100 000 items' worth of shuffles at each size, and
 the order of the cases alternates from run to run, so the drift of a shared

@@ -15,11 +15,17 @@ output.
 
 Untrusted memory is one store, `Trace`, addressed by (region, slot offset,
 slot count).  Its log of reads and writes is the trace, and each address in
-it depends only on the parameters, never on data values.  Each blob is
-sealed under its address, so one handed back at another fails to open.
-Failures (stash overflow, undrainable stash, queue over/underflow) abort
-the attempt; retries use a fresh ephemeral key, so failed attempts reveal
+it depends only on the parameters, never on data values.  Each blob's nonce
+is its address, so one handed back at another fails to open.  Failures
+(stash overflow, undrainable stash, queue over/underflow) abort the
+attempt; retries use a fresh ephemeral key, so failed attempts reveal
 nothing about the final order.
+
+Randomness comes from `rng.randbytes` alone, in 2B + 1 calls per attempt:
+the attempt's key, one call per input run for its items' targets
+(`shuffle_to_buckets`) and one per output bucket for the 64-bit keys that
+order its items (`_random_order`).  A draw covers one run or one bucket,
+never all N items, so private memory stays O(D).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import repeat
 
+import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from anonpipe.errors import BudgetExceeded, ShuffleFailed
@@ -242,19 +249,20 @@ class Trace:
 
 
 class ItemCipher:
-    """AEAD over a run of slots under an ephemeral per-attempt key; every
-    blob gets a fresh nonce and is bound to its address, the slot offset and
-    slot count it is written at, so a blob moved to another address fails to
-    open.  A blob of n slots seals its item count as 4 bytes, then its
-    items, then zero-filled dummies up to n slots: 12 + 4 + n * item_len + 16
-    bytes whatever it holds.  Dummies exist only inside blobs.
+    """AEAD over a run of slots of the intermediate region under an
+    ephemeral per-attempt key.  A blob's 12-byte nonce is its address, the
+    region byte then the slot offset (7 bytes) and the slot count (4 bytes),
+    so a blob moved to another address fails to open; an attempt seals each
+    address once, under its own key, so no nonce repeats under a key.  A
+    blob of n slots seals its item count as 4 bytes, then its items, then
+    zero-filled dummies up to n slots: 4 + n * item_len + 16 bytes whatever
+    it holds.  Dummies exist only inside blobs.
 
     Sealing joins the items with a slice of one zero-filled run; opening cuts
     the items out with one `struct` unpack per blob."""
 
     def __init__(self, rng, params: ShuffleParams):
         self._aead = AESGCM(rng.randbytes(16))
-        self._rng = rng
         self._item_len = item_len = params.item_len
         most = max(params.chunk_cap, params.drain_per_bucket)
         self._zeros = memoryview(bytes(most * item_len))
@@ -264,13 +272,12 @@ class ItemCipher:
         """Seal `items` followed by dummies up to `slots` slots, for `offset`."""
         fill = (slots - len(items)) * self._item_len
         plaintext = b"".join([_count(len(items)), *items, self._zeros[:fill]])
-        nonce = self._rng.randbytes(12)
-        return nonce + self._aead.encrypt(nonce, plaintext, _address(offset, slots))
+        return self._aead.encrypt(_nonce(_MID | offset, slots), plaintext, None)
 
     def decrypt(self, blob: bytes, offset: int, slots: int) -> list:
         """The items of the blob sealed for (`offset`, `slots`).  Raises
         `InvalidTag` for any other blob."""
-        pt = self._aead.decrypt(blob[:12], blob[12:], _address(offset, slots))
+        pt = self._aead.decrypt(_nonce(_MID | offset, slots), blob, None)
         return list(self._cuts[int.from_bytes(pt[:4], "big")](pt, 4))
 
 
@@ -282,20 +289,47 @@ def _cutter(item_len: int, count: int):
     return struct.Struct(f"{item_len}s" * count).unpack_from
 
 
-_address = struct.Struct(">QQ").pack  # a blob's associated data: (slot offset, slot count)
+# a blob's nonce: (region byte << 56 | slot offset, slot count).  The
+# intermediate region's byte is 1, so runs of another region sealed under
+# the same key would get nonces of their own; offsets stay below 2^56 and
+# slot counts below 2^32 for any parameters whose blobs fit in memory.
+_nonce = struct.Struct(">QI").pack
+_MID = 1 << 56
 _count = struct.Struct(">I").pack  # a blob's item count, at the head of its plaintext
+
+
+def _words(rng, count: int) -> np.ndarray:
+    """`count` uniform 64-bit words from one `rng.randbytes` call."""
+    return np.frombuffer(rng.randbytes(8 * count), "<u8")
 
 
 def shuffle_to_buckets(num_buckets: int, run_length: int, rng) -> list[int]:
     """Target bucket per item of an input run, each drawn independently and
-    uniformly.
+    uniformly: a 64-bit word mod B, where a word of 2^64 - (2^64 mod B) or
+    more is drawn again, so every target is exactly uniform.
 
     Independent targets make the bucket loads multinomial; a uniform
     composition (D items shuffled among B-1 separators) would skew loads and
     keep items of one input bucket together more often than a uniform
     permutation does.
     """
-    return rng.choices(range(num_buckets), k=run_length)
+    top = np.uint64(2**64 - 1 - 2**64 % num_buckets)  # the largest word kept
+    words = _words(rng, run_length)
+    while (again := np.flatnonzero(words > top)).size:
+        words = words.copy()
+        words[again] = _words(rng, again.size)
+    return (words % np.uint64(num_buckets)).tolist()
+
+
+def _random_order(count: int, rng) -> list[int]:
+    """A uniformly random order of `count` positions: the ascending order of
+    `count` 64-bit keys, drawn again while two of them tie."""
+    while True:
+        keys = _words(rng, count)
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if not (ranked[1:] == ranked[:-1]).any():
+            return order.tolist()
 
 
 @dataclass
@@ -320,6 +354,8 @@ def stash_shuffle(
         raise ValueError("record count does not match params.n_items")
     if set(map(len, records)) != {params.item_len}:
         raise ValueError(f"every record must be params.item_len = {params.item_len} bytes")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     failed: list[str] = []
     for attempt in range(1, max_attempts + 1):
         trace = Trace(enabled=keep_trace)
@@ -391,7 +427,7 @@ def _attempt(records, params, cipher, rng, trace):
             for row in addresses:
                 offset, slots = row[i]
                 items += cipher.decrypt(trace.read("mid", offset, slots), offset, slots)
-            rng.shuffle(items)
+            items = [items[k] for k in _random_order(len(items), rng)]
             if len(queue) + len(items) > params.queue_cap:
                 raise _AttemptFailed("compression")
             queue += items

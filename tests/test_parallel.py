@@ -654,30 +654,30 @@ NO_DECODE_STATS = "b55cd2b521806b4f4c66d7619d4a6e25041b129ec9d323c528e5d40b33ab6
 GOLDEN_DIGESTS = {
     "hashed": {
         "reports.bin": "b9424a21716aed36b302fbbf558c0d225a94910bc25d2b6c7c93913a50a7a7f8",
-        "shuffled.bin": "81dcb9e66b1bc2bf1801439f518d499b14fc9b5ebf6dd4228b967fc1a84a1e2b",
+        "shuffled.bin": "8a5c935dbc047c6b90f757ec00360d02c7c4608ba8dfbf6567decd09d7f22095",
         "selectivity.json": "d407fa27798e9683b52a9b96affd4b933966c7014f60d9f0053fdf272760cb60",
         "histogram.csv": "838db251c69629b3674ece1c361c0a21ac7ae2c0a370a4719d23ba3bfebda870",
         "analyzer_stats.json": NO_DECODE_STATS,
     },
     "secret-share": {
         "reports.bin": "5223def4ff01cd2bddbf4ec5330d4a29a1b2ca87e8187eb392bddba6effdf09a",
-        "shuffled.bin": "d18b4d5202cd68fdf761a58aec9bb37a7100b0ae99cb3c3ba6d238028e7dd6aa",
+        "shuffled.bin": "6940aee082fb580cd77ccc033b56145d6b946ab27277838caf5cafb3bdefa40f",
         "selectivity.json": "c5f11ee83db0a8dd0cc18cb485819599dbcaa561d59aa1e98adf885b666b680f",
         "histogram.csv": "887197f19a34423b9283ab1d516e847e60ec7842c7241f66e4b74d7a03ffd41f",
         "analyzer_stats.json": "04a2ad0eeb5717dcf49f58f597d7532762b74820f5d48145d4a36342ddbc677b",
     },
     "blinded-test-256": {
         "reports.bin": "9bcaac0a5003ce1ab3ab2fc27d73f90b5c34d076057440e5b23ef918792fe5f0",
-        "blinded.bin": "641da1f338afe3e1037c2027a24cc77d2b03110fc605c8bf68867062c7631ef5",
-        "shuffled.bin": "6f9f8938dbcede84a374f245b630fe65376a07c0163dc27e653d03b649d3ca9b",
+        "blinded.bin": "dda9595ecccdc356105ee4ea451e640cd02758c62cbe61a846a0b02f845f5585",
+        "shuffled.bin": "d4a864eb7e8c5f3bedc4eeabf24d1c4211366e75c7dbe583ad5c461c476b1ff4",
         "selectivity.json": "a614f202b93fe09795f42b93c1316b9417fa0165523c13bdeab39f6a85520560",
         "histogram.csv": "68f6831d97d52ba934aa5b8675b2382f0da2be0c3538187e0a7ffe3c23def7ba",
         "analyzer_stats.json": NO_DECODE_STATS,
     },
     "blinded-modp-2048": {
         "reports.bin": "50f079df8959f2eabfeaee961946d53c71a8404246915fe9bcd958fdd211bb3f",
-        "blinded.bin": "f6057ef40f26cfd767f4916b3ab1b0d57acf9976ead49fa9586a2d53ebab5dd8",
-        "shuffled.bin": "2c227cb4ae99180fe1ddf04b7ceac7949a01dc2414a4c4a40153bed8d67a0b72",
+        "blinded.bin": "08f6e434bd214a64f3171cf46778a9e7f3b57d9ab6d464b82a8e332162713b84",
+        "shuffled.bin": "05309c18dd8b8f619e044722fa1c6345a7d0fc45664a052e1ee368ba0e4afece",
         "selectivity.json": "f0739da9df5980e93729890443a7bcd02acb6bcfe19b019ef7cfe1182f4cc34c",
         "histogram.csv": "bf49a3821fbc8c0c94734d1ccaafaebd599919227f7db09be0e03f8d38e0aeaf",
         "analyzer_stats.json": NO_DECODE_STATS,

@@ -106,6 +106,49 @@ def test_shuffle_to_buckets_marginal_uniform():
     assert pvalue > 1e-3
 
 
+def test_shuffle_to_buckets_marginals_at_three_buckets():
+    # 2^64 is not a multiple of 3, so targets come from the words below the
+    # rejection limit; every position of the run lands uniformly
+    rng = random.Random(13)
+    counts = Counter()
+    for _ in range(3000):
+        counts.update(enumerate(shuffle_to_buckets(3, 5, rng)))
+    for position in range(5):
+        _, pvalue = stats.chisquare([counts[position, t] for t in range(3)])
+        assert pvalue > 1e-3
+
+
+class _TapeRng:
+    """Answers each `randbytes` call with the next of `tape`'s byte strings;
+    logs each call's length."""
+
+    def __init__(self, tape):
+        self.tape, self.calls = list(tape), []
+
+    def randbytes(self, n):
+        self.calls.append(n)
+        assert len(self.tape[0]) == n
+        return self.tape.pop(0)
+
+
+def _words(*words):
+    return b"".join(w.to_bytes(8, "little") for w in words)
+
+
+def test_shuffle_to_buckets_draws_a_word_past_the_limit_again():
+    # 2^64 mod 3 = 1, so 2^64 - 1 is the one word past the limit; 2^64 - 2 is kept
+    rng = _TapeRng([_words(2**64 - 1, 0, 2**64 - 2, 4), _words(5)])
+    assert shuffle_to_buckets(3, 4, rng) == [2, 0, (2**64 - 2) % 3, 1]
+    assert rng.calls == [32, 8]
+
+
+def test_shuffle_to_buckets_keeps_every_word_at_a_power_of_two():
+    # 2^64 is a multiple of 4: no word is past a limit
+    rng = _TapeRng([_words(2**64 - 1, 2**64 - 2, 1, 0)])
+    assert shuffle_to_buckets(4, 4, rng) == [3, 2, 1, 0]
+    assert rng.calls == [32]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end shuffling
 
@@ -126,6 +169,63 @@ def test_short_last_bucket():
         items = _items(p.n_items, rng)
         res = stash_shuffle(items, p, rng)
         assert sorted(res.records) == sorted(items)
+
+
+def test_draws_come_only_from_randbytes_once_per_run_and_bucket():
+    # the key, then one draw per input run and one per output bucket: no draw
+    # per item or per blob, and no other method of the rng
+    class Counting:
+        def __init__(self, seed):
+            self._real, self.calls = random.Random(seed), 0
+
+        def randbytes(self, n):
+            self.calls += 1
+            return self._real.randbytes(n)
+
+    p = make_params(4000, 20, 30, 1200, 4, item_len=150)
+    items = _items(p.n_items, random.Random(14), p.item_len)
+    for seed in range(3):
+        rng = Counting(seed)
+        res = stash_shuffle(items, p, rng, keep_trace=False)
+        assert sorted(res.records) == sorted(items)
+        assert rng.calls <= res.attempts * (2 * p.num_buckets + 1)
+
+
+def test_tied_order_keys_are_drawn_again():
+    # after the key and the B runs' targets, the next draw is the first
+    # output bucket's keys: answer it with zeros, so all of them tie
+    p = _safe_params(12, 3)
+    items = _items(12, random.Random(15))
+    real, calls = random.Random(16), []
+
+    class TieOnce:
+        def randbytes(self, n):
+            calls.append(n)
+            return bytes(n) if len(calls) == 2 + p.num_buckets else real.randbytes(n)
+
+    res = stash_shuffle(items, p, TieOnce())
+    assert sorted(res.records) == sorted(items)
+    # the keys of two or more items are drawn again, once
+    assert len(calls) == 2 * p.num_buckets + 2
+    assert calls[1 + p.num_buckets] == calls[2 + p.num_buckets] > 8
+
+
+def test_orders_of_four_items_are_uniform():
+    # all 24 orders of 4 items, through both phases at B = 2
+    rng = random.Random(18)
+    p = _safe_params(4, 2, item_len=4)
+    items = [b"%04d" % i for i in range(4)]
+    counts = Counter(tuple(stash_shuffle(items, p, rng, keep_trace=False).records)
+                     for _ in range(4800))
+    assert len(counts) == 24
+    _, pvalue = stats.chisquare(list(counts.values()))
+    assert pvalue > 1e-3
+
+
+def test_max_attempts_below_one_is_refused():
+    p = make_params(8, 2, chunk_cap=4, stash_cap=4, window=2, item_len=4)
+    with pytest.raises(ValueError, match="max_attempts"):
+        stash_shuffle([b"aaaa"] * 8, p, random.Random(0), max_attempts=0)
 
 
 def test_mixed_item_lengths_rejected():
@@ -233,8 +333,8 @@ def test_blob_lengths_depend_only_on_the_parameters(monkeypatch):
     sealed, opened, p = _blob_lengths(monkeypatch, 99, 1)
     b, d = p.num_buckets, p.bucket_size
     assert (b, b * d) == (3, 99)
-    chunk = 12 + 4 + p.chunk_cap * p.item_len + 16
-    drain = 12 + 4 + p.drain_per_bucket * p.item_len + 16
+    chunk = 4 + p.chunk_cap * p.item_len + 16
+    drain = 4 + p.drain_per_bucket * p.item_len + 16
     # one attempt: B chunks per input bucket, then B drain regions; each
     # output bucket then opens its B chunks and its drain region
     assert sealed == [chunk] * (b * b) + [drain] * b
@@ -342,7 +442,7 @@ def test_item_cipher_round_trips_every_fill_at_its_own_address_only(p, data):
             zeros = data.draw(st.lists(st.booleans(), min_size=fill, max_size=fill))
             items = [bytes(16) if zero else rng.randbytes(16) for zero in zeros]
             blob = cipher.encrypt(items, offset, slots)
-            assert len(blob) == 12 + 4 + slots * p.item_len + 16
+            assert len(blob) == 4 + slots * p.item_len + 16
             out = cipher.decrypt(blob, offset, slots)
             assert all(type(got) is bytes for got in out) and out == items
             for other in [*addresses, (offset + 1, slots), (offset, slots + 1)]:
@@ -355,40 +455,32 @@ def test_item_cipher_round_trips_every_fill_at_its_own_address_only(p, data):
 # failure phases (driven by a rigged target draw)
 
 
-class _RiggedRng:
+@pytest.fixture
+def rigged(monkeypatch):
     """Sends every item to the last bucket."""
-
-    def __init__(self, seed=0):
-        self._real = random.Random(seed)
-
-    def randbytes(self, n):
-        return self._real.randbytes(n)
-
-    def shuffle(self, arr):
-        self._real.shuffle(arr)
-
-    def choices(self, population, k):
-        return [population[-1]] * k
+    monkeypatch.setattr(
+        stash_shuffle_mod, "shuffle_to_buckets", lambda b, run_length, rng: [b - 1] * run_length
+    )
 
 
-def test_stash_overflow_fails_distribution_phase():
+def test_stash_overflow_fails_distribution_phase(rigged):
     p = make_params(9, 3, chunk_cap=1, stash_cap=0, window=3, item_len=4)
     with pytest.raises(ShuffleFailed) as exc:
-        stash_shuffle([b"%04d" % i for i in range(9)], p, _RiggedRng())
+        stash_shuffle([b"%04d" % i for i in range(9)], p, random.Random(0))
     assert exc.value.phase == "distribution"
 
 
-def test_stash_drain_cap_fails_drain_phase():
+def test_stash_drain_cap_fails_drain_phase(rigged):
     p = make_params(9, 3, chunk_cap=1, stash_cap=9, window=3, item_len=4)
     with pytest.raises(ShuffleFailed) as exc:
-        stash_shuffle([b"%04d" % i for i in range(9)], p, _RiggedRng())
+        stash_shuffle([b"%04d" % i for i in range(9)], p, random.Random(0))
     assert exc.value.phase == "drain"
 
 
-def test_queue_underflow_fails_compression_phase():
+def test_queue_underflow_fails_compression_phase(rigged):
     p = make_params(9, 3, chunk_cap=3, stash_cap=0, window=1, item_len=4)
     with pytest.raises(ShuffleFailed) as exc:
-        stash_shuffle([b"%04d" % i for i in range(9)], p, _RiggedRng())
+        stash_shuffle([b"%04d" % i for i in range(9)], p, random.Random(0))
     assert exc.value.phase == "compression"
 
 
@@ -460,20 +552,20 @@ _GOLDEN = [
     (params_for(1, 24), 1, 1, [],
      "a0f1ade8dfc9c5294efe58a2a72ed2eba036078fb6073992b32b79e985fa7fd6"),
     (params_for(50, 24), 2, 1, [],
-     "18cda1e55b5f232036a6f7798288324999d97013cc374ead57f773294a939c11"),
+     "9ac9079f4102994207aee7f42b742f7cc14d29b04a32d21f145edbed7f3b8cfe"),
     (params_for(2100, 24), 3, 1, [],
-     "e163d9055df5dc4075333fb448cecbcd30fe24a51572cda3389715598daa6da4"),
+     "c3d77c236617ff46c48d5768e302d78f7ace1e29e8414b0a626c0abd2143d51e"),
     # the perfbench `stash` workload's parameters
     (make_params(4000, 20, 30, 1200, 4, item_len=150), 4, 1, [],
-     "bfb2b0ace98c83615e29f68f2ad8a37b2e537dc433720591919db152a6673d95"),
+     "fd42870d37bc52a061bdbda4a38e6c7a4c8a644d54fcaa454d13abfc159d2141"),
     # B does not divide N: runs of 19 and 20 items
     (make_params(97, 5, 14, 30, 3, item_len=16), 5, 1, [],
-     "142e01323090e979eae5e3b3901f5d84995c3f0392b59eaad3b226656c4e7d81"),
+     "fcdbc270b8158ac7d542118406cdb236c25875c8da0f4210d49330737f6a5c25"),
     # tight caps: failed attempts before the one that succeeds
-    (make_params(6, 3, 1, 2, 3, item_len=4), 185, 3, ["distribution", "drain"],
-     "8a9343367757ef3d9b8f04850958dc03592ddad8422126d24e1d9352ee6dfe93"),
-    (make_params(10, 3, 2, 3, 1, item_len=4), 0, 3, ["compression", "compression"],
-     "bdf19bbdf46d92cfc6bf972420ed7db0d49c906383a4e4ff70a1cbea8805ff9b"),
+    (make_params(6, 3, 1, 2, 3, item_len=4), 2453, 3, ["distribution", "drain"],
+     "652211bd9507af452b34e9e20db77a54874ac3f81ea17289841f883b7e01b863"),
+    (make_params(10, 3, 2, 3, 1, item_len=4), 11, 3, ["compression", "compression"],
+     "dbbf2a76ff2de4bf97e586e4654da87d34324eee53ed5929acb24e62d721f7b2"),
 ]
 
 
