@@ -65,10 +65,11 @@ def in_turn(run: int, sides):
     return sides if run % 2 == 0 else reversed(sides)
 
 
-def summary(samples: list[float]) -> dict:
-    """Median and quartiles of per-run timings in microseconds, with the runs."""
+def summary(samples: list[float], unit: str = "us") -> dict:
+    """Median and quartiles of per-run figures in `unit` (timings in
+    microseconds unless said otherwise), with the runs."""
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {"median_us": median, "q1_us": q1, "q3_us": q3, "runs_us": samples}
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3, f"runs_{unit}": samples}
 
 
 def write_result(out: Path, fields: dict, **machine) -> dict:

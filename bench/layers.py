@@ -31,18 +31,28 @@ the order of the cases alternates from run to run, so the drift of a shared
 host falls on all of them alike.  The output records each case's median and
 quartiles over the runs in microseconds per call (per record for the
 threshold, per item for the shuffle), and how many records the threshold
-kept.  One process, one thread.
+kept.
+
+The `import` row starts a fresh interpreter that runs `import anonpipe.cli`
+from this checkout's `src/`, once untimed and then once timed per run, and
+records its wall time (start to exit) and its peak resident set in MiB, the
+`VmHWM` it reads from `/proc/self/status` before it exits.  Every
+stage command and the owner that `map_records` forks its workers from
+starts with that import.  Apart from these children, one process, one
+thread.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from benchstats import (  # noqa: E402
-    in_turn, parse_args, per_call_us, stamped, summary, write_result
+    ROOT, in_turn, parse_args, per_call_us, stamped, summary, write_result
 )
 
 PLAINTEXT_LEN = 140
@@ -52,6 +62,25 @@ ZIPF_EXPONENT = 1.1
 STASH_ITEM_LEN = 150
 STASH_ITEMS_PER_PASS = 100_000
 STASH_PHASES = ("distribution", "drain", "compression")
+# the child reports its own peak resident set: Linux counts the starting
+# process's peak (under vfork, as `subprocess` starts a program) in the
+# child's `ru_maxrss`, and this process holds the shuffles' inputs
+IMPORT_CODE = "import anonpipe.cli"
+IMPORT_ARGV = [
+    sys.executable, "-c",
+    f"{IMPORT_CODE}\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])",
+]
+
+
+def import_cli(max_rss_mb: list) -> None:
+    """One fresh interpreter that imports the CLI from this checkout; appends
+    its peak resident set in MiB to `max_rss_mb`."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        IMPORT_ARGV, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True,
+    )
+    max_rss_mb.append(int(out.stdout) / 1024)  # VmHWM is in KiB
 
 
 def stash_pass(module, inputs) -> dict:
@@ -126,8 +155,14 @@ def measure(runs: int, calls: int, seed: int) -> dict:
 
     samples = {case: [] for case in cases}
     stash_samples = {size: {row: [] for row in (*STASH_PHASES, "stash_shuffle")} for size in sizes}
+    import_wall, import_rss = [], []
     for run in range(runs):
-        for case in in_turn(run, [*cases, *sizes]):
+        for case in in_turn(run, [*cases, *sizes, "import"]):
+            if case == "import":
+                rss = []
+                import_wall.append(per_call_us(import_cli, [(rss,)]))
+                import_rss.append(rss[-1])  # the timed start's
+                continue
             if case in sizes:
                 for row, us in stash_pass(stash_module, stash_inputs[case]).items():
                     stash_samples[case][row].append(us)
@@ -148,6 +183,10 @@ def measure(runs: int, calls: int, seed: int) -> dict:
                 **{row: summary(runs_us) for row, runs_us in stash_samples[size].items()},
             }
             for size, p in sizes.items()
+        },
+        "import": {
+            "code": IMPORT_CODE, "wall": summary(import_wall),
+            "max_rss": summary(import_rss, unit="mib"),
         },
     }
 
@@ -174,6 +213,12 @@ def main(argv=None) -> dict:
                 f"{size:17} {row:13} {s['median_us']:7.3f} us/item "
                 f"[{s['q1_us']:.3f}, {s['q3_us']:.3f}]"
             )
+    wall, rss = result["import"]["wall"], result["import"]["max_rss"]
+    print(
+        f"import anonpipe.cli {wall['median_us'] / 1e3:7.1f} ms "
+        f"[{wall['q1_us'] / 1e3:.1f}, {wall['q3_us'] / 1e3:.1f}], "
+        f"max RSS {rss['median_mib']:.1f} MiB [{rss['q1_mib']:.1f}, {rss['q3_mib']:.1f}]"
+    )
     return result
 
 

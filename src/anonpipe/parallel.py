@@ -148,7 +148,12 @@ def map_records(fn, items) -> list:
     `fn` must pickle when the map splits.  Runs in-process for small inputs,
     where `os.fork` is missing, inside another map's `fn` (in a worker or in
     the owner's chunk), and while another thread is alive (forking a
-    threaded process is unsafe, and two threads would share the pipes)."""
+    threaded process is unsafe, and two threads would share the pipes).
+
+    That guard counts Python threads only (`threading.active_count()`), not
+    threads a native library starts.  The program starts none: it imports
+    no numpy, whose OpenBLAS starts one at import, and
+    `tests/test_footprint.py` pins a pipeline process at one OS thread."""
     global _mapping
     cpus = usable_cpus()
     n = min(cpus, len(items) // MIN_PER_WORKER)

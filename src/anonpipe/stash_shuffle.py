@@ -36,7 +36,6 @@ import struct
 from dataclasses import dataclass, field
 from itertools import repeat
 
-import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from anonpipe.errors import BudgetExceeded, ShuffleFailed
@@ -298,38 +297,40 @@ _MID = 1 << 56
 _count = struct.Struct(">I").pack  # a blob's item count, at the head of its plaintext
 
 
-def _words(rng, count: int) -> np.ndarray:
-    """`count` uniform 64-bit words from one `rng.randbytes` call."""
-    return np.frombuffer(rng.randbytes(8 * count), "<u8")
+def _words(rng, count: int) -> tuple[int, ...]:
+    """`count` uniform 64-bit words from one `rng.randbytes` call, read little-endian."""
+    return struct.unpack(f"<{count}Q", rng.randbytes(8 * count))
 
 
 def shuffle_to_buckets(num_buckets: int, run_length: int, rng) -> list[int]:
     """Target bucket per item of an input run, each drawn independently and
-    uniformly: a 64-bit word mod B, where a word of 2^64 - (2^64 mod B) or
-    more is drawn again, so every target is exactly uniform.
+    uniformly: a 64-bit word mod B, where the words of 2^64 - (2^64 mod B) or
+    more are drawn again, in one call, until none is left, so every target
+    is exactly uniform.
 
     Independent targets make the bucket loads multinomial; a uniform
     composition (D items shuffled among B-1 separators) would skew loads and
     keep items of one input bucket together more often than a uniform
     permutation does.
     """
-    top = np.uint64(2**64 - 1 - 2**64 % num_buckets)  # the largest word kept
+    top = 2**64 - 1 - 2**64 % num_buckets  # the largest word kept
     words = _words(rng, run_length)
-    while (again := np.flatnonzero(words > top)).size:
-        words = words.copy()
-        words[again] = _words(rng, again.size)
-    return (words % np.uint64(num_buckets)).tolist()
+    while max(words, default=0) > top:
+        again = [i for i, word in enumerate(words) if word > top]
+        words = list(words)
+        for i, word in zip(again, _words(rng, len(again))):
+            words[i] = word
+    return [word % num_buckets for word in words]
 
 
-def _random_order(count: int, rng) -> list[int]:
-    """A uniformly random order of `count` positions: the ascending order of
-    `count` 64-bit keys, drawn again while two of them tie."""
+def _random_order(items: list, rng) -> list:
+    """`items` in a uniformly random order: ascending by one 64-bit key
+    each, the keys drawn again while two of them tie."""
     while True:
-        keys = _words(rng, count)
-        order = np.argsort(keys)
-        ranked = keys[order]
-        if not (ranked[1:] == ranked[:-1]).any():
-            return order.tolist()
+        keys = _words(rng, len(items))
+        if len(set(keys)) == len(keys):
+            # the sort calls its key function once per item, in list order
+            return sorted(items, key=functools.partial(next, iter(keys)))
 
 
 @dataclass
@@ -427,7 +428,7 @@ def _attempt(records, params, cipher, rng, trace):
             for row in addresses:
                 offset, slots = row[i]
                 items += cipher.decrypt(trace.read("mid", offset, slots), offset, slots)
-            items = [items[k] for k in _random_order(len(items), rng)]
+            items = _random_order(items, rng)
             if len(queue) + len(items) > params.queue_cap:
                 raise _AttemptFailed("compression")
             queue += items

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import resource
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -29,7 +30,7 @@ def test_layer_bench_writes_the_threshold_per_record_on_a_hashed_batch(tmp_path)
     result = bench.main(["--runs", "2", "--calls", "2", "--out", str(out)])
     assert json.loads(out.read_text()) == result
     assert list(result) == ["machine", "runs", "calls", "plaintext_len", "seed", "envelope",
-                            "threshold", "stash"]
+                            "threshold", "stash", "import"]
     threshold = result["threshold"]
     assert list(threshold) == ["apply_threshold", "count_crowds", "records", "kept"]
     for case in ("apply_threshold", "count_crowds"):
@@ -65,3 +66,18 @@ def test_layer_bench_writes_each_stash_shuffle_phase_per_item_at_two_sizes(tmp_p
     # the store is swapped back once the timed calls are done
     from anonpipe import stash_shuffle
     assert stash_shuffle.Trace.__name__ == "Trace"
+
+
+def test_layer_bench_writes_the_wall_time_and_peak_memory_of_importing_the_cli(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    row = bench.main(["--runs", "2", "--calls", "2", "--out", str(tmp_path / "out.json")])["import"]
+    assert list(row) == ["code", "wall", "max_rss"]
+    assert row["code"] == "import anonpipe.cli"
+    for side, unit in ((row["wall"], "us"), (row["max_rss"], "mib")):
+        assert len(side[f"runs_{unit}"]) == 2 and all(v > 0 for v in side[f"runs_{unit}"])
+        assert side[f"q1_{unit}"] <= side[f"median_{unit}"] <= side[f"q3_{unit}"]
+    # the child's own peak, not the peak of this process, which holds the shuffles' inputs
+    own_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert all(mib < own_mib for mib in row["max_rss"]["runs_mib"])

@@ -60,7 +60,7 @@ def test_zipf_corpus_is_deterministic():
 
 def test_zipf_corpus_range_and_skew():
     corpus = generate_zipf_corpus(500, 1.2, 50_000, seed=0)
-    assert corpus.min() >= 1 and corpus.max() <= 500
+    assert min(corpus) >= 1 and max(corpus) <= 500
     counts = Counter(corpus.tolist())
     # item 1 should be drawn roughly 10^1.2 times as often as item 10
     ratio = counts[1] / counts[10]

@@ -149,6 +149,13 @@ def test_shuffle_to_buckets_keeps_every_word_at_a_power_of_two():
     assert rng.calls == [32]
 
 
+def test_random_order_sorts_by_key_and_draws_all_keys_again_on_a_tie():
+    # the first draw ties two keys; the second orders the items by its keys
+    rng = _TapeRng([_words(7, 3, 7), _words(2**64 - 1, 0, 2**63)])
+    assert stash_shuffle_mod._random_order(["a", "b", "c"], rng) == ["b", "c", "a"]
+    assert rng.calls == [24, 24]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end shuffling
 
