@@ -1,5 +1,5 @@
-"""Per-call cost of secret-share decoding: `shamir_reconstruct` and the
-analyzer's `secret_share_decode`.
+"""Per-call cost of secret sharing: the client's `secret_share_encode`,
+`shamir_reconstruct` and the analyzer's `secret_share_decode`.
 
 Run from the root of a checkout:
 
@@ -11,7 +11,8 @@ order, as the decode hands a decodable group's t shares to it.  `secret_share_de
 timed per payload on one batch shaped like the `secret` benchmark
 workload's: `--payloads` Zipf(1.1) words over a vocabulary as large as the
 batch, each encoded at t = 20 and framed as the analyzer receives it, in a
-random order.  A run times every case once, and the order of the cases
+random order.  `secret_share_encode` is timed per call over the same words
+at t = 5, 20 and 50.  A run times every case once, and the order of the cases
 alternates from run to run, so the drift of a shared host falls on all of
 them alike.  The output records each case's median and quartiles over the
 runs in microseconds per call (per payload for the decode), and the decode
@@ -62,6 +63,10 @@ def measure(runs: int, calls: int, payloads: int, seed: int) -> dict:
     rng.shuffle(batch)
     decode_args = [(batch, DECODE_T, SHARE_FIELD)]
     cases[f"decode_t{DECODE_T}"] = (secret_share_decode, decode_args, payloads)
+    for t in THRESHOLDS:
+        cases[f"encode_t{t}"] = (
+            secret_share_encode, [(w, t, SHARE_FIELD, rng) for w in words], 1
+        )
 
     samples = {case: [] for case in cases}
     for run in range(runs):
@@ -71,6 +76,7 @@ def measure(runs: int, calls: int, payloads: int, seed: int) -> dict:
 
     decoded = secret_share_decode(batch, DECODE_T, SHARE_FIELD)
     return {
+        "encode": {f"t{t}": summary(samples[f"encode_t{t}"]) for t in THRESHOLDS},
         "reconstruct": {f"t{t}": summary(samples[f"reconstruct_t{t}"]) for t in THRESHOLDS},
         "decode": {
             f"t{DECODE_T}": {
@@ -95,8 +101,9 @@ def main(argv=None) -> dict:
     result = write_result(
         args.out, fields | measure(args.runs, args.calls, args.payloads, args.seed)
     )
-    for t, s in result["reconstruct"].items():
-        print(f"reconstruct {t:4} {s['median_us']:9.1f} us [{s['q1_us']:.1f}, {s['q3_us']:.1f}]")
+    for name in ("encode", "reconstruct"):
+        for t, s in result[name].items():
+            print(f"{name:11} {t:4} {s['median_us']:9.1f} us [{s['q1_us']:.1f}, {s['q3_us']:.1f}]")
     for t, d in result["decode"].items():
         s = d["per_payload"]
         print(

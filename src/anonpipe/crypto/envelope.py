@@ -9,6 +9,7 @@ them, so every other module passes envelopes as bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -67,6 +68,13 @@ def _derive_key(shared: bytes, ephemeral_public: bytes, recipient_public: bytes)
     ).derive(shared)
 
 
+@lru_cache(maxsize=8)
+def _recipient_key(public_bytes: bytes) -> X25519PublicKey:
+    # A process seals to a few recipients, so each key is parsed once; a key
+    # that fails to parse raises every time, since a raise is not cached.
+    return X25519PublicKey.from_public_bytes(public_bytes)
+
+
 def seal(recipient_public: bytes, plaintext: bytes, rng=OS_RNG) -> bytes:
     """The envelope of `plaintext` for a recipient public key, under a fresh
     ephemeral key pair."""
@@ -74,7 +82,7 @@ def seal(recipient_public: bytes, plaintext: bytes, rng=OS_RNG) -> bytes:
         raise PayloadTooLarge(f"plaintext longer than {MAX_PLAINTEXT}")
     eph_sk = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = eph_sk.public_key().public_bytes_raw()
-    shared = eph_sk.exchange(X25519PublicKey.from_public_bytes(recipient_public))
+    shared = eph_sk.exchange(_recipient_key(recipient_public))
     key = _derive_key(shared, eph_pub, recipient_public)
     nonce = rng.randbytes(NONCE_LEN)
     return eph_pub + nonce + AESGCM(key).encrypt(nonce, plaintext, None)

@@ -57,9 +57,10 @@ class ShamirShare:
 
 def eval_poly(field: PrimeField, coeffs: list[int], x: int) -> int:
     """Evaluate sum(coeffs[i] * x^i) by Horner's rule."""
+    p = field.modulus
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % field.modulus
+        acc = (acc * x + c) % p
     return acc
 
 

@@ -83,21 +83,32 @@ def parse_share_payload(field: PrimeField, payload: bytes) -> tuple[bytes, int, 
 SHARE_FIELD = PrimeField(0x61d689bea9b7b2c11663b2f54bd92fd39ae2ec3f525d4573408046134d38cd15)
 
 
+# Bytes of SHAKE-256 output per polynomial coefficient: 384 bits reduced mod
+# the 255-bit SHARE_FIELD are within 2^-128 of uniform.
+_COEFF_LEN = 48
+
+
 def message_field_key(field: PrimeField, m: bytes) -> int:
-    """Field element derived from the message; the shared secret of aux."""
-    h = hashlib.sha512(b"anonpipe-ssk-v1|" + m).digest()
-    return int.from_bytes(h, "big") % field.modulus
+    """The constant term of m's share polynomial, which keys m's
+    deterministic ciphertext; the same at every t."""
+    return _share_poly_coeffs(field, m, 1)[0]
 
 
 def _share_poly_coeffs(field: PrimeField, m: bytes, t: int) -> list[int]:
-    # Coefficients are message-derived so uncoordinated clients evaluate the
-    # same polynomial; only the evaluation point is per-client randomness.
-    coeffs = [message_field_key(field, m)]
-    for i in range(1, t):
-        h = hashlib.sha512(
-            b"anonpipe-ssc-v1|" + i.to_bytes(4, "big") + b"|" + m
-        ).digest()
-        coeffs.append(int.from_bytes(h, "big") % field.modulus)
+    """m's degree-(t - 1) share polynomial, constant term first: one
+    SHAKE-256 output over m cut into t big-endian integers of `_COEFF_LEN`
+    bytes, so the coefficients for t are a prefix of those for any larger t.
+
+    The coefficients are message-derived so uncoordinated clients evaluate
+    the same polynomial; only the evaluation point is per-client randomness.
+    Only the constant term is reduced mod p: `eval_poly` reduces at every
+    Horner step, so the others may stay unreduced."""
+    stream = hashlib.shake_256(b"anonpipe-ssc-v2|" + m).digest(_COEFF_LEN * t)
+    coeffs = [
+        int.from_bytes(stream[i : i + _COEFF_LEN], "big")
+        for i in range(0, len(stream), _COEFF_LEN)
+    ]
+    coeffs[0] %= field.modulus
     return coeffs
 
 

@@ -15,9 +15,11 @@ def test_share_bench_writes_medians_and_quartiles_per_case(tmp_path):
     bench.main(["--runs", "2", "--calls", "2", "--payloads", "60", "--out", str(out)])
     result = json.loads(out.read_text())
     assert (result["runs"], result["calls"], result["payloads"]) == (2, 2, 60)
-    assert set(result["reconstruct"]) == {"t5", "t20", "t50"}
+    assert set(result["encode"]) == set(result["reconstruct"]) == {"t5", "t20", "t50"}
     decode = result["decode"]["t20"]
-    timings = [*result["reconstruct"].values(), decode["per_payload"]]
+    timings = [
+        *result["encode"].values(), *result["reconstruct"].values(), decode["per_payload"]
+    ]
     for side in timings:
         assert len(side["runs_us"]) == 2 and all(t > 0 for t in side["runs_us"])
         assert side["q1_us"] <= side["median_us"] <= side["q3_us"]

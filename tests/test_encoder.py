@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import struct
@@ -12,6 +14,8 @@ from anonpipe.crypto.group import TEST_GROUP_256, KeyPair
 from anonpipe.crypto.shamir import GF251, PrimeField, ShamirShare, shamir_reconstruct
 from anonpipe.encoder import (
     CROWD_KINDS,
+    SHARE_FIELD,
+    _share_poly_coeffs,
     encode_report,
     k_ary_randomized_response,
     krr_true_prob,
@@ -85,6 +89,45 @@ def test_share_payload_roundtrip():
     payload = secret_share_encode(b"value", 3, field, rng)
     c, x, y = parse_share_payload(field, payload)
     assert payload == struct.pack("<H", len(c)) + c + field.encode(x) + field.encode(y)
+
+
+def _oracle_coeffs(m: bytes, t: int) -> list[int]:
+    # one SHAKE-256 output over the tagged message, cut into 48-byte
+    # big-endian integers, constant term first
+    stream = hashlib.shake_256(b"anonpipe-ssc-v2|" + m).digest(48 * t)
+    return [int.from_bytes(stream[48 * i : 48 * (i + 1)], "big") for i in range(t)]
+
+
+@pytest.mark.parametrize("field", [SHARE_FIELD, PrimeField((1 << 127) - 1), GF251])
+@pytest.mark.parametrize("m", [b"", b"m", b"secret-url", bytes(range(256))])
+def test_share_polynomial_is_one_shake_256_output(field, m):
+    p = field.modulus
+    for t in (1, 2, 5, 20):
+        coeffs = [c % p for c in _share_poly_coeffs(field, m, t)]
+        assert coeffs == [c % p for c in _oracle_coeffs(m, t)]
+        assert coeffs == [c % p for c in _share_poly_coeffs(field, m, t + 5)[:t]]
+        assert message_field_key(field, m) == _oracle_coeffs(m, t)[0] % p
+
+
+@pytest.mark.parametrize("t", [1, 2, 20])
+def test_any_t_of_2t_shares_reconstruct_the_message_key(t):
+    rng = random.Random(t)
+    p = SHARE_FIELD.modulus
+    m = b"item-" + str(t).encode()
+    oracle = _oracle_coeffs(m, t)
+    shares = []
+    for _ in range(2 * t):
+        _, x, y = parse_share_payload(SHARE_FIELD, secret_share_encode(m, t, SHARE_FIELD, rng))
+        assert y == sum(c * pow(x, i, p) for i, c in enumerate(oracle)) % p
+        shares.append(ShamirShare(x, y))
+    if math.comb(2 * t, t) <= 30:
+        subsets = itertools.combinations(shares, t)
+    else:
+        subsets = [rng.sample(shares, t) for _ in range(30)]
+    key = message_field_key(SHARE_FIELD, m)
+    assert key == oracle[0] % p
+    for subset in subsets:
+        assert shamir_reconstruct(SHARE_FIELD, list(subset), t) == key
 
 
 # ---------------------------------------------------------------------------

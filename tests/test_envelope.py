@@ -12,6 +12,7 @@ import anonpipe
 from anonpipe.crypto.envelope import (
     ENVELOPE_OVERHEAD,
     TransportKeyPair,
+    _recipient_key,
     open_envelope,
     seal,
 )
@@ -125,6 +126,40 @@ def test_seal_rng_consumption_is_length_independent():
         seal(kp.public_bytes, bytes(n), rng)
         seeds.append(rng.randbytes(8))
     assert len(set(seeds)) == 1
+
+
+def test_sealing_to_two_recipients_in_turn_opens_only_under_each_own():
+    a, rng = _keys(13)
+    b = TransportKeyPair.generate(rng)
+    sealed = [
+        (kp, other, seal(kp.public_bytes, b"m", rng))
+        for _ in range(50)
+        for kp, other in ((a, b), (b, a))
+    ]
+    for kp, other, env in sealed:
+        assert open_envelope(kp, env) == b"m"
+        with pytest.raises(AuthenticationError):
+            open_envelope(other, env)
+
+
+@pytest.mark.parametrize("size", [31, 33])
+def test_a_recipient_key_that_fails_to_parse_fails_on_every_seal(size):
+    # a raise is never cached, so the same error comes back each time
+    rng = random.Random(14)
+    errors = set()
+    for _ in range(3):
+        with pytest.raises(ValueError) as caught:
+            seal(bytes(size), b"m", rng)
+        errors.add((type(caught.value), str(caught.value)))
+    assert len(errors) == 1
+
+
+def test_the_recipient_cache_stays_within_its_bound():
+    _, rng = _keys(15)
+    bound = _recipient_key.cache_info().maxsize
+    for _ in range(bound + 5):
+        seal(TransportKeyPair.generate(rng).public_bytes, b"m", rng)
+    assert _recipient_key.cache_info().currsize <= bound
 
 
 _FUZZ_KEYS, _ = _keys(11)

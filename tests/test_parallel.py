@@ -660,8 +660,8 @@ GOLDEN_DIGESTS = {
         "analyzer_stats.json": NO_DECODE_STATS,
     },
     "secret-share": {
-        "reports.bin": "5223def4ff01cd2bddbf4ec5330d4a29a1b2ca87e8187eb392bddba6effdf09a",
-        "shuffled.bin": "6940aee082fb580cd77ccc033b56145d6b946ab27277838caf5cafb3bdefa40f",
+        "reports.bin": "1dbe0a04dd12b0f2dfe853e324f29e1eb32751f2c313146bfc9fb16b484d75f9",
+        "shuffled.bin": "e2d4826305c6a7d6071beb2511660ffdf28bde69040d4fa1560a4009bb8ca7de",
         "selectivity.json": "c5f11ee83db0a8dd0cc18cb485819599dbcaa561d59aa1e98adf885b666b680f",
         "histogram.csv": "887197f19a34423b9283ab1d516e847e60ec7842c7241f66e4b74d7a03ffd41f",
         "analyzer_stats.json": "04a2ad0eeb5717dcf49f58f597d7532762b74820f5d48145d4a36342ddbc677b",
