@@ -1,4 +1,4 @@
-"""Per-call cost of the group layer's primitives: OpenSSL against the fallback.
+"""Per-call cost of the group layer's primitives: OpenSSL against the built-in `pow`.
 
 Run from the root of a checkout:
 
@@ -6,8 +6,9 @@ Run from the root of a checkout:
 
 For each group in `GROUPS` this times the `GroupParams` methods
 `is_element`, `exp`, `blind` and `unblind_decrypt` per call, once with the
-libcrypto powers that `crypto/modexp.py` loads and once with its fallback,
-the built-in `pow`, forced, as the tests force it.  `is_element` is a range
+libcrypto powers that `crypto/modexp.py` loads and once with the built-in
+`pow` forced, as the tests force it as an oracle; the program itself has no
+`pow` path, and its key `fallback` names this one.  `is_element` is a range
 check that computes no power, so its two sides time the same code.  A run
 times every (group, operation) on both paths back to back, and the path
 that goes first alternates from run to run, so the drift of a shared host

@@ -4,16 +4,16 @@ Powers use `BN_mod_exp_mont_consttime`, OpenSSL's constant-time Montgomery
 exponentiation, called through `ctypes` on the libcrypto that CPython's
 `_hashlib` links, so nothing is added to the dependencies.  The library is
 loaded on a process's first power and kept for the process, so forked
-workers inherit it; where it or one of its functions cannot be loaded, the
-built-in `pow` computes every power.
+workers inherit it; where it or one of its functions cannot be loaded, every
+power raises RuntimeError rather than fall back to the built-in `pow`, which
+is not constant-time.
 """
 
 from __future__ import annotations
 
 import threading
 
-# The process's power function, chosen on the first call of `mod_exp`:
-# OpenSSL's, or `pow` where libcrypto cannot be loaded.
+# The process's power function, OpenSSL's, loaded on the first call of `mod_exp`.
 _power = None
 
 
@@ -31,8 +31,10 @@ def _load():
     global _power
     try:
         _power = _OpenSSL().power
-    except (ImportError, OSError, AttributeError):  # no shared libcrypto, or no such symbol
-        _power = pow
+    except (ImportError, OSError, AttributeError) as exc:  # no shared libcrypto, or no such symbol
+        raise RuntimeError(
+            f"group powers need the libcrypto that hashlib links, and it cannot be loaded ({exc})"
+        ) from exc
 
 
 class _OpenSSL:

@@ -26,6 +26,7 @@ observer learns nothing from record sizes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -134,13 +135,23 @@ def report_length(kind: int, pad_to: int, group: GroupParams | None = None) -> i
 
 
 def write_batch(path: str | Path, records: list[bytes]) -> None:
+    """`records` as the batch file at `path`, which is replaced whole: they go
+    to a new file beside it, moved over `path` once all are written, so an
+    error or a kill midway leaves any old file as it was.  The new file gets
+    the mode `open(path, "wb")` gives a new file."""
     record_len = len(records[0]) if records else 0
-    # checked before the open, which would empty a file that is replaced
     if any(len(rec) != record_len for rec in records):
         raise ValueError("batch records must share one length")
-    with open(path, "wb") as fh:
-        fh.write(_BATCH_HEADER.pack(BATCH_MAGIC, record_len, len(records)))
-        fh.writelines(records)
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(_BATCH_HEADER.pack(BATCH_MAGIC, record_len, len(records)))
+            fh.writelines(records)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_batch(path: str | Path) -> list[bytes]:

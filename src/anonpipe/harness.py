@@ -9,12 +9,10 @@ import math
 import random
 import time
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import partial, reduce
-from itertools import accumulate, islice, repeat
-from operator import add, truediv
+from functools import partial
+from itertools import accumulate, repeat
 from pathlib import Path
 
 from anonpipe import analyzer as analyzer_mod
@@ -62,97 +60,17 @@ class RngTape:
 def generate_zipf_corpus(
     vocab_size: int, exponent: float, n_samples: int, seed: int
 ) -> array:
-    """Item ids in [1, vocab_size], item k drawn with probability ~ k^-exponent.
-
-    Draw for draw `np.random.default_rng(seed).choice(vocab_size, n_samples,
-    p=w) + 1`, w the weights normalised by numpy's pairwise sum: the same
-    PCG64 stream, the same cdf, and its first entry above each uniform.
-    Weights come from libm's `pow`; where numpy's SIMD `pow` differs from it
-    by an ulp, a draw differs only if its uniform falls in that ulp of a cdf
-    entry.  ValueError where numpy raises one: a negative `n_samples` or
-    `seed`, or a NaN exponent."""
+    """Item ids in [1, vocab_size], item k drawn with probability ~ k^-exponent:
+    `random.Random(seed).choices` over the cumulative weights, a pure function
+    of the seed.  ValueError for an empty vocabulary, a non-positive or NaN
+    exponent, or a negative `n_samples` or `seed`."""
     if vocab_size < 1 or not exponent > 0:
         raise ValueError("need vocab_size >= 1 and exponent > 0")
-    if n_samples < 0:
-        raise ValueError("need n_samples >= 0")
-    uniforms = _pcg64_uniforms(*_pcg64_seed(seed))
-    weights = array("d", map(pow, map(float, range(1, vocab_size + 1)), repeat(-exponent)))
-    total = _pairwise_sum(weights, 0, vocab_size)
-    cdf = array("d", accumulate(map(truediv, weights, repeat(total))))
-    del weights
-    cdf = array("d", map(truediv, cdf, repeat(cdf[-1])))
-    return array("q", (bisect_right(cdf, u) + 1 for u in islice(uniforms, n_samples)))
-
-
-def _pairwise_sum(values: array, start: int, n: int) -> float:
-    """numpy's float64 `sum` of values[start : start + n]: eight running sums
-    per block of up to 128, and halves of longer runs split at a multiple of 8."""
-    if n < 8:
-        return reduce(add, values[start : start + n], 0.0)
-    if n <= 128:
-        whole = start + n - n % 8
-        r = [reduce(add, values[start + j : whole : 8]) for j in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[whole : start + n], head)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
-
-
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_seed(seed: int) -> tuple[int, int]:
-    """PCG64's 128-bit state and increment in `np.random.default_rng(seed)`:
-    numpy's SeedSequence hashes the seed's 32-bit words into a pool of four,
-    then expands the pool to the initial state and the stream number.
-    ValueError for a negative seed, as numpy raises."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, np.uint64): eight 32-bit words, paired low word first
-    words, mult = [], 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ mult
-        mult = mult * 0x58F38DED & _M32
-        value = value * mult & _M32
-        words.append(value ^ value >> 16)
-    init_state, init_seq = (
-        (words[i] | words[i + 1] << 32) << 64 | words[i + 2] | words[i + 3] << 32 for i in (0, 4)
-    )
-    inc = (init_seq << 1 | 1) & _M128
-    return ((inc + init_state) * _PCG64_MULT + inc) & _M128, inc
-
-
-def _pcg64_uniforms(state: int, inc: int):
-    """The doubles of numpy's `Generator.random()` from PCG64 at `state` and
-    `inc`: each step's XSL-RR output, its top 53 bits over 2^53."""
-    while True:
-        state = (state * _PCG64_MULT + inc) & _M128
-        word = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        yield (((word >> rot | word << (64 - rot)) & _M64) >> 11) * 2.0**-53
+    if n_samples < 0 or seed < 0:
+        raise ValueError("need n_samples >= 0 and seed >= 0")
+    items = range(1, vocab_size + 1)
+    cum_weights = array("d", accumulate(map(pow, items, repeat(-exponent))))
+    return array("q", random.Random(seed).choices(items, cum_weights=cum_weights, k=n_samples))
 
 
 def save_corpus(path: str | Path, items: array) -> None:

@@ -270,6 +270,30 @@ def test_write_batch_of_unequal_records_leaves_the_old_file(tmp_path):
     assert formats.read_batch(path) == [b"a" * 10, b"b" * 10]
 
 
+class NotBytes:
+    """A record whose length passes the batch's check but which no file can take."""
+
+    def __len__(self):
+        return 10
+
+
+def test_write_batch_that_fails_midway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "batch.bin"
+    formats.write_batch(path, [b"a" * 10, b"b" * 10])
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        formats.write_batch(path, [b"a" * 10, NotBytes()])
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["batch.bin"]
+
+
+def test_write_batch_gives_a_new_files_mode(tmp_path):
+    formats.write_batch(tmp_path / "batch.bin", [b"a" * 10])
+    with open(tmp_path / "plain.bin", "wb"):
+        pass
+    assert (tmp_path / "batch.bin").stat().st_mode == (tmp_path / "plain.bin").stat().st_mode
+
+
 @pytest.mark.parametrize("keep", [0, 5, 19])
 def test_read_batch_rejects_truncated_header(tmp_path, keep):
     path = tmp_path / "batch.bin"

@@ -309,8 +309,9 @@ def test_unblind_decrypt_matches_inverting_c1_to_the_x(group, examples):
     check()
 
 
-# The three tests above compare `exp` with `pow` on OpenSSL's path, which is
-# the default here; these run them again with `pow` computing every power.
+# The three tests above compare `exp` with `pow` on OpenSSL's path, the only
+# one the program takes; these run them again with `pow` forced to compute
+# every power, an oracle check of the code around the power function.
 @pytest.mark.parametrize(
     "compare",
     [
@@ -330,6 +331,19 @@ def test_the_first_power_loads_openssl(monkeypatch):
     monkeypatch.setattr(modexp, "_power", None)
     assert G.exp(G.generator, 5) == 4**5
     assert isinstance(modexp._power.__self__, modexp._OpenSSL)
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP_256, MODP_2048], ids=lambda g: g.group_id)
+def test_a_power_without_libcrypto_raises(monkeypatch, group):
+    def no_libcrypto():
+        raise OSError("no shared libcrypto")
+
+    monkeypatch.setattr(modexp, "_power", None)
+    monkeypatch.setattr(modexp, "_OpenSSL", no_libcrypto)
+    for _ in range(2):  # the first power and every later one
+        with pytest.raises(RuntimeError, match="libcrypto"):
+            group.exp(group.generator, 5)
+    assert modexp._power is None
 
 
 @pytest.mark.parametrize("group", [TEST_GROUP_256, MODP_2048], ids=lambda g: g.group_id)

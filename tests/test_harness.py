@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import math
 import re
 import random
 import shlex
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.stats import chisquare
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from anonpipe import cli, formats, shuffler
@@ -65,6 +67,42 @@ def test_zipf_corpus_range_and_skew():
     # item 1 should be drawn roughly 10^1.2 times as often as item 10
     ratio = counts[1] / counts[10]
     assert 0.6 * 10**1.2 < ratio < 1.5 * 10**1.2
+
+
+def zipf_chisquare_p(corpus, vocab_size, exponent):
+    """The p-value of a chi-square test of the corpus's item counts against
+    weights k^-exponent, the bins expected to hold fewer than 5 items pooled."""
+    weights = np.arange(1, vocab_size + 1, dtype=np.float64) ** -exponent
+    expected = weights / weights.sum() * len(corpus)
+    observed = np.bincount(np.asarray(corpus), minlength=vocab_size + 1)[1:]
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return chisquare(observed, expected).pvalue
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**70])
+@pytest.mark.parametrize("vocab_size, exponent", [(20, 2.0), (100, 1.1), (200, 0.7)])
+def test_zipf_corpus_follows_its_weights(vocab_size, exponent, seed):
+    corpus = generate_zipf_corpus(vocab_size, exponent, 100_000, seed)
+    assert min(corpus) >= 1 and max(corpus) <= vocab_size
+    assert zipf_chisquare_p(corpus, vocab_size, exponent) > 1e-4
+    # the negative control: 5% off the exponent is plain at this sample size
+    assert zipf_chisquare_p(corpus, vocab_size, exponent * 1.05) < 1e-6
+
+
+@pytest.mark.parametrize("vocab_size, exponent, n_samples, seed", [
+    pytest.param(100, 1.1, -1, 0, id="negative-sample-count"),
+    pytest.param(100, 1.1, 10, -1, id="negative-seed"),
+    pytest.param(100, 1.1, 0, -1, id="negative-seed-no-samples"),
+    pytest.param(100, 1.1, 10, -(2**130), id="large-negative-seed"),
+    pytest.param(100, math.nan, 10, 0, id="nan-exponent"),
+    pytest.param(0, 1.1, 0, 0, id="empty-vocabulary"),
+])
+def test_zipf_corpus_raises_on_a_bad_argument(vocab_size, exponent, n_samples, seed):
+    with pytest.raises(ValueError):
+        generate_zipf_corpus(vocab_size, exponent, n_samples, seed)
 
 
 def test_corpus_file_roundtrip(tmp_path):

@@ -653,33 +653,37 @@ GOLDEN_RUNS = {
 NO_DECODE_STATS = "b55cd2b521806b4f4c66d7619d4a6e25041b129ec9d323c528e5d40b33ab6f1b"
 GOLDEN_DIGESTS = {
     "hashed": {
-        "reports.bin": "b9424a21716aed36b302fbbf558c0d225a94910bc25d2b6c7c93913a50a7a7f8",
-        "shuffled.bin": "8a5c935dbc047c6b90f757ec00360d02c7c4608ba8dfbf6567decd09d7f22095",
-        "selectivity.json": "d407fa27798e9683b52a9b96affd4b933966c7014f60d9f0053fdf272760cb60",
-        "histogram.csv": "838db251c69629b3674ece1c361c0a21ac7ae2c0a370a4719d23ba3bfebda870",
+        "corpus.txt": "d850c6f182cf2924c5396730258c876a9b4a81fb8b83c749faf324f9d63c3f7f",
+        "reports.bin": "05fb04ebb62e6541eeb0cd9fa453af5dbfef601eddb16de95f60fd1032ef72f2",
+        "shuffled.bin": "21fe39ae9161d51e2bcdc68151ab6693a471488be90e8a7a24ead7ac71a52f64",
+        "selectivity.json": "ad56b249d3dcd1687c60f6fea1b0aef06d6f45c4b5801c34aca22cf75e69d74e",
+        "histogram.csv": "931dca338025d8c3355fd7794e32171eccf228f1971daeb9bd8027d5365973a8",
         "analyzer_stats.json": NO_DECODE_STATS,
     },
     "secret-share": {
-        "reports.bin": "1dbe0a04dd12b0f2dfe853e324f29e1eb32751f2c313146bfc9fb16b484d75f9",
-        "shuffled.bin": "e2d4826305c6a7d6071beb2511660ffdf28bde69040d4fa1560a4009bb8ca7de",
+        "corpus.txt": "62dd75467cf218cb324687dcce93194767fda03b22ddcc0c1893d089eb371e02",
+        "reports.bin": "f9c3d4026caba7425f799ed0c5e832fdc911357c4371f3a8113d6a9730e00455",
+        "shuffled.bin": "49b500075e9206ebc4d568319a7d028113baacd09c46d69a9891ba468f0f90a3",
         "selectivity.json": "c5f11ee83db0a8dd0cc18cb485819599dbcaa561d59aa1e98adf885b666b680f",
-        "histogram.csv": "887197f19a34423b9283ab1d516e847e60ec7842c7241f66e4b74d7a03ffd41f",
-        "analyzer_stats.json": "04a2ad0eeb5717dcf49f58f597d7532762b74820f5d48145d4a36342ddbc677b",
+        "histogram.csv": "e6ccf5afb4a40d753035c04e56e695f2f2e0671ccf9cb0412e6218852890a65d",
+        "analyzer_stats.json": "cb190546253674f9a670aeea212a747c880468a6226f4b529be99387971f7599",
     },
     "blinded-test-256": {
-        "reports.bin": "9bcaac0a5003ce1ab3ab2fc27d73f90b5c34d076057440e5b23ef918792fe5f0",
-        "blinded.bin": "dda9595ecccdc356105ee4ea451e640cd02758c62cbe61a846a0b02f845f5585",
-        "shuffled.bin": "d4a864eb7e8c5f3bedc4eeabf24d1c4211366e75c7dbe583ad5c461c476b1ff4",
-        "selectivity.json": "a614f202b93fe09795f42b93c1316b9417fa0165523c13bdeab39f6a85520560",
-        "histogram.csv": "68f6831d97d52ba934aa5b8675b2382f0da2be0c3538187e0a7ffe3c23def7ba",
+        "corpus.txt": "bc9b2ba81c0bdd44400d6d87eb630044707b681cb88ccc9de6275ac6fa81d907",
+        "reports.bin": "aa229e24a5ea3a1c79ddf9d0fa974e192057428b2b2b9cb8eea464661cb9ed6f",
+        "blinded.bin": "009db9b33cf249740d42611701fe70da8de6d63376e342745bd7fa85db5d12c9",
+        "shuffled.bin": "26b6b1c982d4bb347d9df27d453155e1ab6c223fad6023a4ffefdd318fd0c1ff",
+        "selectivity.json": "a977eaacc6d25c1d8d0ff842a9e1fdee06d38a99e1bc8319ce11df5062b34666",
+        "histogram.csv": "e39a871b7618560359af24023adf8d71576a576d50d09e9417ffb948b086c395",
         "analyzer_stats.json": NO_DECODE_STATS,
     },
     "blinded-modp-2048": {
-        "reports.bin": "50f079df8959f2eabfeaee961946d53c71a8404246915fe9bcd958fdd211bb3f",
-        "blinded.bin": "08f6e434bd214a64f3171cf46778a9e7f3b57d9ab6d464b82a8e332162713b84",
-        "shuffled.bin": "05309c18dd8b8f619e044722fa1c6345a7d0fc45664a052e1ee368ba0e4afece",
-        "selectivity.json": "f0739da9df5980e93729890443a7bcd02acb6bcfe19b019ef7cfe1182f4cc34c",
-        "histogram.csv": "bf49a3821fbc8c0c94734d1ccaafaebd599919227f7db09be0e03f8d38e0aeaf",
+        "corpus.txt": "3d2482260676fbb9115eec9804a115e39a52496547d3cde37e957c9716a844b9",
+        "reports.bin": "83876db0816cb9a5138b6775ccefac343f38369297e2c5dbe450c03d254983fd",
+        "blinded.bin": "cc6a398febf040aed0fb7fce3bbd2f80bfe82000474ec7a78153cc5a0bd306f1",
+        "shuffled.bin": "66714cd2653c148631de5dd67798f043978d25ee4b6b9015b0dfdbc1bc34fae1",
+        "selectivity.json": "a31f71e0c1a3b8848314250e7100797cf1b69127c1e4833df1416a17e38440e4",
+        "histogram.csv": "2708d0c21dd5cb89baee009bb0546ddf08180978dabac075835e63a7ab89af9c",
         "analyzer_stats.json": NO_DECODE_STATS,
     },
 }
